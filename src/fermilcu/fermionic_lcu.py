@@ -380,6 +380,8 @@ def csa_lcu(maj: MajoranaHamiltonian, result: CsaResult) -> LcuDecomposition:
     metadata = _truncation_metadata(maj, result.residual)
     metadata["n_fragments"] = len(result.fragments)
     metadata["one_body_lambda"] = one_body.lambda_contribution
+    metadata["converged"] = result.converged
+    metadata["residual"] = float(np.linalg.norm(result.residual))
     return LcuDecomposition(
         method="csa",
         n_orbitals=n,

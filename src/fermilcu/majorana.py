@@ -5,31 +5,36 @@ h_tilde_ij = h_ij + 2 sum_k g_ijkk, and a four-Majorana part weighted by g.
 Reflection operators Q_ij, built from Majorana pairs, carry the coefficients
 h_tilde/2 (per spin) and g/4 (per spin pair).
 
-Pauli words are stored as X/Z bitmasks; commutation is the parity of the
-symplectic inner product.
+Pauli words are stored as X/Z bitmasks, bit q for qubit q+1; commutation is
+the parity of the symplectic inner product. With Y = iXZ, the product of two
+words is the word (x1^x2, z1^z2) times i^k with
+k = |x1&z1| + |x2&z2| - |x3&z3| + 2|z1&x2| (Aaronson and Gottesman, PRA 70,
+052328, 2004).
+
+Bulk work runs on the array form of the same algebra: a set of terms is three
+parallel arrays, packed uint64 X and Z masks and complex coefficients.
+`word_products` multiplies word arrays elementwise (with broadcasting),
+`combine_terms` sums like terms by sorting their masks, and `sparse_matrix`
+assembles the matrix of a sum one X mask at a time. `PauliSum` keeps the
+dictionary form for small operators; `PauliSum.from_arrays` and
+`PauliSum.arrays` convert between the two. `combine_terms` packs a word into
+one 64-bit key, so like terms combine on at most 32 qubits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 PRUNE_TOL = 1e-14
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-# single-qubit products: (a, b) -> (phase, result letter bits)
-_MULT = {}
-for _xa in (0, 1):
-    for _za in (0, 1):
-        for _xb in (0, 1):
-            for _zb in (0, 1):
-                _la = _LETTERS[(_xa, _za)]
-                _lb = _LETTERS[(_xb, _zb)]
-                _x, _z = _xa ^ _xb, _za ^ _zb
-                _table = {("X", "Y"): 1j, ("Y", "X"): -1j,
-                          ("Y", "Z"): 1j, ("Z", "Y"): -1j,
-                          ("Z", "X"): 1j, ("X", "Z"): -1j}
-                _MULT[(_xa, _za, _xb, _zb)] = (_table.get((_la, _lb), 1.0), _x, _z)
+# i**k for k = 0..3, indexed by the phase exponent of a word product
+_I_POWERS = np.array([1, 1j, -1, -1j])
+# combine_terms packs a word into one sort key, X mask above Z mask
+_HALF = np.uint64(32)
+_LOW = np.uint64(0xFFFFFFFF)
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -71,18 +76,13 @@ class PauliWord:
         """Returns (word, phase) with phase in {1, -1, i, -i}."""
         if self.n_qubits != other.n_qubits:
             raise ValueError("qubit count mismatch")
-        phase = 1.0 + 0j
-        active = self.x_mask | self.z_mask | other.x_mask | other.z_mask
-        q = 0
-        while active >> q:
-            bit = 1 << q
-            if active & bit:
-                p, _, _ = _MULT[((self.x_mask >> q) & 1, (self.z_mask >> q) & 1,
-                                 (other.x_mask >> q) & 1, (other.z_mask >> q) & 1)]
-                phase *= p
-            q += 1
-        return PauliWord(self.n_qubits, self.x_mask ^ other.x_mask,
-                         self.z_mask ^ other.z_mask), phase
+        x = self.x_mask ^ other.x_mask
+        z = self.z_mask ^ other.z_mask
+        k = ((self.x_mask & self.z_mask).bit_count()
+             + (other.x_mask & other.z_mask).bit_count()
+             - (x & z).bit_count()
+             + 2 * (self.z_mask & other.x_mask).bit_count())
+        return PauliWord(self.n_qubits, x, z), complex(_I_POWERS[k % 4])
 
     def dense(self) -> np.ndarray:
         """Kronecker composition, qubit 1 as the leftmost factor."""
@@ -111,6 +111,50 @@ def word_from_letters(letters) -> PauliWord:
         elif letter != "I":
             raise ValueError(f"unknown Pauli letter {letter!r}")
     return PauliWord(len(letters), x, z)
+
+
+def _popcount(masks) -> np.ndarray:
+    # bitwise_count returns uint8, which wraps under subtraction: widen first
+    return np.bitwise_count(masks).astype(np.int64)
+
+
+def word_products(x1, z1, x2, z2):
+    """Elementwise products of packed words, broadcasting like numpy.
+
+    Returns (x, z, phase): the product word's masks and its phase in
+    {1, i, -1, -i}.
+    """
+    x = x1 ^ x2
+    z = z1 ^ z2
+    k = (_popcount(x1 & z1) + _popcount(x2 & z2) - _popcount(x & z)
+         + 2 * _popcount(z1 & x2))
+    return x, z, _I_POWERS[k & 3]
+
+
+def combine_terms(x, z, coeffs):
+    """Sum the coefficients of equal words and drop sums below PRUNE_TOL.
+
+    Words come back sorted by (x, z), packed into one 64-bit sort key. The
+    sort is stable, so every sum is taken in the order its terms arrived,
+    and concatenated sorted runs merge in close to linear time.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if x.size == 0:
+        return x, z, coeffs
+    if np.any((x | z) >> _HALF):
+        raise ValueError("array form limited to 32 qubits")
+    key = (x << _HALF) | z
+    order = np.argsort(key, kind="stable")
+    key, coeffs = key[order], coeffs[order]
+    first = np.empty(key.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    group = np.cumsum(first) - 1
+    total = (np.bincount(group, weights=coeffs.real)
+             + 1j * np.bincount(group, weights=coeffs.imag))
+    keep = np.abs(total) >= PRUNE_TOL
+    key = key[first][keep]
+    return key >> _HALF, key & _LOW, total[keep]
 
 
 @dataclass
@@ -147,6 +191,22 @@ class PauliSum:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    @classmethod
+    def from_arrays(cls, n_qubits: int, x, z, coeffs) -> "PauliSum":
+        """Sum of coeffs[t] * word (x[t], z[t]), like terms combined."""
+        x, z, coeffs = combine_terms(x, z, coeffs)
+        out = cls(n_qubits)
+        out.terms = {PauliWord(n_qubits, int(xm), int(zm)): complex(c)
+                     for xm, zm, c in zip(x.tolist(), z.tolist(), coeffs)}
+        return out
+
+    def arrays(self):
+        """(x, z, coeffs): uint64 masks and complex coefficients, one entry
+        per term in dictionary order."""
+        x = np.array([w.x_mask for w in self.terms], dtype=np.uint64)
+        z = np.array([w.z_mask for w in self.terms], dtype=np.uint64)
+        return x, z, np.array(list(self.terms.values()), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -200,6 +260,23 @@ def reflection_word(i: int, j: int, sigma: int, n_orbitals: int):
     return word, 1j * phase
 
 
+@lru_cache(maxsize=None)
+def reflection_table(n_orbitals: int):
+    """(x, z, coeff) of every Q_ij,sigma, each shaped (N, N, 2) and indexed
+    [i-1, j-1, sigma]; the same words and coefficients as reflection_word.
+    The cached arrays are read-only."""
+    one = np.uint64(1)
+    qubit = (2 * np.arange(n_orbitals)[:, None] + np.arange(2)).astype(np.uint64)
+    bit = one << qubit
+    # gamma_{i sigma, 0} = Z...Z X and gamma_{j sigma, 1} = Z...Z Y on qubit p
+    x, z, phase = word_products(bit[:, None, :], (bit - one)[:, None, :],
+                                bit[None, :, :], ((bit - one) | bit)[None, :, :])
+    table = (x, z, 1j * phase)
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
 def pauli_sum_of_hamiltonian(maj: MajoranaHamiltonian) -> PauliSum:
     """Fully multiplied-out qubit operator with like terms combined.
 
@@ -209,53 +286,58 @@ def pauli_sum_of_hamiltonian(maj: MajoranaHamiltonian) -> PauliSum:
     n = maj.n_orbitals
     if n > 12:
         raise ValueError("term count grows as N^4; guard is N <= 12")
-    out = PauliSum(2 * n)
-    out.add(identity_word(2 * n), maj.h0)
-    qwords = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for s in (0, 1):
-                qwords[(i, j, s)] = reflection_word(i, j, s, n)
-    for (i, j, s), (word, coeff) in qwords.items():
-        c = 0.5 * maj.h_tilde[i - 1, j - 1] * coeff
-        if c != 0:
-            out.add(word, c)
-    for (i, j, s), (w1, c1) in qwords.items():
-        for (k, l, t), (w2, c2) in qwords.items():
-            gval = maj.g[i - 1, j - 1, k - 1, l - 1]
-            if gval == 0.0:
-                continue
-            word, phase = w1 * w2
-            out.add(word, 0.25 * gval * c1 * c2 * phase)
+    qx, qz, qc = (a.ravel() for a in reflection_table(n))
+    h_q = np.repeat(maj.h_tilde.ravel(), 2)
+    g_qq = np.repeat(np.repeat(maj.g.reshape(n * n, n * n), 2, axis=0), 2, axis=1)
+    x, z, phase = word_products(qx[:, None], qz[:, None], qx[None, :], qz[None, :])
+    c = 0.25 * g_qq * qc[:, None] * qc[None, :] * phase
+    zero = np.zeros(1, dtype=np.uint64)
+    x, z, c = combine_terms(np.concatenate([zero, qx, x.ravel()]),
+                            np.concatenate([zero, qz, z.ravel()]),
+                            np.concatenate([[maj.h0], 0.5 * h_q * qc, c.ravel()]))
     # Hermiticity: imaginary parts cancel between conjugate index pairs
-    cleaned = PauliSum(2 * n)
-    for w, c in out.terms.items():
-        if abs(c.imag) > 1e-9:
-            raise AssertionError("qubit operator failed to come out Hermitian")
-        cleaned.add(w, c.real)
-    return cleaned
+    if c.size and np.abs(c.imag).max() > 1e-9:
+        raise AssertionError("qubit operator failed to come out Hermitian")
+    return PauliSum.from_arrays(2 * n, x, z, c.real)
 
 
 def dense_matrix(op) -> np.ndarray:
-    """Dense matrix of a PauliWord or PauliSum; guard 2N <= 16."""
-    if isinstance(op, PauliWord):
-        if op.n_qubits > 16:
-            raise ValueError("dense path limited to 16 qubits")
-        return op.dense()
+    """Dense matrix of a PauliWord or PauliSum; guard 2N <= 16.
+
+    A PauliSum's matrix comes from sparse_matrix, so it is real when every
+    entry is; PauliWord.dense() is the independent Kronecker form.
+    """
     if op.n_qubits > 16:
         raise ValueError("dense path limited to 16 qubits")
-    dim = 2 ** op.n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for w, c in sorted(op.terms.items(), key=lambda item: item[0].letters()):
-        out += c * w.dense()
+    if isinstance(op, PauliWord):
+        return op.dense()
+    return sparse_matrix(op).toarray()
+
+
+def _reverse_bits(masks, n_bits: int):
+    out = np.zeros_like(masks)
+    for q in range(n_bits):
+        out |= ((masks >> np.uint64(q)) & np.uint64(1)) << np.uint64(n_bits - 1 - q)
     return out
 
 
-def sparse_matrix(op: PauliSum):
-    """CSR matrix of a PauliSum; guard 2N <= 24.
+def _parity_signs(masks, n_bits: int):
+    """(-1)^|m & b| for every mask m (rows) and every b < 2^n_bits (columns)."""
+    states = np.arange(1 << n_bits, dtype=np.uint64)
+    parity = np.bitwise_count(masks[:, None] & states[None, :]) & 1
+    return 1.0 - 2.0 * parity.astype(np.float64)
 
-    Each Pauli word is a signed permutation, assembled directly from its
-    masks: column b maps to row b ^ x_mask with phase i^(y count) * (-1)^parity.
+
+def sparse_matrix(op: PauliSum):
+    """CSR matrix of a PauliSum, real when every entry is; guard 2N <= 24.
+
+    Qubit 1 is the leftmost Kronecker factor, so mask bit q is bit nq-1-q of
+    a basis-state index. Row r of a word holds i^-|x&z| (-1)^|z&r| at column
+    r ^ x, so the words sharing an X mask fill one vector over rows,
+    v(r) = sum_t c_t i^-|x&z_t| (-1)^|z_t&r|. Splitting r into high and low
+    bits factors the signs, which turns v into one small matrix product.
+    Entries at or below PRUNE_TOL are dropped; a first pass over the groups
+    finds the kept rows, so the matrix is written once, in place.
     """
     from scipy.sparse import csr_matrix
 
@@ -263,28 +345,40 @@ def sparse_matrix(op: PauliSum):
     if nq > 24:
         raise ValueError("sparse path limited to 24 qubits")
     dim = 1 << nq
-    # bit q of the state index corresponds to qubit q+1; qubit 1 is the
-    # leftmost kron factor, i.e. the most significant bit of the row index
-    cols = np.arange(dim, dtype=np.int64)
-    bitvals = np.zeros((nq, dim), dtype=bool)
-    for q in range(nq):
-        bitvals[q] = (cols >> (nq - 1 - q)) & 1
-    total = None
-    for w, c in sorted(op.terms.items(), key=lambda item: item[0].letters()):
-        rows = cols.copy()
-        phase = np.full(dim, c, dtype=complex)
-        for q in range(nq):
-            xq = (w.x_mask >> q) & 1
-            zq = (w.z_mask >> q) & 1
-            bit = bitvals[q]
-            if xq and zq:  # Y
-                phase = np.where(bit, phase * (-1j), phase * 1j)
-            elif zq:  # Z
-                phase = np.where(bit, -phase, phase)
-            if xq:
-                rows ^= 1 << (nq - 1 - q)
-        mat = csr_matrix((phase, (rows, cols)), shape=(dim, dim))
-        total = mat if total is None else total + mat
-    if total is None:
-        total = csr_matrix((dim, dim), dtype=complex)
-    return total
+    if not op.terms:
+        return csr_matrix((dim, dim), dtype=complex)
+    x, z, coeffs = op.arrays()
+    x, z = _reverse_bits(x, nq), _reverse_bits(z, nq)
+    coeffs = coeffs * _I_POWERS[-_popcount(x & z) & 3]
+    if not np.any(coeffs.imag):
+        coeffs = coeffs.real
+    order = np.argsort(x, kind="stable")
+    x, z, coeffs = x[order], z[order], coeffs[order]
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    groups = list(zip(starts, np.r_[starts[1:], x.size]))
+    n_low = np.uint64(nq // 2)
+
+    def group_vector(lo, hi):
+        high = _parity_signs(z[lo:hi] >> n_low, nq - nq // 2)
+        low = _parity_signs(z[lo:hi] & ((np.uint64(1) << n_low) - np.uint64(1)),
+                            nq // 2)
+        return ((high.T * coeffs[lo:hi]) @ low).ravel()
+
+    kept = []
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    for lo, hi in groups:
+        nonzero = np.abs(group_vector(lo, hi)) > PRUNE_TOL
+        indptr[1:] += nonzero
+        kept.append(np.flatnonzero(nonzero))
+    np.cumsum(indptr, out=indptr)
+    index_type = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+    indptr = indptr.astype(index_type)
+    indices = np.empty(indptr[-1], dtype=index_type)
+    data = np.empty(indptr[-1], dtype=coeffs.dtype)
+    fill = indptr[:-1].copy()
+    for (lo, hi), rows in zip(groups, kept):
+        at = fill[rows]
+        indices[at] = rows ^ int(x[lo])
+        data[at] = group_vector(lo, hi)[rows]
+        fill[rows] = at + 1
+    return csr_matrix((data, indices, indptr), shape=(dim, dim))

@@ -43,7 +43,7 @@ COSTED_METHODS = ("pauli", "oo-pauli", "ac", "oo-ac", "df",
                   "l4-svd", "l4-mps", "l4-cp4")
 CHAIN_FIXTURES = ("chain_h02", "chain_h04", "chain_h06", "chain_h08",
                   "chain_h10")
-VERIFY_MAX_ORBITALS = 4
+VERIFY_MAX_ORBITALS = 7
 
 CSV_COLUMNS = ("file", "method", "n_orbitals", "lambda", "constant",
                "t_sel", "t_prep", "rz", "qubits_clean", "qubits_reusable",
@@ -96,13 +96,19 @@ def decompose_method(mol: MolecularIntegrals, method: str, *,
         if method == "oo-ac" and oo_budget is None:
             # grouped-norm evaluations are costly; keep the default bounded
             oo_budget = 4000
-        _, mol = orbital_optimize(mol, objective=objective, budget=oo_budget,
-                                  restarts=oo_restarts,
-                                  seed=7 if seed is None else seed)
+        rotation, mol = orbital_optimize(mol, objective=objective,
+                                         budget=oo_budget, restarts=oo_restarts,
+                                         seed=7 if seed is None else seed)
+        maj = build_majorana(mol)
+        lcu = (sparse_pauli_lcu(maj, threshold=sparse_threshold)
+               if objective == "pauli" else ac_lcu(maj))
+        lcu.metadata["evaluations"] = rotation.evaluations
+        lcu.metadata["converged"] = rotation.converged
+        return maj, lcu
     maj = build_majorana(mol)
-    if method in ("pauli", "oo-pauli"):
+    if method == "pauli":
         return maj, sparse_pauli_lcu(maj, threshold=sparse_threshold)
-    if method in ("ac", "oo-ac"):
+    if method == "ac":
         return maj, ac_lcu(maj)
     if method == "sf":
         return maj, cholesky_sf(maj, tol=tol)[1]
@@ -124,6 +130,12 @@ def decompose_method(mol: MolecularIntegrals, method: str, *,
     return maj, l4_lcu(factors, one_body, constant=maj.h0)
 
 
+def cost_model(lcu) -> str:
+    """Name of the cost model that prices lcu: its method label, with both
+    grouping levels of ac_lcu priced as "ac"."""
+    return "ac" if lcu.method in ("ac-tensor", "ac-qubit") else lcu.method
+
+
 def costs_for(lcu, maj, eps_coeff: float = None, eps_rot: float = None,
               budget: float = DEFAULT_BUDGET):
     """Price an LCU's oracle pair, deriving default precisions from its 1-norm.
@@ -132,7 +144,7 @@ def costs_for(lcu, maj, eps_coeff: float = None, eps_rot: float = None,
     except through register widths, so the defaults are fixed by a first pass
     at a placeholder rotation accuracy.
     """
-    method = lcu.method
+    method = cost_model(lcu)
     if method not in COSTED_METHODS:
         raise ValueError(f"no closed-form cost model for method {method!r}")
     n = lcu.n_orbitals
@@ -178,8 +190,11 @@ def cost_report_json(report, method: str, n_orbitals: int, lam: float) -> dict:
     }
 
 
-def verification_payload(lcu, maj) -> dict:
-    srange = spectral_range(maj)
+def verification_payload(lcu, maj, srange=None) -> dict:
+    """Reconstruction deviation and norm bound; srange, the Hamiltonian's
+    spectral range, is computed from maj when not given."""
+    if srange is None:
+        srange = spectral_range(maj)
     deviation = verify_reconstruction(lcu, maj)
     return {
         "deviation": float(deviation),
@@ -315,6 +330,7 @@ def run_pipeline(config: dict, base_dir: str = ".") -> PipelineResult:
     failures = 0
     for name, path in resolved:
         mol = load_fcidump(path)
+        srange = None  # one spectral range per file, orbital rotations keep it
         for method in methods:
             options = _method_options(config, method)
             maj, lcu = decompose_method(mol, method, **options)
@@ -325,7 +341,7 @@ def run_pipeline(config: dict, base_dir: str = ".") -> PipelineResult:
                 "lambda": float(lcu.one_norm),
                 "constant": float(lcu.constant),
             }
-            if lcu.method in COSTED_METHODS:
+            if cost_model(lcu) in COSTED_METHODS:
                 report = costs_for(lcu, maj,
                                    eps_coeff=config.get("eps_coeff"),
                                    eps_rot=config.get("eps_rot"),
@@ -340,7 +356,9 @@ def run_pipeline(config: dict, base_dir: str = ".") -> PipelineResult:
                     "calibration": _json_safe(report.params),
                 })
             if lcu.n_orbitals <= VERIFY_MAX_ORBITALS:
-                check = verification_payload(lcu, maj)
+                if srange is None:
+                    srange = spectral_range(build_majorana(mol))
+                check = verification_payload(lcu, maj, srange)
                 tolerance = reconstruction_tolerance(lcu)
                 ok = check["bound_ok"] and check["deviation"] <= tolerance
                 row["deviation"] = check["deviation"]

@@ -5,19 +5,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lcu import AcGroup, ChebyshevSquare, Fragment, LcuDecomposition, PauliTerm, ReflectionProduct
+from .lcu import AcGroup, ChebyshevSquare, Fragment, LcuDecomposition
 from .majorana import (
     PauliSum,
+    combine_terms,
     dense_matrix,
-    identity_word,
     pauli_sum_of_hamiltonian,
-    reflection_word,
+    reflection_table,
     sparse_matrix,
+    word_products,
 )
 from .qubit_lcu import naive_ac_phases
 
 DENSE_QUBITS = 8
 UNITARY_TOL = 1e-9
+BUFFER_TERMS = 1 << 18
+ROUNDING_ULPS = 64
 
 
 @dataclass
@@ -50,74 +53,62 @@ def spectral_range(maj) -> SpectralRange:
     return SpectralRange(float(lo[0]), float(hi[0]))
 
 
-def _reflection_sum(refl, n_orbitals: int) -> PauliSum:
-    out = PauliSum(2 * n_orbitals)
-    for i in range(n_orbitals):
-        for j in range(n_orbitals):
-            c = refl.v[i] * refl.w[j]
-            if c == 0.0:
-                continue
-            word, coeff = reflection_word(i + 1, j + 1, refl.sigma, n_orbitals)
-            out.add(word, c * coeff)
-    return out
+def _reflection_terms(refl, n_orbitals: int):
+    qx, qz, qc = (a[:, :, refl.sigma] for a in reflection_table(n_orbitals))
+    c = np.outer(refl.v, refl.w)
+    keep = c != 0.0
+    return qx[keep], qz[keep], c[keep] * qc[keep]
 
 
-def _product_sum(a: PauliSum, b: PauliSum) -> PauliSum:
-    out = PauliSum(a.n_qubits)
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
-            word, phase = w1 * w2
-            out.add(word, c1 * c2 * phase)
-    return out
+def _product_terms(a, b):
+    """All pairwise products of two term sets, like terms combined."""
+    x, z, phase = word_products(a[0][:, None], a[1][:, None],
+                                b[0][None, :], b[1][None, :])
+    c = a[2][:, None] * b[2][None, :] * phase
+    return combine_terms(x.ravel(), z.ravel(), c.ravel())
 
 
-def _chebyshev_sum(cs: ChebyshevSquare, n_orbitals: int) -> PauliSum:
-    nq = 2 * n_orbitals
-    r = PauliSum(nq)
-    for i in range(n_orbitals):
-        for j in range(n_orbitals):
-            if cs.w_matrix[i, j] == 0.0:
-                continue
-            for sigma in (0, 1):
-                word, coeff = reflection_word(i + 1, j + 1, sigma, n_orbitals)
-                r.add(word, 0.5 * cs.w_matrix[i, j] * coeff)
-    p = PauliSum(nq)
-    for w, c in r.terms.items():
-        p.add(w, c / (cs.norm / 2.0))
-    out = _product_sum(p, p)
-    doubled = PauliSum(nq)
-    for w, c in out.terms.items():
-        doubled.add(w, 2.0 * c)
-    doubled.add(identity_word(nq), -1.0)
-    return doubled
+def _chebyshev_terms(cs: ChebyshevSquare, n_orbitals: int):
+    qx, qz, qc = reflection_table(n_orbitals)
+    keep = np.broadcast_to((cs.w_matrix != 0.0)[:, :, None], qc.shape)
+    c = 0.5 * cs.w_matrix[:, :, None] * qc / (cs.norm / 2.0)
+    layer = (qx[keep], qz[keep], c[keep])
+    x, z, c = _product_terms(layer, layer)
+    zero = np.zeros(1, dtype=np.uint64)
+    return (np.concatenate([x, zero]), np.concatenate([z, zero]),
+            np.concatenate([2.0 * c, [-1.0]]))
+
+
+def _word_terms(words, coeffs):
+    return (np.array([w.x_mask for w in words], dtype=np.uint64),
+            np.array([w.z_mask for w in words], dtype=np.uint64),
+            np.asarray(coeffs, dtype=complex))
+
+
+def _fragment_terms(fragment: Fragment, n_orbitals: int):
+    """(x, z, coeffs) of the fragment unitary, coefficient excluded; a word
+    may repeat."""
+    unit = fragment.unitary
+    if fragment.kind == "pauli":
+        return _word_terms([unit.word], [unit.phase])
+    if fragment.kind == "ac-group":
+        return _word_terms(unit.words, np.asarray(unit.coeffs) / unit.norm)
+    if fragment.kind == "reflection-product":
+        total = None
+        for refl in unit.reflections:
+            s = _reflection_terms(refl, n_orbitals)
+            total = s if total is None else _product_terms(total, s)
+        return total[0], total[1], unit.sign * total[2]
+    if fragment.kind == "sf-poly":
+        return _chebyshev_terms(unit, n_orbitals)
+    raise ValueError(f"unknown fragment kind {fragment.kind!r}")
 
 
 def fragment_pauli_sum(fragment: Fragment, n_orbitals: int) -> PauliSum:
     """The fragment unitary as a combination of Pauli words (coefficient
     excluded)."""
-    nq = 2 * n_orbitals
-    unit = fragment.unitary
-    if fragment.kind == "pauli":
-        out = PauliSum(nq)
-        out.add(unit.word, unit.phase)
-        return out
-    if fragment.kind == "ac-group":
-        out = PauliSum(nq)
-        for word, c in zip(unit.words, unit.coeffs):
-            out.add(word, c / unit.norm)
-        return out
-    if fragment.kind == "reflection-product":
-        total = None
-        for refl in unit.reflections:
-            s = _reflection_sum(refl, n_orbitals)
-            total = s if total is None else _product_sum(total, s)
-        scaled = PauliSum(nq)
-        for w, c in total.terms.items():
-            scaled.add(w, unit.sign * c)
-        return scaled
-    if fragment.kind == "sf-poly":
-        return _chebyshev_sum(unit, n_orbitals)
-    raise ValueError(f"unknown fragment kind {fragment.kind!r}")
+    return PauliSum.from_arrays(2 * n_orbitals,
+                                *_fragment_terms(fragment, n_orbitals))
 
 
 def _fragment_orbitals(fragment: Fragment) -> int:
@@ -157,6 +148,22 @@ def fragment_matrix(fragment: Fragment) -> np.ndarray:
     return mat
 
 
+def _running_sum(parts):
+    """Combined sum of a stream of (x, z, coeffs) term sets. Parts gather in
+    a buffer of about BUFFER_TERMS terms that is merged into the running
+    total when full, so memory follows the number of distinct words."""
+    total = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64),
+             np.zeros(0, dtype=complex))
+    buffered, size = [], 0
+    for part in parts:
+        buffered.append(part)
+        size += part[0].size
+        if size >= BUFFER_TERMS:
+            total = combine_terms(*map(np.concatenate, zip(total, *buffered)))
+            buffered, size = [], 0
+    return combine_terms(*map(np.concatenate, zip(total, *buffered)))
+
+
 def verify_reconstruction(lcu: LcuDecomposition, maj) -> float:
     """Deviation of sum_k u_k U_k + constant from the full Hamiltonian.
 
@@ -165,25 +172,29 @@ def verify_reconstruction(lcu: LcuDecomposition, maj) -> float:
     """
     n = maj.n_orbitals
     nq = 2 * n
-    total = PauliSum(nq)
-    for frag in lcu.fragments:
-        part = fragment_pauli_sum(frag, n)
-        for w, c in part.terms.items():
-            total.add(w, frag.coefficient * c)
-    total.add(identity_word(nq), lcu.constant)
-    target = pauli_sum_of_hamiltonian(maj)
-    diff = PauliSum(nq)
-    for w, c in total.terms.items():
-        diff.add(w, c)
-    for w, c in target.terms.items():
-        diff.add(w, -c)
+    target = pauli_sum_of_hamiltonian(maj).arrays()
+    identity = np.zeros(1, dtype=np.uint64)
+
+    def parts():
+        for frag in lcu.fragments:
+            x, z, c = _fragment_terms(frag, n)
+            yield x, z, frag.coefficient * c
+        yield identity, identity, np.array([lcu.constant], dtype=complex)
+        yield target[0], target[1], -target[2]
+
+    diff = _running_sum(parts())
     if nq <= DENSE_QUBITS:
-        return float(np.abs(dense_matrix(diff)).max())
-    return float(sum(abs(c) for c in diff.terms.values()))
+        return float(np.abs(dense_matrix(PauliSum.from_arrays(nq, *diff))).max())
+    return float(np.abs(diff[2]).sum())
 
 
 def reconstruction_tolerance(lcu: LcuDecomposition) -> float:
-    return max(1e-6, float(lcu.metadata.get("truncation_bound", 0.0)))
+    """The declared truncation bound (at least 1e-6) plus a rounding
+    allowance of ROUNDING_ULPS * eps * (lambda + |constant|): the 1-norm
+    deviation sums the rounding residue of every kept term."""
+    rounding = ROUNDING_ULPS * np.finfo(float).eps * (
+        lcu.one_norm + abs(lcu.constant))
+    return max(1e-6, float(lcu.metadata.get("truncation_bound", 0.0))) + rounding
 
 
 def verify_norm_bound(lcu: LcuDecomposition, srange: SpectralRange) -> bool:

@@ -174,7 +174,7 @@ def test_norm_bound_every_method(method, name):
         f"< {molecule_range(name).half_range:.4f}")
 
 
-@pytest.mark.parametrize("name", ("h2", "lih"))
+@pytest.mark.parametrize("name", MOLECULES)
 @pytest.mark.parametrize("method", ALL_METHODS)
 def test_reconstruction_oracle(method, name):
     maj, lcu = decomposition(method, name)

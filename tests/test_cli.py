@@ -93,6 +93,17 @@ class TestEstimate:
                                      "qubits_reusable", "hardness"]
         assert len(row.split(",")) == 9
 
+    @pytest.mark.parametrize("method,extra", [
+        ("ac", ()), ("oo-ac", ("--oo-budget", "30", "--oo-restarts", "1"))])
+    def test_ac_methods_are_priced(self, capsys, method, extra):
+        code, out, err = run_cli(capsys, "estimate", "--input", "h2",
+                                 "--method", method, *extra)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["method"] == method
+        assert payload["calibration"]["G"] > 0
+        assert payload["t_sel"] > 0 and payload["hardness"] > 0
+
     def test_uncosted_method_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--input", "h2",
                                "--method", "sf")
@@ -109,6 +120,14 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["bound_ok"] is True
         assert payload["deviation"] >= 0
+
+
+    def test_h2o_pauli_verifies(self, capsys):
+        # the deviation is pauli's dropped weight summed in another order
+        code, out, _ = run_cli(capsys, "verify", "--input", "h2o",
+                               "--method", "pauli")
+        assert code == 0
+        assert json.loads(out)["bound_ok"] is True
 
 
 class TestSpectrum:

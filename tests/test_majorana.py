@@ -12,6 +12,7 @@ from fermilcu.majorana import (
     dense_matrix,
     jordan_wigner_majorana,
     pauli_sum_of_hamiltonian,
+    reflection_table,
     reflection_word,
     sparse_matrix,
     word_from_letters,
@@ -70,6 +71,16 @@ def test_reflection_is_hermitian_unitary():
         mat = phase * dense_matrix(word)
         np.testing.assert_allclose(mat, mat.conj().T, atol=1e-12)
         np.testing.assert_allclose(mat @ mat, np.eye(mat.shape[0]), atol=1e-12)
+
+
+def test_reflection_table_matches_word_products():
+    for n in (1, 2, 3):
+        x, z, coeff = reflection_table(n)
+        for i, j, sigma in itertools.product(range(n), range(n), (0, 1)):
+            word, phase = reflection_word(i + 1, j + 1, sigma, n)
+            assert (int(x[i, j, sigma]), int(z[i, j, sigma])) == (
+                word.x_mask, word.z_mask)
+            assert coeff[i, j, sigma] == phase
 
 
 def test_single_orbital_symbolic():

@@ -1,4 +1,5 @@
-"""Randomized invariants of the algebraic building blocks: angle chains and
+"""Randomized invariants of the algebraic building blocks: array Pauli
+products and sparse assembly against Kronecker matrices, angle chains and
 their reconstructions, rotation parameterization round trips, localization,
 tensor factorizations, the spectral norm bound, and cost-row monotonicity."""
 
@@ -8,7 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_two_body
-from fermilcu.majorana import MajoranaHamiltonian
+from fermilcu.majorana import (
+    MajoranaHamiltonian,
+    PauliSum,
+    PauliWord,
+    sparse_matrix,
+    word_products,
+)
 from fermilcu.mtd_l4 import cp4_als, mps_factorize, svd_chain_factorize
 from fermilcu.qubit_lcu import (
     ac_lcu,
@@ -43,6 +50,44 @@ def random_hamiltonian(n, rng) -> MajoranaHamiltonian:
         h_tilde=(h + h.T) / 2,
         g=random_two_body(n, rng),
     )
+
+
+word_pairs = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(0, (1 << n) - 1), min_size=4, max_size=4)))
+
+
+class TestPauliKernels:
+    @given(word_pairs)
+    def test_array_product_matches_dense_product(self, case):
+        n, (x1, z1, x2, z2) = case
+        a, b = PauliWord(n, x1, z1), PauliWord(n, x2, z2)
+        x, z, phase = word_products(*(np.array([m], dtype=np.uint64)
+                                      for m in (x1, z1, x2, z2)))
+        product = PauliWord(n, int(x[0]), int(z[0]))
+        np.testing.assert_array_equal(phase[0] * product.dense(),
+                                      a.dense() @ b.dense())
+        assert a * b == (product, phase[0])
+
+    @settings(deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, (1 << n) - 1),
+                  st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.5j, -0.25j])),
+        min_size=1, max_size=12))))
+    def test_sparse_matrix_matches_kron_sum(self, case):
+        # X masks come from a pool of four, so groups hold several words,
+        # and unit-sized coefficients make entries cancel within a group
+        n, raw = case
+        op = PauliSum(n)
+        reference = np.zeros((1 << n, 1 << n), dtype=complex)
+        for x, z, c in raw:
+            word = PauliWord(n, x & ((1 << n) - 1), z)
+            op.add(word, c)
+            reference += c * word.dense()
+        mat = sparse_matrix(op)
+        assert mat.indices.dtype == np.int32
+        assert not np.any(np.abs(mat.data) <= 1e-14)
+        np.testing.assert_allclose(mat.toarray(), reference, atol=1e-14)
 
 
 unit_vectors = st.lists(

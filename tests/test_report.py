@@ -24,6 +24,7 @@ from fermilcu.report import (
     verification_payload,
 )
 from fermilcu.resources import sparse_costs, sparse_term_count
+from fermilcu.verify import spectral_range
 
 
 class TestFitLoglog:
@@ -160,6 +161,17 @@ class TestCostsFor:
         assert 0 < report.params["eps_rot"] <= 0.015
         assert report.hardness > 0
 
+    @pytest.mark.parametrize("method,options", [
+        ("ac", {}), ("oo-ac", {"oo_budget": 30, "oo_restarts": 1})])
+    def test_ac_methods_priced_by_group_model(self, method, options):
+        maj, lcu = decompose_method(load_fixture("h2"), method, **options)
+        report = costs_for(lcu, maj)
+        assert report.params["G"] == lcu.metadata["n_groups"]
+        assert report.params["total_group_members"] == sum(
+            lcu.metadata["group_sizes"])
+        assert report.hardness == pytest.approx(
+            lcu.one_norm * (report.t_gates + report.rz_tgate_equiv), rel=1e-12)
+
     def test_uncosted_method_rejected(self):
         mol = load_fixture("h2")
         maj, lcu = decompose_method(mol, "sf")
@@ -189,8 +201,41 @@ class TestVerificationPayload:
         assert payload["half_range"] == pytest.approx(1.0291289548, abs=1e-8)
 
 
+class TestDecomposeMetadata:
+    def test_orbital_optimizer_budget_flags(self):
+        _, lcu = decompose_method(load_fixture("h2"), "oo-pauli", oo_budget=20)
+        assert lcu.metadata["converged"] is False
+        assert 0 < lcu.metadata["evaluations"] <= 20
+
+    def test_csa_convergence_and_residual(self):
+        maj, lcu = decompose_method(load_fixture("h2"), "csa")
+        assert isinstance(lcu.metadata["converged"], bool)
+        assert lcu.metadata["residual"] ** 2 == pytest.approx(
+            lcu.metadata["residual_sq"], rel=1e-9, abs=1e-30)
+
+
 class TestRunPipeline:
     CONFIG = {"files": ["h2"], "methods": ["pauli", "df"]}
+
+    def test_lih_rows_verified_with_one_spectral_range(self, monkeypatch):
+        import fermilcu.report as report
+
+        calls = []
+
+        def counted(maj):
+            calls.append(maj.n_orbitals)
+            return spectral_range(maj)
+
+        monkeypatch.setattr(report, "spectral_range", counted)
+        result = run_pipeline({"files": ["lih"],
+                               "methods": ["pauli", "ac", "sf", "df"]})
+        assert calls == [6]
+        assert result.exit_code == 0
+        for row in result.rows:
+            assert row["verified"] is True, row
+            assert row["deviation"] >= 0.0
+            assert row["half_range"] == pytest.approx(4.8830757803, abs=1e-8)
+        assert all("t_sel" in row for row in result.rows if row["method"] != "sf")
 
     def test_rows_match_direct_calls(self):
         result = run_pipeline(dict(self.CONFIG))

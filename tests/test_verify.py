@@ -294,3 +294,21 @@ class TestReconstructionTolerance:
         lcu = LcuDecomposition(method="df", n_orbitals=1, fragments=[],
                                one_norm=0.0, metadata={"truncation_bound": 5e-3})
         assert reconstruction_tolerance(lcu) == 5e-3
+
+    def test_rounding_allowance_scales_with_lambda_and_constant(self):
+        lcu = LcuDecomposition(method="df", n_orbitals=1, fragments=[],
+                               one_norm=60.0, constant=-40.0,
+                               metadata={"truncation_bound": 5e-3})
+        eps = np.finfo(float).eps
+        assert reconstruction_tolerance(lcu) == 5e-3 + 64 * eps * 100.0
+
+    def test_h2o_pauli_passes_and_one_more_dropped_term_fails(self):
+        # the 1-norm deviation equals the dropped weight up to rounding, which
+        # the allowance covers; dropping 1e-9 more must still be caught
+        maj = hamiltonian("h2o")
+        lcu = sparse_pauli_lcu(maj)
+        assert verify_reconstruction(lcu, maj) <= reconstruction_tolerance(lcu)
+        first = lcu.fragments[0]
+        shrunk = replace(first, coefficient=first.coefficient - 1e-9)
+        worse = replace(lcu, fragments=[shrunk] + lcu.fragments[1:])
+        assert verify_reconstruction(worse, maj) > reconstruction_tolerance(worse)
