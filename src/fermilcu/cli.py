@@ -14,6 +14,7 @@ from .majorana import build_majorana
 from .report import (
     CHAIN_FIXTURES,
     METHODS,
+    OPTION_KEYS,
     _json_safe,
     cost_report_json,
     costs_for,
@@ -35,15 +36,7 @@ def _print_json(payload):
 
 
 def _decomp_options(args) -> dict:
-    return {
-        "sparse_threshold": args.sparse_threshold,
-        "tol": args.tol,
-        "fragments": args.fragments,
-        "max_rank": args.max_rank,
-        "seed": args.seed,
-        "oo_budget": args.oo_budget,
-        "oo_restarts": args.oo_restarts,
-    }
+    return {key: getattr(args, key) for key in OPTION_KEYS}
 
 
 def _run_decomposition(args):

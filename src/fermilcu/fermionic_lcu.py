@@ -3,7 +3,7 @@ factorization from a pivoted Cholesky of the two-body tensor, and greedy CSA
 fits. All emit fragments built from rotated reflections.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, expm, logm
@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 
 from .lcu import ChebyshevSquare, Fragment, LcuDecomposition, Reflection, ReflectionProduct
 from .majorana import MajoranaHamiltonian
+from .qubit_lcu import rotate_two_body
 
 PSD_FLOOR = -1e-8
 CHOLESKY_TOL = 1e-6
@@ -65,6 +66,28 @@ def _one_body_fragments(one_body: OneBodyFragment):
             frags.append(Fragment(abs(mu), "reflection-product",
                                   ReflectionProduct((refl,), float(np.sign(mu)))))
     return frags
+
+
+def _pair_fragments(u, lam):
+    """Rotated reflection pairs of sum_ab lam_ab n_a n_b in the frame u.
+
+    One fragment per unordered pair of distinct (orbital, spin) labels, with
+    coefficient lam_ab / 2; DF passes the rank-one lam = mu mu^T.
+    """
+    fragments = []
+    labels = [(a, s) for a in range(lam.shape[0]) for s in (0, 1)]
+    for x, (a, s) in enumerate(labels):
+        for b, t in labels[x + 1:]:
+            coeff = 0.5 * lam[a, b]
+            if abs(coeff) < 1e-14:
+                continue
+            pair = ReflectionProduct(
+                (Reflection(u[:, a].copy(), u[:, a].copy(), s),
+                 Reflection(u[:, b].copy(), u[:, b].copy(), t)),
+                float(np.sign(coeff)),
+            )
+            fragments.append(Fragment(abs(coeff), "reflection-product", pair))
+    return fragments
 
 
 def pivoted_cholesky(maj: MajoranaHamiltonian, tol: float = CHOLESKY_TOL):
@@ -193,21 +216,7 @@ def double_factorize(maj: MajoranaHamiltonian, factors=None,
         weights.append(m1 * m1 / 2.0)
         constant += d * d + 0.5 * m2
         lam2 += m1 * m1 - 0.5 * m2
-        # one unordered pair of rotated reflections per distinct (a,sigma),(b,tau)
-        labels = [(a, s) for a in range(mu.size) for s in (0, 1)]
-        for x in range(len(labels)):
-            a, s = labels[x]
-            for y in range(x + 1, len(labels)):
-                b, t = labels[y]
-                coeff = 0.5 * mu[a] * mu[b]
-                if abs(coeff) < 1e-14:
-                    continue
-                pair = ReflectionProduct(
-                    (Reflection(uk[:, a].copy(), uk[:, a].copy(), s),
-                     Reflection(uk[:, b].copy(), uk[:, b].copy(), t)),
-                    float(np.sign(coeff)),
-                )
-                fragments.append(Fragment(abs(coeff), "reflection-product", pair))
+        fragments += _pair_fragments(uk, np.outer(mu, mu))
     metadata = _truncation_metadata(maj, delta)
     metadata.update({
         "n_factors": len(factors),
@@ -280,14 +289,7 @@ def csa_decompose(maj: MajoranaHamiltonian, n_fragments: int,
         return np.concatenate([_vector_from_rotation(u), lam[tri]])
 
     def lam_guess(u, res):
-        rotated = res
-        for _ in range(4):
-            rotated = np.tensordot(rotated, u, axes=([0], [0]))
-        n_ = u.shape[0]
-        guess = np.zeros((n_, n_))
-        for a in range(n_):
-            for b in range(n_):
-                guess[a, b] = rotated[a, a, b, b]
+        guess = np.einsum("aabb->ab", rotate_two_body(res, u))
         return 0.5 * (guess + guess.T)
 
     for _ in range(n_fragments):
@@ -360,20 +362,7 @@ def csa_lcu(maj: MajoranaHamiltonian, result: CsaResult) -> LcuDecomposition:
         lam_eff = lam_eff + u @ np.diag(rowsum) @ u.T
         constant += float(lam.sum() + 0.5 * np.trace(lam))
         lam2 += float(np.abs(lam).sum() - 0.5 * np.abs(np.diag(lam)).sum())
-        labels = [(a, s) for a in range(n) for s in (0, 1)]
-        for x in range(len(labels)):
-            a, s = labels[x]
-            for y in range(x + 1, len(labels)):
-                b, t = labels[y]
-                coeff = 0.5 * lam[a, b]
-                if abs(coeff) < 1e-14:
-                    continue
-                pair = ReflectionProduct(
-                    (Reflection(u[:, a].copy(), u[:, a].copy(), s),
-                     Reflection(u[:, b].copy(), u[:, b].copy(), t)),
-                    float(np.sign(coeff)),
-                )
-                fragments.append(Fragment(abs(coeff), "reflection-product", pair))
+        fragments += _pair_fragments(u, lam)
     eigs, u0 = eigh(lam_eff)
     one_body = OneBodyFragment(rotation=u0, eigenvalues=eigs)
     fragments = _one_body_fragments(one_body) + fragments

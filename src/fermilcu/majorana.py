@@ -170,10 +170,6 @@ class PauliSum:
         else:
             self.terms[word] = c
 
-    def add_scaled(self, other: "PauliSum", scale: complex = 1.0) -> None:
-        for w, c in other.terms.items():
-            self.add(w, scale * c)
-
     def one_norm(self, include_identity: bool = False) -> float:
         return float(sum(abs(c) for w, c in self.terms.items()
                          if include_identity or not w.is_identity()))

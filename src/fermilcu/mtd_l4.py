@@ -6,7 +6,7 @@ reflection products; weights therefore enter the 1-norm as 4 sum|Omega| once
 the four spin combinations are counted.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,8 @@ class MpsFactors:
     fold into the effective weight, which is no longer a product of the
     singular values alone.
     """
+    label = "l4-mps"
+    metadata_keys = ("bond_dims",)
     u1: np.ndarray          # N x r1
     u2: np.ndarray          # r1 x N x r2, unit columns per (u, v)
     u3: np.ndarray          # r2 x N x r3, unit columns per (v, w)
@@ -46,6 +48,15 @@ class MpsFactors:
         return np.einsum("u,v,w,uv,vw->uvw", self.s1, self.s2, self.s3,
                          self.n2, self.n3)
 
+    def weight_entries(self):
+        omega = self.weights()
+        r1, r2, r3 = omega.shape
+        for u in range(r1):
+            for v in range(r2):
+                for w in range(r3):
+                    yield (omega[u, v, w], self.u1[:, u], self.u2[u, :, v],
+                           self.u3[v, :, w], self.w3[:, w])
+
     def reconstruct(self) -> np.ndarray:
         t = np.einsum("iu,ujv,vkw,lw,uvw->ijkl",
                       self.u1, self.u2, self.u3, self.w3, self.weights())
@@ -55,12 +66,19 @@ class MpsFactors:
 @dataclass
 class Cp4Factors:
     """Sum of rank-1 quadruples: t = sum_m Omega_m v1 x v2 x v3 x v4."""
+    label = "l4-cp4"
+    metadata_keys = ("rank", "converged")
     rank: int
     weights: np.ndarray
     vectors: tuple  # four N x W arrays with unit columns
     converged: bool = True
     loss: float = 0.0
     loss_abs: float = 0.0
+
+    def weight_entries(self):
+        v1, v2, v3, v4 = self.vectors
+        for m in range(self.rank):
+            yield self.weights[m], v1[:, m], v2[:, m], v3[:, m], v4[:, m]
 
     def reconstruct(self) -> np.ndarray:
         v1, v2, v3, v4 = self.vectors
@@ -71,6 +89,8 @@ class Cp4Factors:
 @dataclass
 class SvdChainFactors:
     """Branching SVDs i | jkl, then j | kl per alpha1, then k | l per pair."""
+    label = "l4-svd"
+    metadata_keys = ()
     u1: np.ndarray
     s1: np.ndarray
     u2: list        # per alpha1: N x r2
@@ -110,6 +130,14 @@ class SvdChainFactors:
         vecs = [np.column_stack([e[i] for e in entries]) for i in range(1, 5)]
         weights, vecs = _apply_sign_convention(weights, vecs)
         return Cp4Factors(weights.size, weights, tuple(vecs))
+
+
+def _with_loss(factors, g: np.ndarray):
+    """Record the g-scale squared residual and the sum of |residual|."""
+    delta = factors.reconstruct() - g
+    factors.loss = float((delta * delta).sum())
+    factors.loss_abs = float(np.abs(delta).sum())
+    return factors
 
 
 def _check_symmetric(g: np.ndarray):
@@ -170,12 +198,8 @@ def mps_factorize(g: np.ndarray, tol: float = 1e-6) -> MpsFactors:
     n3 = np.linalg.norm(u3_slices, axis=1)
     u3_unit = np.where(n3[:, None, :] > 0, u3_slices / np.maximum(n3[:, None, :], 1e-300), 0.0)
 
-    out = MpsFactors(u1=u1, u2=u2_unit, u3=u3_unit, w3=v3,
-                     s1=s1, s2=s2, s3=s3, n2=n2, n3=n3)
-    delta = out.reconstruct() - g
-    out.loss = float((delta * delta).sum())
-    out.loss_abs = float(np.abs(delta).sum())
-    return out
+    return _with_loss(MpsFactors(u1=u1, u2=u2_unit, u3=u3_unit, w3=v3,
+                                 s1=s1, s2=s2, s3=s3, n2=n2, n3=n3), g)
 
 
 def svd_chain_factorize(g: np.ndarray, tol: float = 1e-6) -> SvdChainFactors:
@@ -215,11 +239,8 @@ def svd_chain_factorize(g: np.ndarray, tol: float = 1e-6) -> SvdChainFactors:
         u3.append(u3_branch)
         s3.append(s3_branch)
         v3.append(v3_branch)
-    out = SvdChainFactors(u1=u1, s1=s1, u2=u2, s2=s2, u3=u3, s3=s3, v3=v3)
-    delta = out.reconstruct() - g
-    out.loss = float((delta * delta).sum())
-    out.loss_abs = float(np.abs(delta).sum())
-    return out
+    return _with_loss(SvdChainFactors(u1=u1, s1=s1, u2=u2, s2=s2, u3=u3,
+                                      s3=s3, v3=v3), g)
 
 
 def _apply_sign_convention(weights, vecs):
@@ -305,11 +326,8 @@ def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
             break
         if rank >= max_rank:
             weights, vecs = _apply_sign_convention(weights, list(vecs))
-            out = Cp4Factors(rank, weights, tuple(vecs), converged=False)
-            delta = out.reconstruct() - g
-            out.loss = float((delta * delta).sum())
-            out.loss_abs = float(np.abs(delta).sum())
-            return out
+            return _with_loss(
+                Cp4Factors(rank, weights, tuple(vecs), converged=False), g)
         rank = min(2 * rank, max_rank)
 
     lo = rank // 2 if rank > 1 else 1
@@ -324,30 +342,7 @@ def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
     best = hi if rank > 1 else 1
     vecs, weights, resid = fit(best)
     weights, vecs = _apply_sign_convention(weights, list(vecs))
-    out = Cp4Factors(best, weights, tuple(vecs), converged=True)
-    delta = out.reconstruct() - g
-    out.loss = float((delta * delta).sum())
-    out.loss_abs = float(np.abs(delta).sum())
-    return out
-
-
-def _weight_quadruples(factors):
-    if isinstance(factors, MpsFactors):
-        omega = factors.weights()
-        r1, r2, r3 = omega.shape
-        for u in range(r1):
-            for v in range(r2):
-                for w in range(r3):
-                    yield (omega[u, v, w], factors.u1[:, u], factors.u2[u, :, v],
-                           factors.u3[v, :, w], factors.w3[:, w])
-    elif isinstance(factors, Cp4Factors):
-        v1, v2, v3, v4 = factors.vectors
-        for m in range(factors.rank):
-            yield factors.weights[m], v1[:, m], v2[:, m], v3[:, m], v4[:, m]
-    elif isinstance(factors, SvdChainFactors):
-        yield from factors.weight_entries()
-    else:
-        raise TypeError(f"unsupported factor type {type(factors).__name__}")
+    return _with_loss(Cp4Factors(best, weights, tuple(vecs), converged=True), g)
 
 
 def l4_lcu(factors, one_body: OneBodyFragment,
@@ -355,14 +350,13 @@ def l4_lcu(factors, one_body: OneBodyFragment,
     """Fragments: per weight, four spin pairs of double reflections.
 
     Each retained direction vector is paired with the Givens chain realizing
-    its rotated Majorana; vectors must be unit to 1e-8.
+    its rotated Majorana; vectors must be unit to 1e-8. Each factor class
+    gives its label, weight_entries() and the metadata_keys it reports.
     """
-    method = {"MpsFactors": "l4-mps", "Cp4Factors": "l4-cp4",
-              "SvdChainFactors": "l4-svd"}[type(factors).__name__]
     fragments = _one_body_fragments(one_body)
     lam2 = 0.0
     n_weights = 0
-    for omega, v1, v2, v3, v4 in _weight_quadruples(factors):
+    for omega, v1, v2, v3, v4 in factors.weight_entries():
         if abs(omega) <= WEIGHT_TOL:
             continue
         n_weights += 1
@@ -380,15 +374,11 @@ def l4_lcu(factors, one_body: OneBodyFragment,
                 fragments.append(Fragment(abs(omega), "reflection-product", pair))
     metadata = {"n_weights": n_weights,
                 "one_body_lambda": one_body.lambda_contribution,
-                "loss": float(getattr(factors, "loss", 0.0)),
-                "truncation_bound": float(getattr(factors, "loss_abs", 0.0))}
-    if isinstance(factors, MpsFactors):
-        metadata["bond_dims"] = factors.bond_dims
-    if isinstance(factors, Cp4Factors):
-        metadata["rank"] = factors.rank
-        metadata["converged"] = factors.converged
+                "loss": float(factors.loss),
+                "truncation_bound": float(factors.loss_abs)}
+    metadata.update((key, getattr(factors, key)) for key in factors.metadata_keys)
     return LcuDecomposition(
-        method=method,
+        method=factors.label,
         n_orbitals=one_body.rotation.shape[0],
         fragments=fragments,
         one_norm=float(one_body.lambda_contribution + lam2),

@@ -203,7 +203,7 @@ def _sorted_insertion(words, coeffs, anti=None):
     return groups
 
 
-def _groups_to_lcu(words, coeffs, groups, n_orbitals, method, constant, metadata):
+def _groups_to_lcu(words, coeffs, groups, n_orbitals, constant, metadata):
     fragments = []
     total = 0.0
     for members in groups:
@@ -222,7 +222,7 @@ def _groups_to_lcu(words, coeffs, groups, n_orbitals, method, constant, metadata
     metadata["n_groups"] = len(groups)
     metadata["group_sizes"] = [len(g) for g in groups]
     return LcuDecomposition(
-        method=method,
+        method="ac",
         n_orbitals=n_orbitals,
         fragments=fragments,
         one_norm=total,
@@ -245,8 +245,8 @@ def sorted_insertion_ac(pauli: PauliSum) -> LcuDecomposition:
     coeffs = np.array(coeffs, dtype=float)
     groups = _sorted_insertion(words, coeffs)
     constant = float(pauli.identity_coefficient().real)
-    return _groups_to_lcu(words, coeffs, groups, pauli.n_qubits // 2, "ac-qubit",
-                          constant, {"level": "qubit", "n_items": len(words)})
+    return _groups_to_lcu(words, coeffs, groups, pauli.n_qubits // 2, constant,
+                          {"level": "qubit", "n_items": len(words)})
 
 
 def ac_lcu(maj: MajoranaHamiltonian, level: str = "tensor") -> LcuDecomposition:
@@ -264,8 +264,8 @@ def ac_lcu(maj: MajoranaHamiltonian, level: str = "tensor") -> LcuDecomposition:
     words, coeffs, anti = _tensor_items(maj)
     groups = _sorted_insertion(words, coeffs, anti)
     constant = maj.h0 + 0.5 * float(np.einsum("ijij->", maj.g))
-    return _groups_to_lcu(words, coeffs, groups, maj.n_orbitals, "ac-tensor",
-                          constant, {"level": "tensor", "n_items": len(words)})
+    return _groups_to_lcu(words, coeffs, groups, maj.n_orbitals, constant,
+                          {"level": "tensor", "n_items": len(words)})
 
 
 def givens_chain_angles(c) -> np.ndarray:
@@ -407,10 +407,7 @@ def angles_from_rotation(u: np.ndarray) -> np.ndarray:
 
 def _pair_gain(sub: np.ndarray, theta: float) -> float:
     c, s = np.cos(theta), np.sin(theta)
-    w = np.array([[c, -s], [s, c]])
-    t = sub
-    for _ in range(4):
-        t = np.tensordot(t, w, axes=([0], [0]))
+    t = rotate_two_body(sub, np.array([[c, -s], [s, c]]))
     return float(t[0, 0, 0, 0] + t[1, 1, 1, 1])
 
 

@@ -1,6 +1,10 @@
 """Batch plumbing and report emission: run decompositions end to end, price
 their oracle circuits, check them against the dense Hamiltonian, and fit the
 log-log scaling of hardness and qubit count across the hydrogen chains.
+
+METHOD_TABLE is the one list of methods: a new method is one entry there,
+giving its builder and its cost model (or none). METHODS, COSTED_METHODS,
+the CLI's method choices, decompose_method and costs_for all read it.
 """
 
 import json
@@ -37,10 +41,6 @@ from .verify import (
     verify_reconstruction,
 )
 
-METHODS = ("pauli", "oo-pauli", "ac", "oo-ac", "sf", "df", "csa",
-           "l4-svd", "l4-mps", "l4-cp4")
-COSTED_METHODS = ("pauli", "oo-pauli", "ac", "oo-ac", "df",
-                  "l4-svd", "l4-mps", "l4-cp4")
 CHAIN_FIXTURES = ("chain_h02", "chain_h04", "chain_h06", "chain_h08",
                   "chain_h10")
 VERIFY_MAX_ORBITALS = 7
@@ -78,6 +78,83 @@ def fit_loglog(points) -> FitResult:
     return FitResult(float(alpha), float(beta), float(r_squared), len(pts))
 
 
+@dataclass(frozen=True)
+class Method:
+    """build(maj, **options) returns an LCU labelled with the method's key;
+    cost(lcu, maj, eps_c, eps_r) prices it (None: no closed-form model). An
+    optimizable method also runs as "oo-<key>", built after minimizing its
+    1-norm over orbital rotations within oo_budget evaluations by default."""
+    build: object
+    cost: object = None
+    optimizable: bool = False
+    oo_budget: int = None
+
+
+def _build_l4(factorize):
+    def build(maj, **options):
+        one_body = diagonalize_one_body(maj)
+        return l4_lcu(factorize(maj.g, **options), one_body, constant=maj.h0)
+    return build
+
+
+def _cost_l4(lcu, maj, eps_c, eps_r):
+    return l4_costs(lcu.metadata["n_weights"], lcu.n_orbitals, lcu.one_norm,
+                    eps_c, eps_r)
+
+
+# Every callee is looked up in this module's namespace at call time, so a
+# wrapper installed on a module attribute (as a tracer does) sees the call.
+METHOD_TABLE = {
+    "pauli": Method(
+        lambda maj, sparse_threshold, **_: sparse_pauli_lcu(
+            maj, threshold=sparse_threshold),
+        lambda lcu, maj, eps_c, eps_r: sparse_costs(
+            sparse_term_count(maj, lcu.metadata["threshold"]), lcu.n_orbitals,
+            eps_c, eps_r=eps_r, lam=lcu.one_norm),
+        optimizable=True),
+    "ac": Method(
+        lambda maj, **_: ac_lcu(maj),
+        lambda lcu, maj, eps_c, eps_r: ac_costs(
+            lcu.metadata["n_groups"], lcu.metadata["group_sizes"],
+            lcu.n_orbitals, eps_c, eps_r, lam=lcu.one_norm),
+        # grouped-norm evaluations are costly; keep the default bounded
+        optimizable=True, oo_budget=4000),
+    "sf": Method(lambda maj, tol, **_: cholesky_sf(maj, tol=tol)[1]),
+    "df": Method(
+        lambda maj, tol, **_: double_factorize(maj, cholesky_tol=tol),
+        lambda lcu, maj, eps_c, eps_r: df_costs(
+            lcu.metadata["n_factors"] + 1, lcu.n_orbitals, lcu.one_norm,
+            eps_c, eps_r)),
+    "csa": Method(lambda maj, fragments, seed, **_: csa_lcu(maj, csa_decompose(
+        maj, maj.n_orbitals if fragments is None else fragments,
+        seed=13 if seed is None else seed))),
+    "l4-svd": Method(
+        _build_l4(lambda g, tol, **_: svd_chain_factorize(g, tol=tol)),
+        _cost_l4),
+    "l4-mps": Method(
+        _build_l4(lambda g, tol, **_: mps_factorize(g, tol=tol)),
+        lambda lcu, maj, eps_c, eps_r: l4_mps_costs(
+            lcu.n_orbitals, *lcu.metadata["bond_dims"], lcu.one_norm,
+            eps_c, eps_r)),
+    "l4-cp4": Method(
+        _build_l4(lambda g, tol, max_rank, seed, **_: cp4_als(
+            g, max_rank=max_rank, tol=tol, seed=7 if seed is None else seed)),
+        _cost_l4),
+}
+METHODS = tuple(name for key, entry in METHOD_TABLE.items()
+                for name in ((key, "oo-" + key) if entry.optimizable else (key,)))
+COSTED_METHODS = tuple(m for m in METHODS
+                       if METHOD_TABLE[m.removeprefix("oo-")].cost is not None)
+
+
+def _pricing(method: str):
+    """Cost function of a method name or result label; ValueError if none."""
+    entry = METHOD_TABLE.get(method.removeprefix("oo-"))
+    if entry is None or entry.cost is None:
+        raise ValueError(f"no closed-form cost model for method {method!r}")
+    return entry.cost
+
+
 def decompose_method(mol: MolecularIntegrals, method: str, *,
                      sparse_threshold: float = 1e-5, tol: float = 1e-6,
                      fragments: int = None, max_rank: int = None,
@@ -91,49 +168,20 @@ def decompose_method(mol: MolecularIntegrals, method: str, *,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method in ("oo-pauli", "oo-ac"):
-        objective = "pauli" if method == "oo-pauli" else "ac"
-        if method == "oo-ac" and oo_budget is None:
-            # grouped-norm evaluations are costly; keep the default bounded
-            oo_budget = 4000
-        rotation, mol = orbital_optimize(mol, objective=objective,
-                                         budget=oo_budget, restarts=oo_restarts,
-                                         seed=7 if seed is None else seed)
-        maj = build_majorana(mol)
-        lcu = (sparse_pauli_lcu(maj, threshold=sparse_threshold)
-               if objective == "pauli" else ac_lcu(maj))
+    base = method.removeprefix("oo-")
+    entry = METHOD_TABLE[base]
+    if method != base:
+        rotation, mol = orbital_optimize(
+            mol, objective=base,
+            budget=entry.oo_budget if oo_budget is None else oo_budget,
+            restarts=oo_restarts, seed=7 if seed is None else seed)
+    maj = build_majorana(mol)
+    lcu = entry.build(maj, sparse_threshold=sparse_threshold, tol=tol,
+                      fragments=fragments, max_rank=max_rank, seed=seed)
+    if method != base:
         lcu.metadata["evaluations"] = rotation.evaluations
         lcu.metadata["converged"] = rotation.converged
-        return maj, lcu
-    maj = build_majorana(mol)
-    if method == "pauli":
-        return maj, sparse_pauli_lcu(maj, threshold=sparse_threshold)
-    if method == "ac":
-        return maj, ac_lcu(maj)
-    if method == "sf":
-        return maj, cholesky_sf(maj, tol=tol)[1]
-    if method == "df":
-        return maj, double_factorize(maj, cholesky_tol=tol)
-    if method == "csa":
-        n_fragments = maj.n_orbitals if fragments is None else fragments
-        result = csa_decompose(maj, n_fragments,
-                               seed=13 if seed is None else seed)
-        return maj, csa_lcu(maj, result)
-    one_body = diagonalize_one_body(maj)
-    if method == "l4-svd":
-        factors = svd_chain_factorize(maj.g, tol=tol)
-    elif method == "l4-mps":
-        factors = mps_factorize(maj.g, tol=tol)
-    else:
-        factors = cp4_als(maj.g, max_rank=max_rank, tol=tol,
-                          seed=7 if seed is None else seed)
-    return maj, l4_lcu(factors, one_body, constant=maj.h0)
-
-
-def cost_model(lcu) -> str:
-    """Name of the cost model that prices lcu: its method label, with both
-    grouping levels of ac_lcu priced as "ac"."""
-    return "ac" if lcu.method in ("ac-tensor", "ac-qubit") else lcu.method
+    return maj, lcu
 
 
 def costs_for(lcu, maj, eps_coeff: float = None, eps_rot: float = None,
@@ -144,34 +192,14 @@ def costs_for(lcu, maj, eps_coeff: float = None, eps_rot: float = None,
     except through register widths, so the defaults are fixed by a first pass
     at a placeholder rotation accuracy.
     """
-    method = cost_model(lcu)
-    if method not in COSTED_METHODS:
-        raise ValueError(f"no closed-form cost model for method {method!r}")
-    n = lcu.n_orbitals
-    lam = lcu.one_norm
-
-    def build(eps_c, eps_r):
-        if method == "pauli":
-            s = sparse_term_count(maj, lcu.metadata["threshold"])
-            return sparse_costs(s, n, eps_c, eps_r=eps_r, lam=lam)
-        if method == "ac":
-            return ac_costs(lcu.metadata["n_groups"],
-                            lcu.metadata["group_sizes"], n, eps_c, eps_r,
-                            lam=lam)
-        if method == "df":
-            return df_costs(lcu.metadata["n_factors"] + 1, n, lam,
-                            eps_c, eps_r)
-        if method == "l4-mps":
-            a1, a2, a3 = lcu.metadata["bond_dims"]
-            return l4_mps_costs(n, a1, a2, a3, lam, eps_c, eps_r)
-        return l4_costs(lcu.metadata["n_weights"], n, lam, eps_c, eps_r)
-
+    cost = _pricing(lcu.method)
     if eps_coeff is None or eps_rot is None:
-        probe = build(0.5, 1e-4)
-        default_c, default_r = default_precisions(lam, probe.rz_count, budget)
+        probe = cost(lcu, maj, 0.5, 1e-4)
+        default_c, default_r = default_precisions(lcu.one_norm, probe.rz_count,
+                                                  budget)
         eps_coeff = default_c if eps_coeff is None else eps_coeff
         eps_rot = default_r if eps_rot is None else eps_rot
-    report = build(eps_coeff, eps_rot)
+    report = cost(lcu, maj, eps_coeff, eps_rot)
     report.params["budget"] = budget
     return report
 
@@ -292,14 +320,14 @@ def resolve_input(name: str, base_dir: str = ".") -> pathlib.Path:
     raise FileNotFoundError(f"no input file or fixture named {name!r}")
 
 
-_OPTION_KEYS = ("sparse_threshold", "tol", "fragments", "max_rank", "seed",
-                "oo_budget", "oo_restarts")
+OPTION_KEYS = ("sparse_threshold", "tol", "fragments", "max_rank", "seed",
+               "oo_budget", "oo_restarts")
 
 
 def _method_options(config: dict, method: str) -> dict:
-    options = {k: config[k] for k in _OPTION_KEYS if k in config}
+    options = {k: config[k] for k in OPTION_KEYS if k in config}
     for key, value in config.get("overrides", {}).get(method, {}).items():
-        if key not in _OPTION_KEYS:
+        if key not in OPTION_KEYS:
             raise ValueError(f"unknown override key {key!r}")
         options[key] = value
     return options
@@ -341,7 +369,7 @@ def run_pipeline(config: dict, base_dir: str = ".") -> PipelineResult:
                 "lambda": float(lcu.one_norm),
                 "constant": float(lcu.constant),
             }
-            if cost_model(lcu) in COSTED_METHODS:
+            if method in COSTED_METHODS:
                 report = costs_for(lcu, maj,
                                    eps_coeff=config.get("eps_coeff"),
                                    eps_rot=config.get("eps_rot"),
@@ -389,14 +417,16 @@ def run_pipeline(config: dict, base_dir: str = ".") -> PipelineResult:
 
 def chain_series(method: str, chains=CHAIN_FIXTURES, **options):
     """(n_orbitals, lambda, hardness, total qubits) per hydrogen-chain
-    fixture, the data behind the scaling plots."""
+    fixture, the data behind the scaling plots; hardness and qubits are None
+    for a method without a cost model."""
     rows = []
     for name in chains:
-        mol = load_fixture(name)
-        maj, lcu = decompose_method(mol, method, **options)
-        report = costs_for(lcu, maj)
-        rows.append((lcu.n_orbitals, float(lcu.one_norm),
-                     float(report.hardness), int(report.total_qubits)))
+        maj, lcu = decompose_method(load_fixture(name), method, **options)
+        hard = qubits = None
+        if method in COSTED_METHODS:
+            report = costs_for(lcu, maj)
+            hard, qubits = float(report.hardness), int(report.total_qubits)
+        rows.append((lcu.n_orbitals, float(lcu.one_norm), hard, qubits))
     return rows
 
 
@@ -406,6 +436,8 @@ def fit_chain_scaling(method: str, quantity: str = "hardness",
     column = {"lambda": 1, "hardness": 2, "qubits": 3}
     if quantity not in column:
         raise ValueError(f"unknown quantity {quantity!r}")
+    if quantity != "lambda":
+        _pricing(method)  # fail before any chain runs
     rows = chain_series(method, chains, **options)
     points = [(row[0], row[column[quantity]]) for row in rows]
     return fit_loglog(points), rows
@@ -414,5 +446,5 @@ def fit_chain_scaling(method: str, quantity: str = "hardness",
 def series_to_csv(rows) -> str:
     lines = ["N,lambda,hardness,qubits"]
     for n, lam, hard, qubits in rows:
-        lines.append(f"{n},{sig12(lam)},{sig12(hard)},{qubits}")
+        lines.append(f"{n},{sig12(lam)},{_csv_cell(hard)},{_csv_cell(qubits)}")
     return "\n".join(lines) + "\n"

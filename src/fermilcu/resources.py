@@ -9,8 +9,6 @@ angle loading), and through the T-gate equivalent of an R_Z synthesis.
 from dataclasses import dataclass, field
 from math import ceil, log2
 
-import numpy as np
-
 RZ_EPS_WINDOW = 0.016
 DEFAULT_BUDGET = 1e-3
 SPARSE_THRESHOLD = 1e-5
@@ -251,7 +249,7 @@ def sparse_costs(s_terms: int, n_orbitals: int, eps_c: float,
 def ac_costs(n_groups: int, group_sizes, n_orbitals: int, eps_c: float,
              eps_r: float, lam: float = None) -> CostReport:
     sel = ac_sel_row(n_groups, group_sizes, n_orbitals)
-    prep = prep_row(n_groups, mu_bits(n_groups, eps_c))
+    prep = prep_generic_cost(n_groups, eps_c)
     return _compose("ac", sel, prep, eps_c, eps_r, lam,
                     {"G": n_groups, "N": n_orbitals,
                      "total_group_members": int(sum(group_sizes))})
@@ -262,7 +260,7 @@ def df_costs(n_factors: int, n_orbitals: int, lam: float, eps_c: float,
     mu = mu_bits(n_orbitals, eps_c)
     beta = beta_bits(n_orbitals, lam, eps_r)
     sel = df_select_row(n_factors, n_orbitals, mu, beta)
-    prep = prep_row(n_factors, mu_bits(n_factors, eps_c))
+    prep = prep_generic_cost(n_factors, eps_c)
     return _compose("df", sel, prep, eps_c, eps_r, lam,
                     {"L": n_factors, "N": n_orbitals, "mu": mu, "beta": beta})
 
@@ -271,7 +269,7 @@ def l4_costs(n_weights: int, n_orbitals: int, lam: float, eps_c: float,
              eps_r: float) -> CostReport:
     beta = beta_bits(n_orbitals, lam, eps_r)
     sel = l4_sel_row(n_weights, n_orbitals, beta)
-    prep = prep_row(n_weights, mu_bits(n_weights, eps_c))
+    prep = prep_generic_cost(n_weights, eps_c)
     return _compose("l4", sel, prep, eps_c, eps_r, lam,
                     {"W": n_weights, "N": n_orbitals, "beta": beta})
 

@@ -7,7 +7,7 @@ import pytest
 
 from fermilcu.cli import main
 from fermilcu.integrals import load_fixture
-from fermilcu.report import costs_for, decompose_method
+from fermilcu.report import COSTED_METHODS, METHODS, costs_for, decompose_method
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +168,22 @@ class TestFit:
         assert lines[0] == "N,lambda,hardness,qubits"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("method", ["sf", "csa"])
+    def test_uncosted_method_fits_lambda_only(self, capsys, method):
+        chains = ("--chains", "chain_h02,chain_h04")
+        code, out, err = run_cli(capsys, "fit", "--method", method,
+                                 "--quantity", "lambda", *chains,
+                                 "--output", "csv")
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["2", "4"]
+        assert all(float(row[1]) > 0 and row[2:] == ["", ""] for row in rows)
+        for quantity in ("hardness", "qubits"):
+            code, _, err = run_cli(capsys, "fit", "--method", method,
+                                   "--quantity", quantity, *chains)
+            assert code == 2
+            assert f"no closed-form cost model for method '{method}'" in err
+
 
 class TestPipeline:
     def test_end_to_end(self, capsys, tmp_path):
@@ -194,3 +210,30 @@ class TestPipeline:
         code, _, err = run_cli(capsys, "pipeline", "--config", str(config))
         assert code == 2
         assert "unknown method" in err
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_through_every_entry_point(capsys, tmp_path, method):
+    oo = ("--oo-budget", "50", "--oo-restarts", "1")
+    code, out, err = run_cli(capsys, "estimate", "--input", "h2",
+                             "--method", method, *oo)
+    if method in COSTED_METHODS:
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["t_sel"] > 0 and payload["t_prep"] > 0
+        assert payload["hardness"] > 0 and payload["qubits"]["clean"] > 0
+    else:
+        assert code == 2
+        assert f"no closed-form cost model for method '{method}'" in err
+
+    config = tmp_path / "run.cfg"
+    config.write_text(f"files = h2\nmethods = {method}\n"
+                      "oo_budget = 50\noo_restarts = 1\n")
+    code, out, err = run_cli(capsys, "pipeline", "--config", str(config))
+    assert code == 0, err
+    assert json.loads(out)["verified"] == 1
+
+    code, out, err = run_cli(capsys, "fit", "--method", method, "--quantity",
+                             "lambda", "--chains", "chain_h02,chain_h04", *oo)
+    assert code == 0, err
+    assert json.loads(out)["n_points"] == 2

@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 from fermilcu.integrals import load_fixture
+from fermilcu.majorana import build_majorana
+from fermilcu.qubit_lcu import ac_lcu
 from fermilcu.report import (
+    COSTED_METHODS,
     CSV_COLUMNS,
+    METHOD_TABLE,
+    METHODS,
     chain_series,
     cost_report_json,
     costs_for,
@@ -171,6 +176,20 @@ class TestCostsFor:
             lcu.metadata["group_sizes"])
         assert report.hardness == pytest.approx(
             lcu.one_norm * (report.t_gates + report.rz_tgate_equiv), rel=1e-12)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_result_label_is_the_key_that_prices_it(self, method):
+        _, lcu = decompose_method(load_fixture("h2"), method, oo_budget=50,
+                                  oo_restarts=1)
+        assert lcu.method == method.removeprefix("oo-")
+        priced = METHOD_TABLE[lcu.method].cost is not None
+        assert priced == (method in COSTED_METHODS)
+
+    def test_qubit_level_ac_priced_as_ac(self):
+        maj = build_majorana(load_fixture("h2"))
+        lcu = ac_lcu(maj, level="qubit")
+        assert lcu.method == "ac" and lcu.metadata["level"] == "qubit"
+        assert costs_for(lcu, maj).params["G"] == lcu.metadata["n_groups"]
 
     def test_uncosted_method_rejected(self):
         mol = load_fixture("h2")
