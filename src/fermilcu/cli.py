@@ -13,6 +13,7 @@ import sys
 from .majorana import build_majorana
 from .report import (
     CHAIN_FIXTURES,
+    METHOD_TABLE,
     METHODS,
     OPTION_KEYS,
     _json_safe,
@@ -107,12 +108,10 @@ def cmd_fit(args) -> int:
     chains = ([c.strip() for c in args.chains.split(",") if c.strip()]
               if args.chains else CHAIN_FIXTURES)
     options = _decomp_options(args)
-    if args.method.startswith("oo-"):
-        # keep chain batches inside a sane runtime unless told otherwise
-        if options["oo_budget"] is None:
-            pauli = args.method == "oo-pauli"
-            options["oo_budget"] = 20000 if pauli else 1500
-            options["oo_restarts"] = 2 if pauli else 1
+    if args.method.startswith("oo-") and options["oo_budget"] is None:
+        entry = METHOD_TABLE[args.method.removeprefix("oo-")]
+        options["oo_budget"] = entry.chain_oo_budget
+        options["oo_restarts"] = entry.chain_oo_restarts
     fit, rows = fit_chain_scaling(args.method, args.quantity, chains,
                                   **options)
     if args.output == "csv":

@@ -14,11 +14,16 @@ k = |x1&z1| + |x2&z2| - |x3&z3| + 2|z1&x2| (Aaronson and Gottesman, PRA 70,
 Bulk work runs on the array form of the same algebra: a set of terms is three
 parallel arrays, packed uint64 X and Z masks and complex coefficients.
 `word_products` multiplies word arrays elementwise (with broadcasting),
+`reflection_terms` lists the Hamiltonian's Q and ordered QQ terms,
 `combine_terms` sums like terms by sorting their masks, and `sparse_matrix`
 assembles the matrix of a sum one X mask at a time. `PauliSum` keeps the
 dictionary form for small operators; `PauliSum.from_arrays` and
 `PauliSum.arrays` convert between the two. `combine_terms` packs a word into
 one 64-bit key, so like terms combine on at most 32 qubits.
+
+Grouping uses two more array forms: `anticommutation_rows` packs, per word,
+one bit per word it anticommutes with (m^2/8 bytes for m words), and
+`word_sort_keys` maps a word to an integer ordered as its letter string.
 """
 from __future__ import annotations
 
@@ -129,6 +134,37 @@ def word_products(x1, z1, x2, z2):
     k = (_popcount(x1 & z1) + _popcount(x2 & z2) - _popcount(x & z)
          + 2 * _popcount(z1 & x2))
     return x, z, _I_POWERS[k & 3]
+
+
+def anticommutation_rows(x, z) -> np.ndarray:
+    """m x ceil(m/64) uint64 rows: bit b of row q (word b // 64, bit b % 64)
+    is set when words q and b anticommute. Row q is the XOR of the per-qubit
+    X columns (bitsets over the items) at q's Z bits and of the Z columns at
+    q's X bits, the parity of the symplectic product."""
+    m = x.size
+    shifts = np.arange(int(np.bitwise_or.reduce(x | z, initial=0)).bit_length(),
+                       dtype=np.uint64)[:, None]
+    bits = np.array([(x >> shifts) & 1, (z >> shifts) & 1], dtype=bool)
+    packed = np.zeros(bits.shape[:2] + (8 * -(-m // 64),), dtype=np.uint8)
+    packed[..., :-(-m // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    x_cols, z_cols = packed.view("<u8").astype(np.uint64)
+    anti = np.zeros((m, packed.shape[-1] // 8), dtype=np.uint64)
+    for p in range(shifts.size):
+        np.bitwise_xor(anti, x_cols[p], out=anti, where=bits[1, p, :, None])
+        np.bitwise_xor(anti, z_cols[p], out=anti, where=bits[0, p, :, None])
+    return anti
+
+
+def word_sort_keys(x, z, n_qubits: int) -> np.ndarray:
+    """uint64 keys that order words as their letter strings do: one digit
+    2z + (x ^ z) per qubit (I, X, Y, Z = 0..3), qubit 1 most significant."""
+    if n_qubits > 32:
+        raise ValueError("sort keys limited to 32 qubits")
+    key = np.zeros(np.shape(x), dtype=np.uint64)
+    for q in range(n_qubits):
+        xq, zq = (x >> q) & 1, (z >> q) & 1
+        key = (key << 2) | (zq << 1) | (xq ^ zq)
+    return key
 
 
 def combine_terms(x, z, coeffs):
@@ -248,19 +284,11 @@ def jordan_wigner_majorana(j: int, sigma: int, m: int, n_orbitals: int) -> Pauli
     return PauliWord(2 * n_orbitals, x, z)
 
 
-def reflection_word(i: int, j: int, sigma: int, n_orbitals: int):
-    """Q_ij,sigma = i gamma_{i sigma,0} gamma_{j sigma,1} -> (word, coefficient)."""
-    g0 = jordan_wigner_majorana(i, sigma, 0, n_orbitals)
-    g1 = jordan_wigner_majorana(j, sigma, 1, n_orbitals)
-    word, phase = g0 * g1
-    return word, 1j * phase
-
-
 @lru_cache(maxsize=None)
 def reflection_table(n_orbitals: int):
-    """(x, z, coeff) of every Q_ij,sigma, each shaped (N, N, 2) and indexed
-    [i-1, j-1, sigma]; the same words and coefficients as reflection_word.
-    The cached arrays are read-only."""
+    """(x, z, coeff) of every Q_ij,sigma = i gamma_{i sigma,0} gamma_{j sigma,1},
+    each shaped (N, N, 2) and indexed [i-1, j-1, sigma]. The cached arrays
+    are read-only."""
     one = np.uint64(1)
     qubit = (2 * np.arange(n_orbitals)[:, None] + np.arange(2)).astype(np.uint64)
     bit = one << qubit
@@ -273,24 +301,30 @@ def reflection_table(n_orbitals: int):
     return table
 
 
-def pauli_sum_of_hamiltonian(maj: MajoranaHamiltonian) -> PauliSum:
-    """Fully multiplied-out qubit operator with like terms combined.
-
-    H = h0 + (1/2) sum_{ij sigma} h_tilde_ij Q_ij,sigma
-        + (1/4) sum_{ijkl sigma tau} g_ijkl Q_ij,sigma Q_kl,tau
-    """
+def reflection_terms(maj: MajoranaHamiltonian):
+    """Terms of H = h0 + (1/2) sum h_tilde_ij Q_ij,sigma
+    + (1/4) sum g_ijkl Q_ij,sigma Q_kl,tau before like terms combine:
+    (x, z, c) of the 2N^2 words Q_a, a = (i, j, sigma) row-major, and of the
+    ordered products Q_a Q_b, shaped (2N^2, 2N^2)."""
     n = maj.n_orbitals
-    if n > 12:
-        raise ValueError("term count grows as N^4; guard is N <= 12")
     qx, qz, qc = (a.ravel() for a in reflection_table(n))
     h_q = np.repeat(maj.h_tilde.ravel(), 2)
     g_qq = np.repeat(np.repeat(maj.g.reshape(n * n, n * n), 2, axis=0), 2, axis=1)
     x, z, phase = word_products(qx[:, None], qz[:, None], qx[None, :], qz[None, :])
-    c = 0.25 * g_qq * qc[:, None] * qc[None, :] * phase
+    return ((qx, qz, 0.5 * h_q * qc),
+            (x, z, 0.25 * g_qq * qc[:, None] * qc[None, :] * phase))
+
+
+def pauli_sum_of_hamiltonian(maj: MajoranaHamiltonian) -> PauliSum:
+    """Fully multiplied-out qubit operator with like terms combined."""
+    n = maj.n_orbitals
+    if n > 12:
+        raise ValueError("term count grows as N^4; guard is N <= 12")
+    (qx, qz, c1), (x, z, c2) = reflection_terms(maj)
     zero = np.zeros(1, dtype=np.uint64)
     x, z, c = combine_terms(np.concatenate([zero, qx, x.ravel()]),
                             np.concatenate([zero, qz, z.ravel()]),
-                            np.concatenate([[maj.h0], 0.5 * h_q * qc, c.ravel()]))
+                            np.concatenate([[maj.h0], c1, c2.ravel()]))
     # Hermiticity: imaginary parts cancel between conjugate index pairs
     if c.size and np.abs(c.imag).max() > 1e-9:
         raise AssertionError("qubit operator failed to come out Hermitian")

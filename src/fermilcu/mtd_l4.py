@@ -157,25 +157,31 @@ def _keep_count(s: np.ndarray, budget_sq: float, weight: float = 1.0) -> int:
     return keep
 
 
+def _first_cut(g: np.ndarray, tol: float):
+    """Truncated i | jkl SVD of t = g/4 that both SVD schemes start from:
+    (u1, s1, v1t, budget, spent), with the squared-loss budget tol/16 at
+    the t scale and the part of it this cut spent."""
+    _check_symmetric(g)
+    n = g.shape[0]
+    budget = tol / 16.0
+    u1f, s1f, v1t = np.linalg.svd((0.25 * g).reshape(n, n ** 3),
+                                  full_matrices=False)
+    keep = _keep_count(s1f, budget)
+    spent = float((s1f[keep:] ** 2).sum())
+    return u1f[:, :keep], s1f[:keep], v1t[:keep], budget, spent
+
+
 def mps_factorize(g: np.ndarray, tol: float = 1e-6) -> MpsFactors:
     """Tensor-train factorization with cuts i | jkl, (uj) | kl, (vk) | l.
 
     Truncation drops trailing singular values only while the accumulated
     (conservatively weighted) squared loss stays below tol at the g scale.
     """
-    _check_symmetric(g)
     n = g.shape[0]
-    t = 0.25 * g
-    budget = tol / 16.0  # work at the t scale
-    spent = 0.0
+    u1, s1, v1t, budget, spent = _first_cut(g, tol)
+    r1 = s1.size
 
-    u1f, s1f, v1t = np.linalg.svd(t.reshape(n, n ** 3), full_matrices=False)
-    keep = _keep_count(s1f, budget - spent)
-    spent += float((s1f[keep:] ** 2).sum())
-    u1, s1, v1 = u1f[:, :keep], s1f[:keep], v1t[:keep].T
-    r1 = keep
-
-    m2 = v1.T.reshape(r1 * n, n * n) if r1 else np.zeros((0, n * n))
+    m2 = v1t.reshape(r1 * n, n * n) if r1 else np.zeros((0, n * n))
     u2f, s2f, v2t = np.linalg.svd(m2, full_matrices=False)
     w_up = float((s1 ** 2).max()) if r1 else 0.0
     keep = _keep_count(s2f, budget - spent, weight=w_up)
@@ -204,19 +210,10 @@ def mps_factorize(g: np.ndarray, tol: float = 1e-6) -> MpsFactors:
 
 def svd_chain_factorize(g: np.ndarray, tol: float = 1e-6) -> SvdChainFactors:
     """Branching factorization i | jkl, then j | kl, then k | l."""
-    _check_symmetric(g)
     n = g.shape[0]
     if n > SVD_CHAIN_GUARD:
         raise ValueError(f"branch count grows as N^3; guard is N <= {SVD_CHAIN_GUARD}")
-    t = 0.25 * g
-    budget = tol / 16.0
-    spent = 0.0
-
-    u1f, s1f, v1t = np.linalg.svd(t.reshape(n, n ** 3), full_matrices=False)
-    keep = _keep_count(s1f, budget - spent)
-    spent += float((s1f[keep:] ** 2).sum())
-    u1, s1 = u1f[:, :keep], s1f[:keep]
-    v1 = v1t[:keep]
+    u1, s1, v1, budget, spent = _first_cut(g, tol)
 
     u2, s2, u3, s3, v3 = [], [], [], [], []
     for a1 in range(s1.size):

@@ -1,5 +1,12 @@
 """Qubit-side decompositions: sparse Pauli LCU, anticommuting grouping, and
 orbital optimization of either 1-norm.
+
+Both LCUs take their Q and QQ items from the array kernel of `majorana`.
+Grouping is sorted insertion (Crawford et al., Quantum 5, 385, 2021): by
+descending |coefficient|, ties by `word_sort_keys` then item index, each item
+joins the first group it anticommutes with throughout. A group keeps a packed
+mask of the items that anticommute with all its members; joining ANDs in the
+item's packed anticommutation row.
 """
 
 from dataclasses import dataclass
@@ -9,7 +16,18 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .lcu import AcGroup, Fragment, LcuDecomposition, PauliTerm
-from .majorana import MajoranaHamiltonian, PauliSum, reflection_word
+from .majorana import (
+    MajoranaHamiltonian,
+    PauliSum,
+    PauliWord,
+    anticommutation_rows,
+    build_majorana,
+    pauli_sum_of_hamiltonian,
+    reflection_table,
+    reflection_terms,
+    word_products,
+    word_sort_keys,
+)
 
 COEFF_TOL = 1e-12
 ANGLE_CLAMP = 1e-9
@@ -20,42 +38,30 @@ def sparse_pauli_lcu(maj: MajoranaHamiltonian, threshold: float = 1e-5) -> LcuDe
 
     The 1-norm is taken directly on the tensors, sum|h~| + sum|g|, so it is
     independent of the reporting threshold. Products that collapse to the
-    identity go to the constant instead of the fragment list.
+    identity go to the constant instead of the fragment list. Fragments and
+    running sums follow the row-major order of Q_a and of (Q_a, Q_b).
     """
     n = maj.n_orbitals
-    words = _q_words(n)
-    fragments = []
-    constant = complex(maj.h0)
-    dropped = 0.0
-    identity_weight = 0.0
-    for (i, j, s), (word, ph) in words.items():
-        c = 0.5 * maj.h_tilde[i - 1, j - 1] * ph
-        if abs(c) < COEFF_TOL:
-            continue
-        if abs(c) < threshold:
-            dropped += abs(c)
-            continue
-        fragments.append(Fragment(abs(c), "pauli", PauliTerm(word, c / abs(c))))
-    items = list(words.items())
-    for (i, j, s), (w1, p1) in items:
-        for (k, l, t), (w2, p2) in items:
-            gval = maj.g[i - 1, j - 1, k - 1, l - 1]
-            if gval == 0.0:
-                continue
-            word, mph = w1 * w2
-            c = 0.25 * gval * p1 * p2 * mph
-            if word.is_identity():
-                constant += c
-                identity_weight += abs(c)
-                continue
-            if abs(c) < COEFF_TOL:
-                continue
-            if abs(c) < threshold:
-                dropped += abs(c)
-                continue
-            fragments.append(Fragment(abs(c), "pauli", PauliTerm(word, c / abs(c))))
+    (qx, qz, c1), (x, z, c2) = reflection_terms(maj)
+    identity = ((x | z) == 0).ravel()
+    c2 = c2.ravel()
+    # zero-weight entries (g = 0) add nothing to either running sum
+    constant = _running_sum(c2[identity], complex(maj.h0))
+    identity_weight = _running_sum(np.abs(c2[identity]))
+    x = np.concatenate([qx, x.ravel()[~identity]])
+    z = np.concatenate([qz, z.ravel()[~identity]])
+    c = np.concatenate([c1, c2[~identity]])
+    weight = np.abs(c)
+    kept = weight >= COEFF_TOL
+    drop = kept & (weight < threshold)
+    kept &= ~drop
+    phase = c[kept] / weight[kept]
+    fragments = [Fragment(w, "pauli", PauliTerm(PauliWord(2 * n, xm, zm), ph))
+                 for w, xm, zm, ph in zip(weight[kept].tolist(), x[kept].tolist(),
+                                          z[kept].tolist(), phase.tolist())]
     if abs(constant.imag) > 1e-9:
         raise AssertionError("constant failed to come out real")
+    dropped = _running_sum(weight[drop])
     one_norm = float(np.abs(maj.h_tilde).sum() + np.abs(maj.g).sum())
     return LcuDecomposition(
         method="pauli",
@@ -71,6 +77,11 @@ def sparse_pauli_lcu(maj: MajoranaHamiltonian, threshold: float = 1e-5) -> LcuDe
             "n_fragments": len(fragments),
         },
     )
+
+
+def _running_sum(values, start=0.0):
+    """Left-to-right sum from start, the order a loop of += adds in."""
+    return np.cumsum(np.concatenate([[start], values]))[-1].item()
 
 
 def spin_separated_two_body_norm(maj: MajoranaHamiltonian) -> float:
@@ -90,128 +101,87 @@ def spin_separated_two_body_norm(maj: MajoranaHamiltonian) -> float:
 
 
 @lru_cache(maxsize=None)
-def _q_words(n: int):
-    """Reflection words Q_ij,sigma keyed by 1-based (i, j, sigma)."""
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for s in (0, 1):
-                out[(i, j, s)] = reflection_word(i, j, s, n)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _tensor_item_structure(n: int):
     """Index structure of tensor-level items; values come from gather later.
 
-    One-body items carry h~_ij/2 on each Q word. Two-body items merge the two
-    conjugate orderings of each unordered QQ pair; pairs whose phases are
-    imaginary cancel exactly and are dropped here once and for all.
+    Items are the Q words a = (i, j, sigma), row-major, carrying h~_ij/2,
+    then the products Q_a Q_b over pairs a < b, row-major, each merging the
+    two conjugate orderings of the pair; pairs whose phases are imaginary
+    cancel exactly and are dropped here once and for all. The cached masks,
+    sort keys and packed anticommutation rows are read-only.
     """
-    words = _q_words(n)
-    triples = list(words.keys())
-    ob_words = []
-    ob_i = []
-    ob_j = []
-    ob_sign = []
-    for (i, j, s) in triples:
-        word, ph = words[(i, j, s)]
-        if abs(ph.imag) > 1e-12:
-            raise AssertionError("Q word phase must be real")
-        ob_words.append(word)
-        ob_i.append(i - 1)
-        ob_j.append(j - 1)
-        ob_sign.append(0.5 * ph.real)
-    tb_words = []
-    tb_idx = [[], [], [], []]
-    tb_weight = []
-    for a in range(len(triples)):
-        i, j, s = triples[a]
-        w1, p1 = words[triples[a]]
-        for b in range(a + 1, len(triples)):
-            k, l, t = triples[b]
-            w2, p2 = words[triples[b]]
-            word, mph = w1 * w2
-            tot = p1 * p2 * mph
-            re = tot.real
-            if abs(re) < 1e-12:
-                continue
-            tb_words.append(word)
-            tb_idx[0].append(i - 1)
-            tb_idx[1].append(j - 1)
-            tb_idx[2].append(k - 1)
-            tb_idx[3].append(l - 1)
-            tb_weight.append(0.5 * re)
-    all_words = ob_words + tb_words
-    anti = _anticommutation_matrix(all_words)
-    return {
-        "words": all_words,
-        "ob_i": np.array(ob_i),
-        "ob_j": np.array(ob_j),
-        "ob_sign": np.array(ob_sign),
-        "tb_idx": tuple(np.array(ix) for ix in tb_idx),
-        "tb_weight": np.array(tb_weight),
-        "anti": anti,
+    qx, qz, qc = (a.ravel() for a in reflection_table(n))
+    if np.any(qc.imag):
+        raise AssertionError("Q word phase must be real")
+    i, j, _ = np.unravel_index(np.arange(qx.size), (n, n, 2))
+    a, b = np.triu_indices(qx.size, k=1)
+    x, z, phase = word_products(qx[a], qz[a], qx[b], qz[b])
+    real = (qc[a] * qc[b] * phase).real
+    merged = np.abs(real) >= 1e-12
+    a, b = a[merged], b[merged]
+    x, z = np.concatenate([qx, x[merged]]), np.concatenate([qz, z[merged]])
+    struct = {
+        "x": x,
+        "z": z,
+        "key": word_sort_keys(x, z, 2 * n),
+        "anti": anticommutation_rows(x, z),
+        "ob_i": i,
+        "ob_j": j,
+        "ob_sign": 0.5 * qc.real,
+        "tb_idx": (i[a], j[a], i[b], j[b]),
+        "tb_weight": 0.5 * real[merged],
     }
+    for array in (*struct.values(), *struct["tb_idx"]):
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return struct
 
 
-def _anticommutation_matrix(words):
-    """Boolean matrix: True where the two words anticommute."""
-    m = len(words)
-    xs = np.array([w.x_mask for w in words], dtype=np.uint64)
-    zs = np.array([w.z_mask for w in words], dtype=np.uint64)
-    anti = np.zeros((m, m), dtype=bool)
-    step = 512
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        par = np.bitwise_count(xs[lo:hi, None] & zs[None, :]) \
-            + np.bitwise_count(zs[lo:hi, None] & xs[None, :])
-        anti[lo:hi] = (par & 1).astype(bool)
-    return anti
+def _item_coeffs(struct, h_tilde: np.ndarray, g: np.ndarray) -> np.ndarray:
+    d_ob = struct["ob_sign"] * h_tilde[struct["ob_i"], struct["ob_j"]]
+    d_tb = struct["tb_weight"] * g[struct["tb_idx"]]
+    return np.concatenate([d_ob, d_tb])
 
 
-def _tensor_items(maj: MajoranaHamiltonian):
-    struct = _tensor_item_structure(maj.n_orbitals)
-    d_ob = struct["ob_sign"] * maj.h_tilde[struct["ob_i"], struct["ob_j"]]
-    d_tb = struct["tb_weight"] * maj.g[struct["tb_idx"]]
-    return struct["words"], np.concatenate([d_ob, d_tb]), struct["anti"]
+def _sorted_insertion(coeffs, key, anti):
+    """Greedy grouping: descending |coefficient|, ties by key then index;
+    each item joins the first group it fully anticommutes with.
 
-
-def _sorted_insertion(words, coeffs, anti=None):
-    """Greedy grouping: descending |coefficient|, first fully anticommuting
-    group wins; ties broken by the word's letter string.
+    Bit q of a group's mask is set while item q anticommutes with every
+    member, so placing q ANDs its row anti[q] into the mask.
     """
-    m = len(words)
-    if anti is None:
-        anti = _anticommutation_matrix(words)
-    order = sorted(range(m), key=lambda q: (-abs(coeffs[q]), str(words[q])))
-    group_mask = np.zeros((m, m), dtype=bool)
+    magnitude = np.abs(coeffs)
+    order = np.lexsort((key, -magnitude))
+    order = order[magnitude[order] > COEFF_TOL]
+    bit = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    # one column per group, so the bits of item q sit in one contiguous row;
+    # the column after the last group is all ones and stands for a new group
+    masks = np.empty((anti.shape[1], 64), dtype=np.uint64)
+    masks[:, 0] = ~np.uint64(0)
     groups = []
-    for q in order:
-        if abs(coeffs[q]) <= COEFF_TOL:
+    for q in order.tolist():
+        gi = int((masks[q >> 6, :len(groups) + 1] & bit[q & 63]).argmax())
+        masks[:, gi] &= anti[q]
+        if gi < len(groups):
+            groups[gi].append(q)
             continue
-        ng = len(groups)
-        if ng:
-            col = group_mask[:ng, q]
-            gi = int(np.argmax(col))
-            if col[gi]:
-                groups[gi].append(q)
-                group_mask[gi] &= anti[q]
-                continue
         groups.append([q])
-        group_mask[ng] = anti[q]
+        if len(groups) == masks.shape[1]:
+            masks = np.concatenate([masks, np.empty_like(masks)], axis=1)
+        masks[:, len(groups)] = ~np.uint64(0)
     return groups
 
 
-def _groups_to_lcu(words, coeffs, groups, n_orbitals, constant, metadata):
+def _groups_to_lcu(x, z, coeffs, groups, n_qubits, constant, metadata):
+    x, z = x.tolist(), z.tolist()
     fragments = []
     total = 0.0
     for members in groups:
-        d = np.array([coeffs[q] for q in members], dtype=float)
+        d = coeffs[members]
         a_n = float(np.linalg.norm(d))
         angles = givens_chain_angles(d / a_n)
         group = AcGroup(
-            words=tuple(words[q] for q in members),
+            words=tuple(PauliWord(n_qubits, x[q], z[q]) for q in members),
             coeffs=d,
             norm=a_n,
             angles=angles,
@@ -223,7 +193,7 @@ def _groups_to_lcu(words, coeffs, groups, n_orbitals, constant, metadata):
     metadata["group_sizes"] = [len(g) for g in groups]
     return LcuDecomposition(
         method="ac",
-        n_orbitals=n_orbitals,
+        n_orbitals=n_qubits // 2,
         fragments=fragments,
         one_norm=total,
         constant=constant,
@@ -235,18 +205,14 @@ def sorted_insertion_ac(pauli: PauliSum) -> LcuDecomposition:
     """Anticommuting grouping of an explicit qubit operator."""
     if not pauli.is_hermitian():
         raise ValueError("sorted insertion expects a Hermitian operator")
-    words = []
-    coeffs = []
-    for w, c in pauli.terms.items():
-        if w.is_identity():
-            continue
-        words.append(w)
-        coeffs.append(c.real)
-    coeffs = np.array(coeffs, dtype=float)
-    groups = _sorted_insertion(words, coeffs)
+    x, z, coeffs = pauli.arrays()
+    items = (x | z) != 0
+    x, z, coeffs = x[items], z[items], coeffs[items].real
+    groups = _sorted_insertion(coeffs, word_sort_keys(x, z, pauli.n_qubits),
+                               anticommutation_rows(x, z))
     constant = float(pauli.identity_coefficient().real)
-    return _groups_to_lcu(words, coeffs, groups, pauli.n_qubits // 2, constant,
-                          {"level": "qubit", "n_items": len(words)})
+    return _groups_to_lcu(x, z, coeffs, groups, pauli.n_qubits, constant,
+                          {"level": "qubit", "n_items": int(x.size)})
 
 
 def ac_lcu(maj: MajoranaHamiltonian, level: str = "tensor") -> LcuDecomposition:
@@ -256,16 +222,16 @@ def ac_lcu(maj: MajoranaHamiltonian, level: str = "tensor") -> LcuDecomposition:
     qubit: items are the fully combined Pauli terms.
     """
     if level == "qubit":
-        from .majorana import pauli_sum_of_hamiltonian
-
         return sorted_insertion_ac(pauli_sum_of_hamiltonian(maj))
     if level != "tensor":
         raise ValueError("level must be 'tensor' or 'qubit'")
-    words, coeffs, anti = _tensor_items(maj)
-    groups = _sorted_insertion(words, coeffs, anti)
+    struct = _tensor_item_structure(maj.n_orbitals)
+    coeffs = _item_coeffs(struct, maj.h_tilde, maj.g)
+    groups = _sorted_insertion(coeffs, struct["key"], struct["anti"])
     constant = maj.h0 + 0.5 * float(np.einsum("ijij->", maj.g))
-    return _groups_to_lcu(words, coeffs, groups, maj.n_orbitals, constant,
-                          {"level": "tensor", "n_items": len(words)})
+    return _groups_to_lcu(struct["x"], struct["z"], coeffs, groups,
+                          2 * maj.n_orbitals, constant,
+                          {"level": "tensor", "n_items": int(coeffs.size)})
 
 
 def givens_chain_angles(c) -> np.ndarray:
@@ -509,10 +475,10 @@ def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
     from seeded random angle sets; the result is never worse than the
     unrotated tensors. budget caps objective evaluations; exhausting it
     clears the converged flag. Returns the rotation together with the
-    rotated integrals.
+    rotated integrals; the rotation's one_norm is the objective on the
+    Hamiltonian built from those integrals, the λ the method then reports.
     """
     from .integrals import MolecularIntegrals
-    from .majorana import build_majorana
 
     maj = build_majorana(mol)
     n = maj.n_orbitals
@@ -520,29 +486,23 @@ def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
     counter = {"evals": 0}
 
     if objective == "pauli":
-        def evaluate(angles):
-            counter["evals"] += 1
-            u = rotation_from_angles(angles, n)
-            ht = u.T @ maj.h_tilde @ u
-            return float(np.abs(ht).sum() + np.abs(rotate_two_body(maj.g, u)).sum())
+        def one_norm(h_tilde, g):
+            return float(np.abs(h_tilde).sum() + np.abs(g).sum())
     elif objective == "ac":
         struct = _tensor_item_structure(n)
-        anti = struct["anti"]
-        words = struct["words"]
 
-        def evaluate(angles):
-            counter["evals"] += 1
-            u = rotation_from_angles(angles, n)
-            ht = u.T @ maj.h_tilde @ u
-            g = rotate_two_body(maj.g, u)
-            d_ob = struct["ob_sign"] * ht[struct["ob_i"], struct["ob_j"]]
-            d_tb = struct["tb_weight"] * g[struct["tb_idx"]]
-            coeffs = np.concatenate([d_ob, d_tb])
-            groups = _sorted_insertion(words, coeffs, anti)
-            return float(sum(np.linalg.norm(coeffs[np.array(members)])
+        def one_norm(h_tilde, g):
+            coeffs = _item_coeffs(struct, h_tilde, g)
+            groups = _sorted_insertion(coeffs, struct["key"], struct["anti"])
+            return float(sum(np.linalg.norm(coeffs[members])
                              for members in groups))
     else:
         raise ValueError("objective must be 'pauli' or 'ac'")
+
+    def evaluate(angles):
+        counter["evals"] += 1
+        u = rotation_from_angles(angles, n)
+        return one_norm(u.T @ maj.h_tilde @ u, rotate_two_body(maj.g, u))
 
     baseline = evaluate(np.zeros(n_angles))
     rng = np.random.default_rng(seed)
@@ -583,12 +543,15 @@ def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
         one_body=u.T @ mol.one_body @ u,
         two_body=rotate_two_body(mol.two_body, u),
     )
+    # tensors rebuilt from the rotated integrals round differently from the
+    # rotated Majorana tensors, enough to move items between AC groups
+    final = build_majorana(rotated)
     rotation = OrbitalRotation(
         angles=best_angles,
         matrix=u,
         objective=objective,
         initial_one_norm=baseline,
-        one_norm=best_val,
+        one_norm=one_norm(final.h_tilde, final.g),
         evaluations=counter["evals"],
         converged=converged,
     )

@@ -83,11 +83,15 @@ class Method:
     """build(maj, **options) returns an LCU labelled with the method's key;
     cost(lcu, maj, eps_c, eps_r) prices it (None: no closed-form model). An
     optimizable method also runs as "oo-<key>", built after minimizing its
-    1-norm over orbital rotations within oo_budget evaluations by default."""
+    1-norm over orbital rotations within oo_budget evaluations by default;
+    a chain fit defaults to chain_oo_budget and chain_oo_restarts, which
+    keep a batch over every chain inside a sane runtime."""
     build: object
     cost: object = None
     optimizable: bool = False
     oo_budget: int = None
+    chain_oo_budget: int = 1500
+    chain_oo_restarts: int = 1
 
 
 def _build_l4(factorize):
@@ -111,7 +115,7 @@ METHOD_TABLE = {
         lambda lcu, maj, eps_c, eps_r: sparse_costs(
             sparse_term_count(maj, lcu.metadata["threshold"]), lcu.n_orbitals,
             eps_c, eps_r=eps_r, lam=lcu.one_norm),
-        optimizable=True),
+        optimizable=True, chain_oo_budget=20000, chain_oo_restarts=2),
     "ac": Method(
         lambda maj, **_: ac_lcu(maj),
         lambda lcu, maj, eps_c, eps_r: ac_costs(

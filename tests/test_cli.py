@@ -1,6 +1,7 @@
 """Command-line surface: each subcommand's happy path, output forms, and
 exit codes (0 ok, 1 failed verification, 2 usage or input errors)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -183,6 +184,28 @@ class TestFit:
                                    "--quantity", quantity, *chains)
             assert code == 2
             assert f"no closed-form cost model for method '{method}'" in err
+
+
+    def test_oo_chain_default_comes_from_method_table(self, capsys,
+                                                      monkeypatch):
+        from fermilcu import report
+
+        entry = dataclasses.replace(report.METHOD_TABLE["ac"],
+                                    chain_oo_budget=6, chain_oo_restarts=1)
+        monkeypatch.setitem(report.METHOD_TABLE, "ac", entry)
+        calls = []
+        optimize = report.orbital_optimize
+
+        def recording(mol, **options):
+            calls.append((options["budget"], options["restarts"]))
+            return optimize(mol, **options)
+
+        monkeypatch.setattr(report, "orbital_optimize", recording)
+        code, _, err = run_cli(capsys, "fit", "--method", "oo-ac",
+                               "--quantity", "lambda",
+                               "--chains", "chain_h02,chain_h04")
+        assert code == 0, err
+        assert calls == [(6, 1), (6, 1)]
 
 
 class TestPipeline:

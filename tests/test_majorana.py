@@ -8,12 +8,12 @@ from conftest import dense_from_tensors, hamiltonian, raw_tensors
 from fermilcu.integrals import MolecularIntegrals
 from fermilcu.majorana import (
     PauliSum,
+    PauliWord,
     build_majorana,
     dense_matrix,
     jordan_wigner_majorana,
     pauli_sum_of_hamiltonian,
     reflection_table,
-    reflection_word,
     sparse_matrix,
     word_from_letters,
 )
@@ -66,21 +66,24 @@ def test_majorana_anticommutation_exhaustive():
 
 
 def test_reflection_is_hermitian_unitary():
+    x, z, coeff = reflection_table(3)
     for i, j, sigma in [(1, 1, 0), (1, 2, 1), (2, 3, 0)]:
-        word, phase = reflection_word(i, j, sigma, 3)
-        mat = phase * dense_matrix(word)
+        q = (i - 1, j - 1, sigma)
+        mat = coeff[q] * dense_matrix(PauliWord(6, int(x[q]), int(z[q])))
         np.testing.assert_allclose(mat, mat.conj().T, atol=1e-12)
         np.testing.assert_allclose(mat @ mat, np.eye(mat.shape[0]), atol=1e-12)
 
 
 def test_reflection_table_matches_word_products():
+    # Q_ij,sigma = i gamma_{i sigma,0} gamma_{j sigma,1}, as Kronecker products
     for n in (1, 2, 3):
         x, z, coeff = reflection_table(n)
         for i, j, sigma in itertools.product(range(n), range(n), (0, 1)):
-            word, phase = reflection_word(i + 1, j + 1, sigma, n)
-            assert (int(x[i, j, sigma]), int(z[i, j, sigma])) == (
-                word.x_mask, word.z_mask)
-            assert coeff[i, j, sigma] == phase
+            g0 = jordan_wigner_majorana(i + 1, sigma, 0, n).dense()
+            g1 = jordan_wigner_majorana(j + 1, sigma, 1, n).dense()
+            word = PauliWord(2 * n, int(x[i, j, sigma]), int(z[i, j, sigma]))
+            np.testing.assert_array_equal(coeff[i, j, sigma] * word.dense(),
+                                          1j * g0 @ g1)
 
 
 def test_single_orbital_symbolic():

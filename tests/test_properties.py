@@ -1,7 +1,9 @@
 """Randomized invariants of the algebraic building blocks: array Pauli
-products and sparse assembly against Kronecker matrices, angle chains and
-their reconstructions, rotation parameterization round trips, localization,
-tensor factorizations, the spectral norm bound, and cost-row monotonicity."""
+products and sparse assembly against Kronecker matrices, packed
+anticommutation rows, sort keys and sorted insertion against word-by-word
+references, angle chains and their reconstructions, rotation
+parameterization round trips, localization, tensor factorizations, the
+spectral norm bound, and cost-row monotonicity."""
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from fermilcu.majorana import (
     MajoranaHamiltonian,
     PauliSum,
     PauliWord,
+    anticommutation_rows,
     sparse_matrix,
     word_products,
+    word_sort_keys,
 )
 from fermilcu.mtd_l4 import cp4_als, mps_factorize, svd_chain_factorize
 from fermilcu.qubit_lcu import (
@@ -27,6 +31,7 @@ from fermilcu.qubit_lcu import (
     rotate_two_body,
     rotation_from_angles,
     rotation_pairs,
+    sorted_insertion_ac,
     sparse_pauli_lcu,
 )
 from fermilcu.resources import (
@@ -88,6 +93,81 @@ class TestPauliKernels:
         assert mat.indices.dtype == np.int32
         assert not np.any(np.abs(mat.data) <= 1e-14)
         np.testing.assert_allclose(mat.toarray(), reference, atol=1e-14)
+
+
+def _word_lists(sizes, max_qubits):
+    """(n, words) with len(words) drawn from sizes; random words mixed with
+    single-letter ones, which have odd weight."""
+    def words(n):
+        mask = st.integers(0, (1 << n) - 1)
+        single = st.tuples(st.integers(0, n - 1),
+                           st.sampled_from([(1, 0), (1, 1), (0, 1)])).map(
+            lambda t: (t[1][0] << t[0], t[1][1] << t[0]))
+        return sizes.flatmap(lambda m: st.lists(
+            st.one_of(st.tuples(mask, mask), single), min_size=m, max_size=m))
+    return st.integers(1, max_qubits).flatmap(
+        lambda n: st.tuples(st.just(n), words(n)))
+
+
+def _masks(words):
+    return (np.array([x for x, _ in words], dtype=np.uint64),
+            np.array([z for _, z in words], dtype=np.uint64))
+
+
+def _reference_sorted_insertion(words, coeffs):
+    """Sorted insertion one word pair at a time, ties by letter string."""
+    order = sorted(range(len(words)),
+                   key=lambda q: (-abs(coeffs[q]), str(words[q])))
+    groups = []
+    for q in order:
+        for members in groups:
+            if all(not words[q].commutes_with(words[p]) for p in members):
+                members.append(q)
+                break
+        else:
+            groups.append([q])
+    return groups
+
+
+class TestGroupingKernels:
+    @settings(max_examples=30, deadline=None)
+    @given(_word_lists(st.sampled_from([1, 63, 64, 65, 129]), 8))
+    def test_packed_rows_match_commutes_with(self, case):
+        n, raw = case
+        m = len(raw)
+        anti = anticommutation_rows(*_masks(raw))
+        assert anti.shape == (m, -(-m // 64)) and anti.dtype == np.uint64
+        words = [PauliWord(n, x, z) for x, z in raw]
+        expected = np.array([[not a.commutes_with(b) for b in words]
+                             for a in words])
+        cols = np.arange(64 * anti.shape[1])
+        bits = (anti[:, cols >> 6] >> (cols & 63).astype(np.uint64)) & 1
+        np.testing.assert_array_equal(bits[:, :m], expected)
+        assert not bits[:, m:].any()
+
+    @given(_word_lists(st.integers(1, 40), 32))
+    def test_sort_keys_order_words_as_letter_strings(self, case):
+        n, raw = case
+        keys = word_sort_keys(*_masks(raw), n)
+        words = [str(PauliWord(n, x, z)) for x, z in raw]
+        assert list(np.argsort(keys, kind="stable")) == sorted(
+            range(len(words)), key=words.__getitem__)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_word_lists(st.sampled_from([3, 30, 70]), 5), st.randoms())
+    def test_sorted_insertion_matches_reference(self, case, rnd):
+        # coefficients from a short list, so magnitudes tie often
+        n, raw = case
+        op = PauliSum(n)
+        for x, z in raw:
+            if x or z:
+                op.add(PauliWord(n, x, z), rnd.choice([1.0, -1.0, 0.5, -0.25]))
+        words = list(op.terms)
+        coeffs = [c.real for c in op.terms.values()]
+        expected = [[words[q] for q in members]
+                    for members in _reference_sorted_insertion(words, coeffs)]
+        lcu = sorted_insertion_ac(op)
+        assert [list(f.unitary.words) for f in lcu.fragments] == expected
 
 
 unit_vectors = st.lists(

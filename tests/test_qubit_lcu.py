@@ -11,6 +11,7 @@ from fermilcu.majorana import (
     word_from_letters,
 )
 from fermilcu.qubit_lcu import (
+    _tensor_item_structure,
     ac_lcu,
     givens_chain_angles,
     naive_ac_phases,
@@ -31,6 +32,34 @@ FROZEN = {
     "beh2": (26.2769651650, 17.9519939013, 16.7391635420, 168, 131, 14.5676012603, -8.7031634691, 1840),
     "h2o": (80.3416366584, 58.9912489058, 57.3908801290, 200, 152, 27.9291741000, -46.4239605354, 3036),
 }
+
+
+# columns: ac tensor λ, ac groups, ac items, pauli λ, pauli fragments
+CHAIN_FROZEN = {
+    "chain_h08": (15.354910526223108, 388, 7360, 42.04853053305262, 8064),
+    "chain_h10": (23.121151819438033, 734, 18300, 69.89616609292426, 19804),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_FROZEN))
+def test_chain_lcus_frozen(name):
+    maj = hamiltonian(name)
+    lam_ac, n_groups, n_items, lam_pauli, n_fragments = CHAIN_FROZEN[name]
+    ac = ac_lcu(maj)
+    assert ac.one_norm == pytest.approx(lam_ac, rel=1e-12)
+    assert (ac.metadata["n_groups"], ac.metadata["n_items"]) == (n_groups, n_items)
+    pauli = sparse_pauli_lcu(maj)
+    assert pauli.one_norm == pytest.approx(lam_pauli, rel=1e-12)
+    assert len(pauli.fragments) == n_fragments
+
+
+def test_item_structure_holds_packed_rows_only():
+    # an m x m boolean matrix would hold 335 MB at chain_h10
+    struct = _tensor_item_structure(10)
+    arrays = [v for v in struct.values() if isinstance(v, np.ndarray)]
+    arrays += list(struct["tb_idx"])
+    assert struct["anti"].shape == (18300, 286)
+    assert sum(a.nbytes for a in arrays) < 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -289,6 +318,15 @@ def test_orbital_optimize_budget_flag():
 def test_orbital_optimize_rejects_unknown_objective():
     with pytest.raises(ValueError):
         orbital_optimize(load_fixture("h2"), "entropy")
+
+
+def test_orbital_optimize_ac_reports_lambda_of_returned_integrals():
+    # at this budget, grouping the rotated Majorana tensors and grouping the
+    # tensors rebuilt from the rotated integrals give different λ
+    rot, rotated = orbital_optimize(load_fixture("lih"), "ac", budget=100,
+                                    restarts=1)
+    lam = ac_lcu(build_majorana(rotated)).one_norm
+    assert rot.one_norm == pytest.approx(lam, abs=1e-12)
 
 
 def test_orbital_optimize_returns_rotated_integrals():
