@@ -6,7 +6,7 @@ fits. All emit fragments built from rotated reflections.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, expm, logm
+from scipy.linalg import eigh, expm, expm_frechet, logm
 from scipy.optimize import minimize
 
 from .lcu import ChebyshevSquare, Fragment, LcuDecomposition, Reflection, ReflectionProduct
@@ -47,6 +47,7 @@ class CsaResult:
     fragments: list
     residual: np.ndarray
     converged: bool
+    evaluations: int = 0  # value-and-gradient calls of the fit
 
 
 def diagonalize_one_body(maj: MajoranaHamiltonian) -> OneBodyFragment:
@@ -236,26 +237,98 @@ def double_factorize(maj: MajoranaHamiltonian, factors=None,
 
 def _skew_from_vector(x, n):
     m = np.zeros((n, n))
-    k = 0
-    for i in range(1, n):
-        for j in range(i):
-            m[i, j] = x[k]
-            m[j, i] = -x[k]
-            k += 1
-    return m
+    m[np.tril_indices(n, -1)] = x
+    return m - m.T
 
 
 def _vector_from_rotation(u):
-    n = u.shape[0]
-    gen = logm(u)
-    gen = np.real(gen)
+    gen = np.real(logm(u))
     gen = 0.5 * (gen - gen.T)
-    return np.array([gen[i, j] for i in range(1, n) for j in range(i)])
+    return gen[np.tril_indices(u.shape[0], -1)]
+
+
+def _pair_columns(u):
+    """O = (u_a u_a^T) reshaped to n^2 x n, one column per orbital a."""
+    n = u.shape[0]
+    return (u[:, None, :] * u[None, :, :]).reshape(n * n, n)
 
 
 def _csa_tensor(u, lam):
-    outer = np.einsum("ia,ja->ija", u, u)
-    return np.einsum("ija,ab,klb->ijkl", outer, lam, outer)
+    n = u.shape[0]
+    o = _pair_columns(u)
+    return (o @ lam @ o.T).reshape(n, n, n, n)
+
+
+def _csa_pack(u, lam):
+    """x = (strict lower triangle of K = logm u, upper triangle of lam)."""
+    return np.concatenate([_vector_from_rotation(u), lam[np.triu_indices(u.shape[0])]])
+
+
+def _csa_unpack(x, n):
+    """(K, lam) from x; the fragment's rotation is expm(K)."""
+    n_skew = n * (n - 1) // 2
+    lam = np.zeros((n, n))
+    lam[np.triu_indices(n)] = x[n_skew:]
+    return _skew_from_vector(x[:n_skew], n), lam + lam.T - np.diag(np.diag(lam))
+
+
+def _csa_cost(x, target, n):
+    """f = ||T - O lam O^T||^2 and its exact gradient in x.
+
+    With D = T - O lam O^T, df/dlam = -2 O^T D O and df/dO = -2 (D O +
+    D^T O) lam, which assumes no symmetry of the target. df/dU collects
+    df/dO over both slots of u_a u_a^T and pulls back through U = expm(K) by
+    the adjoint Frechet derivative, expm_frechet(K^T, .). Both gradients are
+    then folded onto the stored triangles.
+    """
+    k, lam = _csa_unpack(x, n)
+    u = expm(k)
+    o = _pair_columns(u)
+    d = target.reshape(n * n, n * n) - o @ lam @ o.T
+    g_lam = -2.0 * (o.T @ d @ o)
+    g_o = (-2.0 * (d @ o + d.T @ o) @ lam).reshape(n, n, n)
+    g_u = np.einsum("ija,ja->ia", g_o + g_o.transpose(1, 0, 2), u)
+    g_k = expm_frechet(k.T, g_u, compute_expm=False)
+    grad = np.concatenate([
+        (g_k - g_k.T)[np.tril_indices(n, -1)],
+        (g_lam + g_lam.T - np.diag(np.diag(g_lam)))[np.triu_indices(n)],
+    ])
+    return float((d * d).sum()), grad
+
+
+def _csa_seeds(target, rng):
+    """Starts of one fit: the rank-1 peel of target, then the identity frame
+    and a random frame, each with the lam read off the rotated target."""
+    n = target.shape[0]
+
+    def lam_guess(u):
+        guess = np.einsum("aabb->ab", rotate_two_body(target, u))
+        return 0.5 * (guess + guess.T)
+
+    seeds = []
+    try:
+        mat = target.reshape(n * n, n * n)
+        p = int(np.argmax(np.diag(mat)))
+        if mat[p, p] > 1e-14:
+            w = (mat[:, p] / np.sqrt(mat[p, p])).reshape(n, n)
+            w = 0.5 * (w + w.T)
+            mu, uw = eigh(w)
+            # logm of a det -1 matrix is no real skew generator; flipping a
+            # column leaves every projector u_a u_a^T as it is
+            if np.linalg.det(uw) < 0:
+                uw[:, -1] = -uw[:, -1]
+            seeds.append(_csa_pack(uw, np.outer(mu, mu)))
+    except (ValueError, np.linalg.LinAlgError):
+        pass
+    eye = np.eye(n)
+    seeds.append(_csa_pack(eye, lam_guess(eye)))
+    ur = expm(_skew_from_vector(rng.normal(scale=0.2, size=n * (n - 1) // 2), n))
+    seeds.append(_csa_pack(ur, lam_guess(ur)))
+    return seeds
+
+
+class _BudgetSpent(Exception):
+    """Raised by the CSA objective when its evaluation budget is used up."""
 
 
 def csa_decompose(maj: MajoranaHamiltonian, n_fragments: int,
@@ -263,85 +336,55 @@ def csa_decompose(maj: MajoranaHamiltonian, n_fragments: int,
     """Greedy least-squares cascade of rotated number-product fragments.
 
     Each step fits one (rotation, lambda-matrix) pair to the current residual
-    by quasi-Newton descent with finite-difference gradients, starting from a
-    rank-1 peel of the residual plus seeded alternatives. budget caps the
-    total objective evaluations; exhaustion flags the result as partial.
+    by L-BFGS-B on the exact gradient of _csa_cost, starting from a rank-1
+    peel of the residual plus seeded alternatives, and keeps the lowest
+    objective seen. One evaluation is one value-and-gradient call; budget
+    caps their total, and a fit or cascade cut short by it flags the result
+    as partial.
     """
     if n_fragments < 1:
         raise ValueError("need at least one fragment")
     n = maj.n_orbitals
-    n_skew = n * (n - 1) // 2
-    tri = np.triu_indices(n)
     rng = np.random.default_rng(seed)
-    counter = {"evals": 0}
+    limit = np.inf if budget is None else budget
+    evaluations = 0
     residual = maj.g.copy()
     fragments = []
     converged = True
 
-    def unpack(x):
-        u = expm(_skew_from_vector(x[:n_skew], n))
-        lam = np.zeros((n, n))
-        lam[tri] = x[n_skew:]
-        lam = lam + lam.T - np.diag(np.diag(lam))
-        return u, lam
-
-    def pack(u, lam):
-        return np.concatenate([_vector_from_rotation(u), lam[tri]])
-
-    def lam_guess(u, res):
-        guess = np.einsum("aabb->ab", rotate_two_body(res, u))
-        return 0.5 * (guess + guess.T)
-
     for _ in range(n_fragments):
         if float((residual * residual).sum()) < 1e-14:
             break
-        target = residual
-
-        def cost(x):
-            counter["evals"] += 1
-            u, lam = unpack(x)
-            diff = target - _csa_tensor(u, lam)
-            return float((diff * diff).sum())
-
-        seeds = []
-        try:
-            mat = target.reshape(n * n, n * n)
-            p = int(np.argmax(np.diag(mat)))
-            if mat[p, p] > 1e-14:
-                w = (mat[:, p] / np.sqrt(mat[p, p])).reshape(n, n)
-                w = 0.5 * (w + w.T)
-                mu, uw = eigh(w)
-                seeds.append(pack(uw, np.outer(mu, mu)))
-        except (ValueError, np.linalg.LinAlgError):
-            pass
-        eye = np.eye(n)
-        seeds.append(pack(eye, lam_guess(eye, target)))
-        ur = expm(_skew_from_vector(rng.normal(scale=0.2, size=n_skew), n))
-        seeds.append(pack(ur, lam_guess(ur, target)))
-
-        best = None
-        for x0 in seeds:
-            options = {}
-            if budget is not None:
-                remaining = budget - counter["evals"]
-                if remaining <= 0:
-                    converged = False
-                    break
-                options["maxfun"] = remaining
-            out = minimize(cost, x0, method="L-BFGS-B", options=options)
-            if best is None or out.fun < best.fun:
-                best = out
-            if best.fun < 1e-14:
-                break
-        if best is None:
-            break
-        u, lam = unpack(best.x)
-        fragments.append(CsaFragment(rotation=u, coefficients=lam))
-        residual = residual - _csa_tensor(u, lam)
-        if budget is not None and counter["evals"] >= budget:
+        if evaluations >= limit:
             converged = False
             break
-    return CsaResult(fragments=fragments, residual=residual, converged=converged)
+        target = residual
+        best = {"fun": np.inf}
+
+        def cost(x):
+            nonlocal evaluations
+            if evaluations >= limit:
+                raise _BudgetSpent
+            evaluations += 1
+            value, grad = _csa_cost(x, target, n)
+            if value < best["fun"]:
+                best.update(fun=value, x=x.copy())
+            return value, grad
+
+        for x0 in _csa_seeds(target, rng):
+            try:
+                minimize(cost, x0, jac=True, method="L-BFGS-B")
+            except _BudgetSpent:
+                converged = False
+                break
+            if best["fun"] < 1e-14:
+                break
+        k, lam = _csa_unpack(best["x"], n)
+        u = expm(k)
+        fragments.append(CsaFragment(rotation=u, coefficients=lam))
+        residual = residual - _csa_tensor(u, lam)
+    return CsaResult(fragments=fragments, residual=residual, converged=converged,
+                     evaluations=evaluations)
 
 
 def csa_lcu(maj: MajoranaHamiltonian, result: CsaResult) -> LcuDecomposition:
@@ -370,6 +413,7 @@ def csa_lcu(maj: MajoranaHamiltonian, result: CsaResult) -> LcuDecomposition:
     metadata["n_fragments"] = len(result.fragments)
     metadata["one_body_lambda"] = one_body.lambda_contribution
     metadata["converged"] = result.converged
+    metadata["evaluations"] = result.evaluations
     metadata["residual"] = float(np.linalg.norm(result.residual))
     return LcuDecomposition(
         method="csa",

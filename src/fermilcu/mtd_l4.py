@@ -9,6 +9,7 @@ the four spin combinations are counted.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import khatri_rao
 
 from .fermionic_lcu import OneBodyFragment, _one_body_fragments
 from .lcu import Fragment, LcuDecomposition, Reflection, ReflectionProduct
@@ -273,7 +274,23 @@ def _als_sweep(t, vecs, weights, reg=1e-12):
     return vecs, weights
 
 
+def _als_residual(t, t_sq, vecs, weights):
+    """||t - sum_m w_m v1_m x v2_m x v3_m x v4_m||^2 without the model tensor:
+    t_sq - 2 sum_m w_m <t, v1_m x v2_m x v3_m x v4_m> + w^T (G1 o G2 o G3 o G4) w
+    with Gram matrices G_k = V_k^T V_k."""
+    v1, v2, v3, v4 = vecs
+    n = t.shape[0]
+    inner = ((t.reshape(n ** 3, n).T @ khatri_rao(khatri_rao(v1, v2), v3)) * v4).sum(axis=0)
+    gram = (v1.T @ v1) * (v2.T @ v2) * (v3.T @ v3) * (v4.T @ v4)
+    return t_sq - 2.0 * float(weights @ inner) + float(weights @ gram @ weights)
+
+
 def _als_fit(t, rank, seed, max_sweeps=300):
+    """Seeded ALS at one rank: (vecs, weights, squared residual).
+
+    Sweeps stop once the residual, taken in Gram form by _als_residual,
+    changes by at most 1e-10 ||t||^2 between sweeps.
+    """
     n = t.shape[0]
     rng = np.random.default_rng([seed, rank])
     vecs = []
@@ -285,8 +302,7 @@ def _als_fit(t, rank, seed, max_sweeps=300):
     t_sq = float((t * t).sum())
     for _ in range(max_sweeps):
         vecs, weights = _als_sweep(t, vecs, weights)
-        recon = np.einsum("m,im,jm,km,lm->ijkl", weights, *vecs)
-        resid = float(((t - recon) ** 2).sum())
+        resid = _als_residual(t, t_sq, vecs, weights)
         if abs(prev - resid) <= 1e-10 * max(t_sq, 1e-30):
             prev = resid
             break
@@ -299,8 +315,11 @@ def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
     """Alternating least squares over rank-1 quadruples.
 
     Rank grows by doubling until the g-scale squared residual meets tol, then
-    bisects to the smallest sufficient rank. All trials are seeded; hitting
-    max_rank without convergence returns the best factors flagged.
+    bisects to the smallest sufficient rank. Each trial rank is fitted from
+    its own seeded random start, and its residual is read from the factors'
+    Gram matrices (_als_residual); only the returned factors are rebuilt as a
+    tensor, for loss and loss_abs. Hitting max_rank without convergence
+    returns the best factors flagged.
     """
     _check_symmetric(g)
     n = g.shape[0]

@@ -55,7 +55,9 @@ def sparse_pauli_lcu(maj: MajoranaHamiltonian, threshold: float = 1e-5) -> LcuDe
     kept = weight >= COEFF_TOL
     drop = kept & (weight < threshold)
     kept &= ~drop
-    phase = c[kept] / weight[kept]
+    # every coefficient is purely real or purely imaginary, so its unit
+    # phase is exact from the signs; c / |c| can miss a unit by an ulp
+    phase = np.sign(c[kept].real) + 1j * np.sign(c[kept].imag)
     fragments = [Fragment(w, "pauli", PauliTerm(PauliWord(2 * n, xm, zm), ph))
                  for w, xm, zm, ph in zip(weight[kept].tolist(), x[kept].tolist(),
                                           z[kept].tolist(), phase.tolist())]

@@ -3,9 +3,12 @@ single/double factorization, CSA cascade."""
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh, expm
 
 from fermilcu.fermionic_lcu import (
     CholeskyFactor,
+    _csa_seeds,
+    _csa_unpack,
     cholesky_sf,
     csa_decompose,
     csa_lcu,
@@ -13,8 +16,10 @@ from fermilcu.fermionic_lcu import (
     double_factorize,
     pivoted_cholesky,
 )
+from fermilcu.integrals import load_fixture
 from fermilcu.majorana import MajoranaHamiltonian
 from fermilcu.qubit_lcu import rotation_from_angles
+from fermilcu.report import decompose_method
 
 from conftest import hamiltonian
 
@@ -31,6 +36,9 @@ H2_SF_CONSTANT = 0.3240509068
 H2_DF_CONSTANT = -0.0983511021  # matches the Pauli identity coefficient
 H2_DF_FRAGMENTS = 17
 H2_CSA_LAMBDA = 1.7269553911
+# csa lambda of the finite-difference fit (default fragments and seed); the
+# exact-gradient fit must not give it up
+CSA_LAMBDA_CEILING = {"h2": 1.7269553910963644, "lih": 10.518048093003292}
 
 
 def two_body_from_matrix(w: np.ndarray) -> np.ndarray:
@@ -238,6 +246,7 @@ class TestCsa:
         out = csa_decompose(h2, 2, budget=5)
         assert not out.converged
         assert len(out.fragments) <= 2
+        assert 0 < out.evaluations <= 5
 
     def test_rejects_zero_fragments(self, h2):
         with pytest.raises(ValueError):
@@ -255,3 +264,23 @@ class TestCsa:
         out = csa_decompose(maj, 2)
         lcu = csa_lcu(maj, out)
         assert lcu.coefficient_sum() == pytest.approx(lcu.one_norm, abs=1e-10)
+
+    def test_peel_seed_keeps_its_projectors(self):
+        # the h2o peel's eigenvector matrix has det -1, which logm cannot pack
+        target = hamiltonian("h2o").g
+        n = target.shape[0]
+        mat = target.reshape(n * n, n * n)
+        p = int(np.argmax(np.diag(mat)))
+        w = (mat[:, p] / np.sqrt(mat[p, p])).reshape(n, n)
+        mu, uw = eigh(0.5 * (w + w.T))
+        assert np.linalg.det(uw) < 0
+        k, lam = _csa_unpack(_csa_seeds(target, np.random.default_rng(0))[0], n)
+        u = expm(k)
+        projectors = np.einsum("ia,ja->aij", u, u)
+        assert np.abs(projectors - np.einsum("ia,ja->aij", uw, uw)).max() < 1e-12
+        assert np.abs(lam - np.outer(mu, mu)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(CSA_LAMBDA_CEILING))
+    def test_lambda_not_above_finite_difference_fit(self, name):
+        _, lcu = decompose_method(load_fixture(name), "csa")
+        assert lcu.one_norm <= CSA_LAMBDA_CEILING[name]

@@ -23,6 +23,14 @@ FROZEN = {
     "h2o": (71.1214295054, (7, 24, 7), 61.3755857882),
 }
 
+# cp4_als(g) at the default tol and seed, priced by l4_lcu: (rank, lambda)
+CP4_FROZEN = {
+    "h2": (5, 2.7077546815210445),
+    "lih": (80, 12.836412481968893),
+    "beh2": (122, 22.116457529095037),
+    "h2o": (129, 70.59935761915233),
+}
+
 
 def quartic(v):
     return np.einsum("i,j,k,l->ijkl", v, v, v, v)
@@ -111,6 +119,15 @@ class TestSvdChain:
 
 
 class TestCp4:
+    @pytest.mark.parametrize("name", sorted(CP4_FROZEN))
+    def test_frozen_rank_and_lambda(self, name):
+        maj = hamiltonian(name)
+        factors = cp4_als(maj.g)
+        assert factors.converged
+        lcu = l4_lcu(factors, diagonalize_one_body(maj))
+        assert (factors.rank, lcu.one_norm) == (
+            CP4_FROZEN[name][0], pytest.approx(CP4_FROZEN[name][1], rel=1e-12))
+
     def test_rank_one_tensor(self):
         v = np.array([0.6, 0.8])
         factors = cp4_als(quartic(v))

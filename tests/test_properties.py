@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_two_body
+from fermilcu.fermionic_lcu import _csa_cost
 from fermilcu.majorana import (
     MajoranaHamiltonian,
     PauliSum,
@@ -20,7 +21,7 @@ from fermilcu.majorana import (
     word_products,
     word_sort_keys,
 )
-from fermilcu.mtd_l4 import cp4_als, mps_factorize, svd_chain_factorize
+from fermilcu.mtd_l4 import _als_residual, cp4_als, mps_factorize, svd_chain_factorize
 from fermilcu.qubit_lcu import (
     ac_lcu,
     angles_from_rotation,
@@ -307,6 +308,35 @@ class TestFactorizationReconstruction:
         factors = cp4_als(g, max_rank=16, tol=1e-8, seed=1)
         rec = factors.reconstruct()
         assert np.abs(rec - g).sum() <= factors.loss_abs + 1e-8
+
+
+class TestFitKernels:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+    def test_csa_gradient_matches_central_differences(self, n, seed):
+        rng = np.random.default_rng(seed)
+        target = random_two_body(n, rng)
+        x = rng.normal(size=n * (n - 1) // 2 + n * (n + 1) // 2)
+        _, grad = _csa_cost(x, target, n)
+        h = 1e-6
+        central = np.array([
+            (_csa_cost(x + h * e, target, n)[0]
+             - _csa_cost(x - h * e, target, n)[0]) / (2 * h)
+            for e in np.eye(x.size)])
+        scale = max(1.0, float(np.abs(central).max()))
+        assert np.abs(grad - central).max() <= 1e-5 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_gram_residual_equals_explicit_residual(self, n, rank, seed):
+        rng = np.random.default_rng(seed)
+        t = random_two_body(n, rng)
+        vecs = [rng.normal(size=(n, rank)) for _ in range(4)]
+        weights = rng.normal(size=rank)
+        model = np.einsum("m,im,jm,km,lm->ijkl", weights, *vecs)
+        explicit = float(((t - model) ** 2).sum())
+        t_sq = float((t * t).sum())
+        assert abs(_als_residual(t, t_sq, vecs, weights) - explicit) <= 1e-10 * t_sq
 
 
 class TestNormBound:

@@ -53,6 +53,14 @@ def test_chain_lcus_frozen(name):
     assert len(pauli.fragments) == n_fragments
 
 
+@pytest.mark.parametrize("name", ("h2", "lih", "beh2", "h2o", "chain_h02",
+                                  "chain_h04", "chain_h06", "chain_h08",
+                                  "chain_h10"))
+def test_pauli_phases_are_exact_units(name):
+    phases = {f.unitary.phase for f in sparse_pauli_lcu(hamiltonian(name)).fragments}
+    assert phases <= {1, -1, 1j, -1j}
+
+
 def test_item_structure_holds_packed_rows_only():
     # an m x m boolean matrix would hold 335 MB at chain_h10
     struct = _tensor_item_structure(10)

@@ -229,6 +229,7 @@ class TestDecomposeMetadata:
     def test_csa_convergence_and_residual(self):
         maj, lcu = decompose_method(load_fixture("h2"), "csa")
         assert isinstance(lcu.metadata["converged"], bool)
+        assert lcu.metadata["evaluations"] > 0
         assert lcu.metadata["residual"] ** 2 == pytest.approx(
             lcu.metadata["residual_sq"], rel=1e-9, abs=1e-30)
 
