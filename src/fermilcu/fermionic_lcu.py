@@ -4,6 +4,7 @@ fits. All emit fragments built from rotated reflections.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh, expm, expm_frechet, logm
@@ -11,7 +12,7 @@ from scipy.optimize import minimize
 
 from .lcu import ChebyshevSquare, Fragment, LcuDecomposition, Reflection, ReflectionProduct
 from .majorana import MajoranaHamiltonian
-from .qubit_lcu import rotate_two_body
+from .qubit_lcu import _BudgetSpent, rotate_two_body
 
 PSD_FLOOR = -1e-8
 CHOLESKY_TOL = 1e-6
@@ -235,16 +236,26 @@ def double_factorize(maj: MajoranaHamiltonian, factors=None,
     )
 
 
+@lru_cache(maxsize=None)
+def _triangles(n):
+    """Read-only indices of the strict lower triangle (the stored entries
+    of a skew generator K) and of the upper triangle (those of lam)."""
+    lower, upper = np.tril_indices(n, -1), np.triu_indices(n)
+    for index in (*lower, *upper):
+        index.flags.writeable = False
+    return lower, upper
+
+
 def _skew_from_vector(x, n):
     m = np.zeros((n, n))
-    m[np.tril_indices(n, -1)] = x
+    m[_triangles(n)[0]] = x
     return m - m.T
 
 
 def _vector_from_rotation(u):
     gen = np.real(logm(u))
     gen = 0.5 * (gen - gen.T)
-    return gen[np.tril_indices(u.shape[0], -1)]
+    return gen[_triangles(u.shape[0])[0]]
 
 
 def _pair_columns(u):
@@ -261,14 +272,14 @@ def _csa_tensor(u, lam):
 
 def _csa_pack(u, lam):
     """x = (strict lower triangle of K = logm u, upper triangle of lam)."""
-    return np.concatenate([_vector_from_rotation(u), lam[np.triu_indices(u.shape[0])]])
+    return np.concatenate([_vector_from_rotation(u), lam[_triangles(u.shape[0])[1]]])
 
 
 def _csa_unpack(x, n):
     """(K, lam) from x; the fragment's rotation is expm(K)."""
     n_skew = n * (n - 1) // 2
     lam = np.zeros((n, n))
-    lam[np.triu_indices(n)] = x[n_skew:]
+    lam[_triangles(n)[1]] = x[n_skew:]
     return _skew_from_vector(x[:n_skew], n), lam + lam.T - np.diag(np.diag(lam))
 
 
@@ -289,9 +300,10 @@ def _csa_cost(x, target, n):
     g_o = (-2.0 * (d @ o + d.T @ o) @ lam).reshape(n, n, n)
     g_u = np.einsum("ija,ja->ia", g_o + g_o.transpose(1, 0, 2), u)
     g_k = expm_frechet(k.T, g_u, compute_expm=False)
+    lower, upper = _triangles(n)
     grad = np.concatenate([
-        (g_k - g_k.T)[np.tril_indices(n, -1)],
-        (g_lam + g_lam.T - np.diag(np.diag(g_lam)))[np.triu_indices(n)],
+        (g_k - g_k.T)[lower],
+        (g_lam + g_lam.T - np.diag(np.diag(g_lam)))[upper],
     ])
     return float((d * d).sum()), grad
 
@@ -325,10 +337,6 @@ def _csa_seeds(target, rng):
     ur = expm(_skew_from_vector(rng.normal(scale=0.2, size=n * (n - 1) // 2), n))
     seeds.append(_csa_pack(ur, lam_guess(ur)))
     return seeds
-
-
-class _BudgetSpent(Exception):
-    """Raised by the CSA objective when its evaluation budget is used up."""
 
 
 def csa_decompose(maj: MajoranaHamiltonian, n_fragments: int,

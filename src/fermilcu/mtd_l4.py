@@ -257,39 +257,50 @@ def _apply_sign_convention(weights, vecs):
     return weights[order], [v[:, order] for v in out]
 
 
-def _als_sweep(t, vecs, weights, reg=1e-12):
-    n, rank = vecs[0].shape
+def _als_sweep(unfoldings, vecs, grams, ridge):
+    """One pass of least-squares updates over the four modes, in place.
+
+    unfoldings[mode] is t with that mode's index first, as an n x n^3
+    matrix; grams[k] is vecs[k]^T vecs[k], recomputed only for the factor
+    that changes. Returns the column norms of the last factor, the weights.
+    """
+    rank = vecs[0].shape[1]
     for mode in range(4):
-        others = [vecs[i] for i in range(4) if i != mode]
-        z = np.einsum("jm,km,lm->jklm", *others).reshape(-1, rank)
+        others = [i for i in range(4) if i != mode]
+        z = np.einsum("jm,km,lm->jklm", *(vecs[i] for i in others)).reshape(-1, rank)
         gram = np.ones((rank, rank))
-        for o in others:
-            gram = gram * (o.T @ o)
-        t_n = np.moveaxis(t, mode, 0).reshape(n, -1)
-        a = np.linalg.solve(gram + reg * np.eye(rank), (t_n @ z).T).T
+        for i in others:
+            gram = gram * grams[i]
+        a = np.linalg.solve(gram + ridge, (unfoldings[mode] @ z).T).T
         norms = np.linalg.norm(a, axis=0)
         norms = np.where(norms > 0, norms, 1.0)
         vecs[mode] = a / norms
-        weights = norms
-    return vecs, weights
+        grams[mode] = vecs[mode].T @ vecs[mode]
+    return norms
 
 
-def _als_residual(t, t_sq, vecs, weights):
+def _als_residual(t, t_sq, vecs, weights, grams=None):
     """||t - sum_m w_m v1_m x v2_m x v3_m x v4_m||^2 without the model tensor:
     t_sq - 2 sum_m w_m <t, v1_m x v2_m x v3_m x v4_m> + w^T (G1 o G2 o G3 o G4) w
-    with Gram matrices G_k = V_k^T V_k."""
+    with Gram matrices G_k = V_k^T V_k, computed here unless given."""
     v1, v2, v3, v4 = vecs
     n = t.shape[0]
     inner = ((t.reshape(n ** 3, n).T @ khatri_rao(khatri_rao(v1, v2), v3)) * v4).sum(axis=0)
-    gram = (v1.T @ v1) * (v2.T @ v2) * (v3.T @ v3) * (v4.T @ v4)
+    if grams is None:
+        grams = [v.T @ v for v in vecs]
+    gram = grams[0] * grams[1] * grams[2] * grams[3]
     return t_sq - 2.0 * float(weights @ inner) + float(weights @ gram @ weights)
 
 
-def _als_fit(t, rank, seed, max_sweeps=300):
+def _als_fit(t, rank, seed, max_sweeps=300, reg=1e-12):
     """Seeded ALS at one rank: (vecs, weights, squared residual).
 
-    Sweeps stop once the residual, taken in Gram form by _als_residual,
-    changes by at most 1e-10 ||t||^2 between sweeps.
+    The four unfoldings of t are built once per fit, and each factor's Gram
+    matrix is carried between sweeps and recomputed only when that factor
+    changes; products of Gram matrices keep the order of a fresh
+    computation, so the fit is bit-identical to rebuilding them. Sweeps stop
+    once the residual, taken in Gram form by _als_residual, changes by at
+    most 1e-10 ||t||^2 between sweeps.
     """
     n = t.shape[0]
     rng = np.random.default_rng([seed, rank])
@@ -298,11 +309,14 @@ def _als_fit(t, rank, seed, max_sweeps=300):
         v = rng.standard_normal((n, rank))
         vecs.append(v / np.linalg.norm(v, axis=0))
     weights = np.ones(rank)
+    unfoldings = [np.moveaxis(t, mode, 0).reshape(n, -1) for mode in range(4)]
+    grams = [v.T @ v for v in vecs]
+    ridge = reg * np.eye(rank)
     prev = np.inf
     t_sq = float((t * t).sum())
     for _ in range(max_sweeps):
-        vecs, weights = _als_sweep(t, vecs, weights)
-        resid = _als_residual(t, t_sq, vecs, weights)
+        weights = _als_sweep(unfoldings, vecs, grams, ridge)
+        resid = _als_residual(t, t_sq, vecs, weights, grams)
         if abs(prev - resid) <= 1e-10 * max(t_sq, 1e-30):
             prev = resid
             break

@@ -292,6 +292,10 @@ def naive_ac_phases(group) -> np.ndarray:
     return 0.5 * np.arctan2(d, before)
 
 
+class _BudgetSpent(Exception):
+    """Raised by an objective when its evaluation budget is used up."""
+
+
 @dataclass
 class OrbitalRotation:
     """Result of 1-norm minimization over real orbital rotations."""
@@ -308,28 +312,56 @@ def rotation_pairs(n: int):
     return [(i, j) for i in range(1, n) for j in range(i)]
 
 
+@lru_cache(maxsize=None)
+def _givens_stack(n: int):
+    """Pair numbers, row and column indices of rotation_pairs(n), and a
+    stack of identities, one per pair, for rotation_from_angles to fill; all
+    read-only."""
+    i, j = np.array(rotation_pairs(n), dtype=np.intp).reshape(-1, 2).T.copy()
+    k = np.arange(i.size)
+    eye = np.tile(np.eye(n), (i.size, 1, 1))
+    for array in (k, i, j, eye):
+        array.flags.writeable = False
+    return k, i, j, eye
+
+
 def rotation_from_angles(angles, n: int) -> np.ndarray:
-    """Product of plane rotations over all index pairs, in a fixed order."""
-    pairs = rotation_pairs(n)
-    if len(angles) != len(pairs):
-        raise ValueError(f"expected {len(pairs)} angles for {n} orbitals")
+    """Product of plane rotations over all index pairs, in a fixed order.
+
+    All Givens matrices are filled at once by four indexed writes into a
+    copy of the cached identity stack, then multiplied left to right as
+    full n x n products, u = u @ g_k starting from the identity. Applying
+    each rotation to two columns instead rounds differently, and the
+    orbital-optimization search follows those last bits.
+    """
+    k, i, j, eye = _givens_stack(n)
+    if len(angles) != k.size:
+        raise ValueError(f"expected {k.size} angles for {n} orbitals")
+    c, s = np.cos(angles), np.sin(angles)
+    g = eye.copy()
+    g[k, j, j] = c
+    g[k, i, i] = c
+    g[k, j, i] = s
+    g[k, i, j] = -s
     u = np.eye(n)
-    for (i, j), theta in zip(pairs, angles):
-        c, s = np.cos(theta), np.sin(theta)
-        g = np.eye(n)
-        g[j, j] = c
-        g[i, i] = c
-        g[j, i] = s
-        g[i, j] = -s
-        u = u @ g
+    for g_k in g:
+        u = u @ g_k
     return u
 
 
 def rotate_two_body(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """g'_abcd = sum g_ijkl u_ia u_jb u_kc u_ld.
+
+    Each step contracts the leading index with u and appends the new index
+    at the end, as tensordot(out, u, axes=([0], [0])) does, by one matrix
+    product on a reshaped view; the result is bit-identical to the
+    tensordot chain without its per-call overhead.
+    """
+    n, m = u.shape
     out = g
     for _ in range(4):
-        out = np.tensordot(out, u, axes=([0], [0]))
-    return out
+        out = np.dot(out.reshape(n, -1).T, u)
+    return out.reshape(m, m, m, m)
 
 
 def angles_from_rotation(u: np.ndarray) -> np.ndarray:
@@ -453,7 +485,7 @@ def _angle_sweeps(evaluate, best_val, best_angles, budget, counter, converged,
 
             opts = {"xatol": 1e-8}
             if budget is not None:
-                opts["maxiter"] = max(budget - counter["evals"], 3)
+                opts["maxiter"] = budget - counter["evals"]
             res = minimize_scalar(
                 line, bounds=(center - np.pi / 2, center + np.pi / 2),
                 method="bounded", options=opts)
@@ -475,10 +507,12 @@ def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
 
     Starts from the identity, from a self-repulsion-localized frame, and
     from seeded random angle sets; the result is never worse than the
-    unrotated tensors. budget caps objective evaluations; exhausting it
-    clears the converged flag. Returns the rotation together with the
-    rotated integrals; the rotation's one_norm is the objective on the
-    Hamiltonian built from those integrals, the λ the method then reports.
+    unrotated tensors. budget caps objective evaluations, the unrotated one
+    included: the objective raises _BudgetSpent at the cap, the search stops
+    at the best point evaluated, and the converged flag is cleared. Returns
+    the rotation together with the rotated integrals; the rotation's
+    one_norm is the objective on the Hamiltonian built from those integrals,
+    the λ the method then reports.
     """
     from .integrals import MolecularIntegrals
 
@@ -501,10 +535,19 @@ def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
     else:
         raise ValueError("objective must be 'pauli' or 'ac'")
 
+    # the unrotated evaluation always runs, whatever the budget
+    limit = np.inf if budget is None else max(budget, 1)
+    seen = {"val": np.inf}
+
     def evaluate(angles):
+        if counter["evals"] >= limit:
+            raise _BudgetSpent
         counter["evals"] += 1
         u = rotation_from_angles(angles, n)
-        return one_norm(u.T @ maj.h_tilde @ u, rotate_two_body(maj.g, u))
+        value = one_norm(u.T @ maj.h_tilde @ u, rotate_two_body(maj.g, u))
+        if value < seen["val"]:
+            seen.update(val=value, angles=np.array(angles, dtype=float))
+        return value
 
     baseline = evaluate(np.zeros(n_angles))
     rng = np.random.default_rng(seed)
@@ -519,20 +562,26 @@ def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
             starts.append(angles_from_rotation(localizing_rotation(maj.g)))
         for _ in range(max(restarts - 1, 0)):
             starts.append(rng.normal(scale=0.15, size=n_angles))
-        for idx, x0 in enumerate(starts):
-            options = {"xtol": 1e-5, "ftol": 1e-7}
-            if powell_budget is not None:
-                remaining = powell_budget - counter["evals"]
-                if remaining <= 0:
-                    break
-                # fair share so an early start cannot starve the others
-                options["maxfev"] = max(remaining // (len(starts) - idx), 1)
-            res = minimize(evaluate, x0, method="Powell", options=options)
-            if res.fun < best_val:
-                best_val = float(res.fun)
-                best_angles = np.asarray(res.x, dtype=float)
-        best_val, best_angles, converged = _angle_sweeps(
-            evaluate, best_val, best_angles, budget, counter, converged)
+        try:
+            for idx, x0 in enumerate(starts):
+                options = {"xtol": 1e-5, "ftol": 1e-7}
+                if powell_budget is not None:
+                    remaining = powell_budget - counter["evals"]
+                    if remaining <= 0:
+                        break
+                    # fair share so an early start cannot starve the others
+                    options["maxfev"] = max(remaining // (len(starts) - idx), 1)
+                res = minimize(evaluate, x0, method="Powell", options=options)
+                if res.fun < best_val:
+                    best_val = float(res.fun)
+                    best_angles = np.asarray(res.x, dtype=float)
+            best_val, best_angles, converged = _angle_sweeps(
+                evaluate, best_val, best_angles, budget, counter, converged)
+        except _BudgetSpent:
+            # a minimizer cut off mid-search returns nothing; keep the best
+            # point any search evaluated
+            if seen["val"] < best_val:
+                best_val, best_angles = seen["val"], seen["angles"]
         if budget is not None and counter["evals"] >= budget:
             converged = False
     if best_val > baseline:

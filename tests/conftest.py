@@ -12,6 +12,7 @@ import pytest
 
 from fermilcu.integrals import load_fixture
 from fermilcu.majorana import build_majorana
+from fermilcu.mtd_l4 import cp4_als
 
 MOLECULES = ("h2", "lih", "beh2", "h2o")
 
@@ -69,6 +70,13 @@ def raw_tensors(name):
 @lru_cache(maxsize=None)
 def hamiltonian(name):
     return build_majorana(load_fixture(name))
+
+
+@lru_cache(maxsize=None)
+def cp4_fit(name):
+    """cp4_als of the fixture's two-body tensor at the default tol and seed
+    (1e-6, 7), fitted once for every test that reads it."""
+    return cp4_als(hamiltonian(name).g)
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import random_two_body
+from conftest import cp4_fit, random_two_body
 from fermilcu.integrals import load_fixture
 from fermilcu.majorana import (
     MajoranaHamiltonian,
@@ -150,7 +150,7 @@ def test_cp4_reconstructs_at_found_rank(name):
     # squared-residual budget at whatever rank the search settled on
     maj, lcu = decomposition("l4-cp4", name)
     assert lcu.metadata["converged"]
-    factors = cp4_als(maj.g, tol=1e-6, seed=7)
+    factors = cp4_fit(name)
     residual = float(((factors.reconstruct() - maj.g) ** 2).sum())
     assert residual < 1e-6, f"{name}: squared residual {residual:.3e}"
 

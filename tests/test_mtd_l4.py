@@ -12,7 +12,7 @@ from fermilcu.mtd_l4 import (
     svd_chain_factorize,
 )
 
-from conftest import hamiltonian, random_two_body
+from conftest import cp4_fit, hamiltonian, random_two_body
 
 # measured on this implementation
 FROZEN = {
@@ -122,7 +122,7 @@ class TestCp4:
     @pytest.mark.parametrize("name", sorted(CP4_FROZEN))
     def test_frozen_rank_and_lambda(self, name):
         maj = hamiltonian(name)
-        factors = cp4_als(maj.g)
+        factors = cp4_fit(name)
         assert factors.converged
         lcu = l4_lcu(factors, diagonalize_one_body(maj))
         assert (factors.rank, lcu.one_norm) == (

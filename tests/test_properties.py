@@ -2,8 +2,9 @@
 products and sparse assembly against Kronecker matrices, packed
 anticommutation rows, sort keys and sorted insertion against word-by-word
 references, angle chains and their reconstructions, rotation
-parameterization round trips, localization, tensor factorizations, the
-spectral norm bound, and cost-row monotonicity."""
+parameterization round trips, bit-exact rotation and ALS kernels,
+localization, tensor factorizations, the spectral norm bound, and cost-row
+monotonicity."""
 
 import numpy as np
 import pytest
@@ -238,6 +239,63 @@ class TestRotationParameterization:
         angles = angles_from_rotation(np.eye(5))
         assert np.allclose(angles, 0.0, atol=1e-12)
         assert angles.size == len(rotation_pairs(5))
+
+
+def givens_product(angles, n):
+    """Reference rotation: one np.eye Givens matrix per pair, multiplied in."""
+    u = np.eye(n)
+    for (i, j), theta in zip(rotation_pairs(n), angles):
+        c, s = np.cos(theta), np.sin(theta)
+        g = np.eye(n)
+        g[j, j] = c
+        g[i, i] = c
+        g[j, i] = s
+        g[i, j] = -s
+        u = u @ g
+    return u
+
+
+class TestBitExactKernels:
+    """The orbital-optimization search follows the last bits of every
+    evaluation, so the fast kernels must round exactly like the plain ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from([1e-3, 0.3, 3.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_rotation_equals_givens_product(self, n, scale, seed):
+        angles = np.random.default_rng(seed).normal(scale=scale,
+                                                    size=n * (n - 1) // 2)
+        assert np.array_equal(rotation_from_angles(angles, n),
+                              givens_product(angles, n))
+        assert np.array_equal(rotation_from_angles(list(angles), n),
+                              givens_product(list(angles), n))
+
+    def test_rotation_rejects_wrong_angle_count(self):
+        with pytest.raises(ValueError):
+            rotation_from_angles(np.zeros(2), 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
+    def test_two_body_rotation_equals_tensordot_chain(self, n, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(n, n, n, n))
+        u = rng.normal(size=(n, n))
+        chain = g
+        for _ in range(4):
+            chain = np.tensordot(chain, u, axes=([0], [0]))
+        assert np.array_equal(rotate_two_body(g, u), chain)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_als_residual_same_with_carried_grams(self, n, rank, seed):
+        rng = np.random.default_rng(seed)
+        t = random_two_body(n, rng)
+        vecs = [rng.normal(size=(n, rank)) for _ in range(4)]
+        weights = rng.normal(size=rank)
+        t_sq = float((t * t).sum())
+        grams = [v.T @ v for v in vecs]
+        assert (_als_residual(t, t_sq, vecs, weights, grams)
+                == _als_residual(t, t_sq, vecs, weights))
 
 
 class TestTensorRotation:
