@@ -293,7 +293,8 @@ def _als_residual(t, t_sq, vecs, weights, grams=None):
 
 
 def _als_fit(t, rank, seed, max_sweeps=300, reg=1e-12):
-    """Seeded ALS at one rank: (vecs, weights, squared residual).
+    """Seeded ALS at one rank, at least one sweep: (vecs, weights, squared
+    residual).
 
     The four unfoldings of t are built once per fit, and each factor's Gram
     matrix is carried between sweeps and recomputed only when that factor
@@ -308,7 +309,6 @@ def _als_fit(t, rank, seed, max_sweeps=300, reg=1e-12):
     for _ in range(4):
         v = rng.standard_normal((n, rank))
         vecs.append(v / np.linalg.norm(v, axis=0))
-    weights = np.ones(rank)
     unfoldings = [np.moveaxis(t, mode, 0).reshape(n, -1) for mode in range(4)]
     grams = [v.T @ v for v in vecs]
     ridge = reg * np.eye(rank)

@@ -460,20 +460,18 @@ def rotate_hamiltonian(maj: MajoranaHamiltonian, u: np.ndarray) -> MajoranaHamil
     )
 
 
-def _angle_sweeps(evaluate, best_val, best_angles, budget, counter, converged,
-                  max_sweeps: int = 40):
+def _angle_sweeps(evaluate, best_val, best_angles, max_sweeps: int = 40):
     """Coordinate descent over the plane-rotation angles, one at a time.
 
     Direction-set search stalls in high dimension; sweeping the angles
     individually with a bounded scalar minimizer reliably pulls the rotation
     the rest of the way down, the same way pairwise-rotation localization
-    sweeps do.
+    sweeps do. An evaluation budget is enforced by evaluate itself, which
+    raises _BudgetSpent at the cap.
     """
     n_angles = best_angles.size
     tol = 1e-9 * max(abs(best_val), 1.0)
     for _ in range(max_sweeps):
-        if budget is not None and counter["evals"] >= budget:
-            return best_val, best_angles, False
         sweep_start = best_val
         for k in range(n_angles):
             center = best_angles[k]
@@ -483,21 +481,16 @@ def _angle_sweeps(evaluate, best_val, best_angles, budget, counter, converged,
                 trial[k] = theta
                 return evaluate(trial)
 
-            opts = {"xatol": 1e-8}
-            if budget is not None:
-                opts["maxiter"] = budget - counter["evals"]
             res = minimize_scalar(
                 line, bounds=(center - np.pi / 2, center + np.pi / 2),
-                method="bounded", options=opts)
+                method="bounded", options={"xatol": 1e-8})
             if res.fun < best_val:
                 best_val = float(res.fun)
                 best_angles = best_angles.copy()
                 best_angles[k] = float(res.x)
-            if budget is not None and counter["evals"] >= budget:
-                return best_val, best_angles, False
         if sweep_start - best_val < tol:
             break
-    return best_val, best_angles, converged
+    return best_val, best_angles
 
 
 def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
@@ -575,8 +568,7 @@ def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
                 if res.fun < best_val:
                     best_val = float(res.fun)
                     best_angles = np.asarray(res.x, dtype=float)
-            best_val, best_angles, converged = _angle_sweeps(
-                evaluate, best_val, best_angles, budget, counter, converged)
+            best_val, best_angles = _angle_sweeps(evaluate, best_val, best_angles)
         except _BudgetSpent:
             # a minimizer cut off mid-search returns nothing; keep the best
             # point any search evaluated

@@ -331,7 +331,10 @@ def test_orbital_optimize_budget_flag():
 # restarts, evaluations, one_norm). The search follows the last bits of every
 # evaluation (a one-ulp change in the rotation product takes lih's oo-pauli
 # search from 22,511 to 24,077 evaluations), so a change that rounds
-# differently fails here.
+# differently fails here. The values pin the rounding of the BLAS they were
+# measured with (OpenBLAS 0.3.31 with its Haswell kernels on x86-64; the
+# same at one and at two BLAS threads): a failure on a build with another
+# BLAS kernel or CPU reads as a rounding change, not a defect.
 OO_FROZEN = {
     ("pauli", "h2"): (None, 3, 276, 2.286741090286598),
     ("pauli", "lih"): (None, 3, 22511, 13.347137785997838),
