@@ -14,7 +14,8 @@ k = |x1&z1| + |x2&z2| - |x3&z3| + 2|z1&x2| (Aaronson and Gottesman, PRA 70,
 Bulk work runs on the array form of the same algebra: a set of terms is three
 parallel arrays, packed uint64 X and Z masks and complex coefficients.
 `word_products` multiplies word arrays elementwise (with broadcasting),
-`reflection_terms` lists the Hamiltonian's Q and ordered QQ terms,
+`expand_reflections` lists the Q and ordered QQ terms of any spin-resolved
+weights (`reflection_terms`: the Hamiltonian's),
 `combine_terms` sums like terms by sorting their masks, and `sparse_matrix`
 assembles the matrix of a sum one X mask at a time. `PauliSum` keeps the
 dictionary form for small operators; `PauliSum.from_arrays` and
@@ -301,18 +302,26 @@ def reflection_table(n_orbitals: int):
     return table
 
 
+def expand_reflections(n_orbitals: int, one, two):
+    """Terms of sum_a one_a Q_a + sum_ab two_ab Q_a Q_b before like terms
+    combine, for a spin-resolved coefficient set: one holds 2N^2 weights on
+    the words Q_a, a = (i, j, sigma) row-major, and two a (2N^2, 2N^2) matrix
+    on the ordered products. Returns (x, z, c) of the Q_a and of the Q_a Q_b,
+    the latter shaped (2N^2, 2N^2)."""
+    qx, qz, qc = (a.ravel() for a in reflection_table(n_orbitals))
+    x, z, phase = word_products(qx[:, None], qz[:, None], qx[None, :], qz[None, :])
+    return ((qx, qz, one * qc),
+            (x, z, two * qc[:, None] * qc[None, :] * phase))
+
+
 def reflection_terms(maj: MajoranaHamiltonian):
     """Terms of H = h0 + (1/2) sum h_tilde_ij Q_ij,sigma
-    + (1/4) sum g_ijkl Q_ij,sigma Q_kl,tau before like terms combine:
-    (x, z, c) of the 2N^2 words Q_a, a = (i, j, sigma) row-major, and of the
-    ordered products Q_a Q_b, shaped (2N^2, 2N^2)."""
+    + (1/4) sum g_ijkl Q_ij,sigma Q_kl,tau before like terms combine, as
+    expand_reflections lists them."""
     n = maj.n_orbitals
-    qx, qz, qc = (a.ravel() for a in reflection_table(n))
     h_q = np.repeat(maj.h_tilde.ravel(), 2)
     g_qq = np.repeat(np.repeat(maj.g.reshape(n * n, n * n), 2, axis=0), 2, axis=1)
-    x, z, phase = word_products(qx[:, None], qz[:, None], qx[None, :], qz[None, :])
-    return ((qx, qz, 0.5 * h_q * qc),
-            (x, z, 0.25 * g_qq * qc[:, None] * qc[None, :] * phase))
+    return expand_reflections(n, 0.5 * h_q, 0.25 * g_qq)
 
 
 def pauli_sum_of_hamiltonian(maj: MajoranaHamiltonian) -> PauliSum:

@@ -279,15 +279,13 @@ def _als_sweep(unfoldings, vecs, grams, ridge):
     return norms
 
 
-def _als_residual(t, t_sq, vecs, weights, grams=None):
+def _als_residual(t, t_sq, vecs, weights, grams):
     """||t - sum_m w_m v1_m x v2_m x v3_m x v4_m||^2 without the model tensor:
     t_sq - 2 sum_m w_m <t, v1_m x v2_m x v3_m x v4_m> + w^T (G1 o G2 o G3 o G4) w
-    with Gram matrices G_k = V_k^T V_k, computed here unless given."""
+    with the Gram matrices grams[k] = G_k = V_k^T V_k."""
     v1, v2, v3, v4 = vecs
     n = t.shape[0]
     inner = ((t.reshape(n ** 3, n).T @ khatri_rao(khatri_rao(v1, v2), v3)) * v4).sum(axis=0)
-    if grams is None:
-        grams = [v.T @ v for v in vecs]
     gram = grams[0] * grams[1] * grams[2] * grams[3]
     return t_sq - 2.0 * float(weights @ inner) + float(weights @ gram @ weights)
 

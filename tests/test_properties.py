@@ -3,7 +3,8 @@ products and sparse assembly against Kronecker matrices, packed
 anticommutation rows, sort keys and sorted insertion against word-by-word
 references, angle chains and their reconstructions, rotation
 parameterization round trips, bit-exact rotation and ALS kernels,
-localization, tensor factorizations, the spectral norm bound, and cost-row
+localization, tensor factorizations, the spectral norm bound, grouped
+reconstruction against the per-fragment reference, and cost-row
 monotonicity."""
 
 import numpy as np
@@ -13,16 +14,19 @@ from hypothesis import strategies as st
 
 from conftest import random_two_body
 from fermilcu.fermionic_lcu import _csa_cost
+from fermilcu.integrals import load_fixture
+from fermilcu.lcu import Fragment, PauliTerm, Reflection, ReflectionProduct
 from fermilcu.majorana import (
     MajoranaHamiltonian,
     PauliSum,
     PauliWord,
     anticommutation_rows,
+    pauli_sum_of_hamiltonian,
     sparse_matrix,
     word_products,
     word_sort_keys,
 )
-from fermilcu.mtd_l4 import _als_residual, cp4_als, mps_factorize, svd_chain_factorize
+from fermilcu.mtd_l4 import _als_residual, _als_sweep, cp4_als, mps_factorize, svd_chain_factorize
 from fermilcu.qubit_lcu import (
     ac_lcu,
     angles_from_rotation,
@@ -46,7 +50,16 @@ from fermilcu.resources import (
     sparse_prep_row,
     sparse_sel_row,
 )
-from fermilcu.verify import spectral_range, verify_norm_bound
+from fermilcu.report import METHODS, decompose_method
+from fermilcu.verify import (
+    _fragment_parts,
+    _fragment_terms,
+    _running_sum,
+    fragment_pauli_sum,
+    spectral_range,
+    verify_norm_bound,
+    verify_reconstruction,
+)
 
 
 def random_hamiltonian(n, rng) -> MajoranaHamiltonian:
@@ -291,11 +304,11 @@ class TestBitExactKernels:
         rng = np.random.default_rng(seed)
         t = random_two_body(n, rng)
         vecs = [rng.normal(size=(n, rank)) for _ in range(4)]
-        weights = rng.normal(size=rank)
-        t_sq = float((t * t).sum())
         grams = [v.T @ v for v in vecs]
-        assert (_als_residual(t, t_sq, vecs, weights, grams)
-                == _als_residual(t, t_sq, vecs, weights))
+        unfoldings = [np.moveaxis(t, mode, 0).reshape(n, -1) for mode in range(4)]
+        _als_sweep(unfoldings, vecs, grams, 1e-12 * np.eye(rank))
+        for carried, v in zip(grams, vecs):
+            assert np.array_equal(carried, v.T @ v)
 
 
 class TestTensorRotation:
@@ -386,6 +399,7 @@ class TestFitKernels:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    @example(n=1, rank=5, seed=268435457)  # model norm far above ||t||^2
     def test_gram_residual_equals_explicit_residual(self, n, rank, seed):
         rng = np.random.default_rng(seed)
         t = random_two_body(n, rng)
@@ -394,7 +408,69 @@ class TestFitKernels:
         model = np.einsum("m,im,jm,km,lm->ijkl", weights, *vecs)
         explicit = float(((t - model) ** 2).sum())
         t_sq = float((t * t).sum())
-        assert abs(_als_residual(t, t_sq, vecs, weights) - explicit) <= 1e-10 * t_sq
+        grams = [v.T @ v for v in vecs]
+        # both forms round at the scale of the larger of t_sq and the residual
+        assert (abs(_als_residual(t, t_sq, vecs, weights, grams) - explicit)
+                <= 1e-10 * max(t_sq, explicit))
+
+
+def _unit(rng, n):
+    v = rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def random_reflection_lcu(n, count, paulis, rng):
+    """Products of one or two random reflections, mixed spins and signs,
+    with a few Pauli fragments among them."""
+    fragments = []
+    for _ in range(count):
+        refls = tuple(Reflection(_unit(rng, n), _unit(rng, n), int(rng.integers(2)))
+                      for _ in range(int(rng.integers(1, 3))))
+        sign = float(rng.choice((-1.0, 1.0)))
+        fragments.append(Fragment(float(rng.uniform(0.1, 2.0)), "reflection-product",
+                                  ReflectionProduct(refls, sign)))
+    for _ in range(paulis):
+        word = PauliWord(2 * n, *(int(m) for m in rng.integers(1 << (2 * n), size=2)))
+        fragments.append(Fragment(float(rng.uniform(0.1, 2.0)), "pauli",
+                                  PauliTerm(word, complex(rng.choice((-1.0, 1.0))))))
+    rng.shuffle(fragments)
+    return fragments
+
+
+class TestGroupedReconstruction:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 12), st.integers(0, 3),
+           st.integers(0, 2 ** 32 - 1))
+    def test_grouped_sum_equals_per_fragment_sum(self, n, count, paulis, seed):
+        fragments = random_reflection_lcu(n, count, paulis, np.random.default_rng(seed))
+        grouped = PauliSum.from_arrays(
+            2 * n, *_running_sum(_fragment_parts(fragments, n))).terms
+        reference = PauliSum(2 * n)
+        for frag in fragments:
+            for word, c in fragment_pauli_sum(frag, n).terms.items():
+                reference.add(word, frag.coefficient * c)
+        for word in grouped.keys() | reference.terms.keys():
+            assert abs(grouped.get(word, 0j) - reference.terms.get(word, 0j)) <= 1e-12
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_lih_deviation_matches_per_fragment_reference(self, method):
+        # bounded fits: the comparison needs a decomposition, not a good one
+        maj, lcu = decompose_method(load_fixture("lih"), method, oo_budget=200,
+                                    oo_restarts=1, max_rank=40)
+        n = maj.n_orbitals
+        target = pauli_sum_of_hamiltonian(maj).arrays()
+        zero = np.zeros(1, dtype=np.uint64)
+
+        def per_fragment():
+            for frag in lcu.fragments:
+                x, z, c = _fragment_terms(frag, n)
+                yield x, z, frag.coefficient * c
+            yield zero, zero, np.array([lcu.constant], dtype=complex)
+            yield target[0], target[1], -target[2]
+
+        reference = float(np.abs(_running_sum(per_fragment())[2]).sum())
+        allowed = 64 * np.finfo(float).eps * (lcu.one_norm + abs(lcu.constant))
+        assert abs(verify_reconstruction(lcu, maj) - reference) <= allowed
 
 
 class TestNormBound:

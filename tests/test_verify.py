@@ -68,6 +68,42 @@ def h2_lcu(method: str) -> LcuDecomposition:
     return l4_lcu(factorize(maj.g), one_body, constant=maj.h0)
 
 
+@lru_cache(maxsize=None)
+def lih_lcu(method: str) -> LcuDecomposition:
+    maj = hamiltonian("lih")
+    if method == "df":
+        return double_factorize(maj)
+    return l4_lcu(svd_chain_factorize(maj.g), diagonalize_one_body(maj),
+                  constant=maj.h0)
+
+
+def rotated(v, angle):
+    """v turned by angle towards a unit vector orthogonal to it, renormalized."""
+    p = np.roll(v, 1) - (np.roll(v, 1) @ v) * v
+    out = np.cos(angle) * v + np.sin(angle) * p / np.linalg.norm(p)
+    return out / np.linalg.norm(out)
+
+
+def with_fault(lcu, fault, angle=0.0):
+    """lcu with one fault in its largest product of two reflections."""
+    k = max((k for k, f in enumerate(lcu.fragments)
+             if f.kind == "reflection-product" and len(f.unitary.reflections) == 2),
+            key=lambda k: lcu.fragments[k].coefficient)
+    if fault == "drop":
+        return replace(lcu, fragments=lcu.fragments[:k] + lcu.fragments[k + 1:])
+    frag = lcu.fragments[k]
+    first, second = frag.unitary.reflections
+    if fault == "sign":
+        unit = replace(frag.unitary, sign=-frag.unitary.sign)
+    elif fault == "spin":
+        unit = replace(frag.unitary, reflections=(replace(first, sigma=1 - first.sigma), second))
+    else:
+        unit = replace(frag.unitary, reflections=(replace(first, v=rotated(first.v, angle)), second))
+    fragments = list(lcu.fragments)
+    fragments[k] = replace(frag, unitary=unit)
+    return replace(lcu, fragments=fragments)
+
+
 def sample_word():
     frag = h2_lcu("pauli").fragments[0]
     return frag.unitary.word
@@ -256,6 +292,22 @@ class TestReconstruction:
         frags[0] = Fragment(f0.coefficient + 0.01, f0.kind, f0.unitary)
         dev = verify_reconstruction(replace(base, fragments=frags), maj)
         assert dev == pytest.approx(0.01, rel=1e-6)
+
+    @pytest.mark.parametrize("method", ("df", "l4-svd"))
+    @pytest.mark.parametrize("fault, angle", [("sign", 0.0), ("spin", 0.0),
+                                              ("rotate", 0.05), ("drop", 0.0)])
+    def test_reflection_product_fault_detected(self, method, fault, angle):
+        lcu = lih_lcu(method)
+        faulty = with_fault(lcu, fault, angle)
+        assert verify_reconstruction(faulty, hamiltonian("lih")) > reconstruction_tolerance(lcu)
+
+    @pytest.mark.parametrize("method", ("df", "l4-svd"))
+    def test_reflection_rotation_by_1e_6_moves_deviation(self, method):
+        # a 1e-6 turn changes the operator by about 1e-6 in 1-norm, inside the
+        # 1e-6 floor of reconstruction_tolerance, so only the deviation sees it
+        maj, lcu = hamiltonian("lih"), lih_lcu(method)
+        moved = verify_reconstruction(with_fault(lcu, "rotate", 1e-6), maj)
+        assert abs(moved - verify_reconstruction(lcu, maj)) > 1e-7
 
     def test_lih_coefficient_level(self):
         # 12 qubits falls back to the Pauli-coefficient 1-norm of the difference
