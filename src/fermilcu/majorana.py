@@ -11,16 +11,17 @@ words is the word (x1^x2, z1^z2) times i^k with
 k = |x1&z1| + |x2&z2| - |x3&z3| + 2|z1&x2| (Aaronson and Gottesman, PRA 70,
 052328, 2004).
 
-Bulk work runs on the array form of the same algebra: a set of terms is three
-parallel arrays, packed uint64 X and Z masks and complex coefficients.
-`word_products` multiplies word arrays elementwise (with broadcasting),
-`expand_reflections` lists the Q and ordered QQ terms of any spin-resolved
-weights (`reflection_terms`: the Hamiltonian's),
-`combine_terms` sums like terms by sorting their masks, and `sparse_matrix`
-assembles the matrix of a sum one X mask at a time. `PauliSum` keeps the
-dictionary form for small operators; `PauliSum.from_arrays` and
-`PauliSum.arrays` convert between the two. `combine_terms` packs a word into
-one 64-bit key, so like terms combine on at most 32 qubits.
+Sums of words have one form, the array form: packed uint64 X and Z masks and
+complex coefficients in parallel arrays. `word_products` multiplies word
+arrays elementwise (with broadcasting), `expand_reflections` lists the Q and
+ordered QQ terms of any spin-resolved weights (`reflection_terms`: the
+Hamiltonian's), `combine_terms` sums like terms by sorting their masks, and
+`sparse_matrix` assembles the matrix of a sum one X mask at a time.
+`PauliSum` is the combined record of such a sum; `PauliSum.from_arrays`
+builds it and is the one place where terms below PRUNE_TOL are dropped.
+`combine_terms` packs a word into one 64-bit key, so like terms combine on at
+most 32 qubits. `PauliWord` keeps the single-word algebra and the Kronecker
+matrix that the tests use as references.
 
 Grouping uses two more array forms: `anticommutation_rows` packs, per word,
 one bit per word it anticommutes with (m^2/8 bytes for m words), and
@@ -28,7 +29,7 @@ one bit per word it anticommutes with (m^2/8 bytes for m words), and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -169,7 +170,7 @@ def word_sort_keys(x, z, n_qubits: int) -> np.ndarray:
 
 
 def combine_terms(x, z, coeffs):
-    """Sum the coefficients of equal words and drop sums below PRUNE_TOL.
+    """Sum the coefficients of equal words; nothing is dropped.
 
     Words come back sorted by (x, z), packed into one 64-bit sort key. The
     sort is stable, so every sum is taken in the order its terms arrived,
@@ -189,57 +190,30 @@ def combine_terms(x, z, coeffs):
     group = np.cumsum(first) - 1
     total = (np.bincount(group, weights=coeffs.real)
              + 1j * np.bincount(group, weights=coeffs.imag))
-    keep = np.abs(total) >= PRUNE_TOL
-    key = key[first][keep]
-    return key >> _HALF, key & _LOW, total[keep]
+    key = key[first]
+    return key >> _HALF, key & _LOW, total
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PauliSum:
-    """Map from PauliWord to complex coefficient, pruned below 1e-14."""
+    """sum_t coeffs[t] * word (x[t], z[t]) over n_qubits: distinct words in
+    combine_terms order, none with |coefficient| below PRUNE_TOL. Build one
+    with from_arrays."""
     n_qubits: int
-    terms: dict = field(default_factory=dict)
-
-    def add(self, word: PauliWord, coeff: complex) -> None:
-        c = self.terms.get(word, 0j) + coeff
-        if abs(c) < PRUNE_TOL:
-            self.terms.pop(word, None)
-        else:
-            self.terms[word] = c
-
-    def one_norm(self, include_identity: bool = False) -> float:
-        return float(sum(abs(c) for w, c in self.terms.items()
-                         if include_identity or not w.is_identity()))
-
-    def without_identity(self) -> "PauliSum":
-        out = PauliSum(self.n_qubits)
-        out.terms = {w: c for w, c in self.terms.items() if not w.is_identity()}
-        return out
-
-    def identity_coefficient(self) -> complex:
-        return self.terms.get(identity_word(self.n_qubits), 0j)
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag) <= tol for c in self.terms.values())
+    x: np.ndarray
+    z: np.ndarray
+    coeffs: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return self.x.size
 
     @classmethod
     def from_arrays(cls, n_qubits: int, x, z, coeffs) -> "PauliSum":
-        """Sum of coeffs[t] * word (x[t], z[t]), like terms combined."""
+        """Sum of coeffs[t] * word (x[t], z[t]), like terms combined and
+        sums below PRUNE_TOL dropped."""
         x, z, coeffs = combine_terms(x, z, coeffs)
-        out = cls(n_qubits)
-        out.terms = {PauliWord(n_qubits, int(xm), int(zm)): complex(c)
-                     for xm, zm, c in zip(x.tolist(), z.tolist(), coeffs)}
-        return out
-
-    def arrays(self):
-        """(x, z, coeffs): uint64 masks and complex coefficients, one entry
-        per term in dictionary order."""
-        x = np.array([w.x_mask for w in self.terms], dtype=np.uint64)
-        z = np.array([w.z_mask for w in self.terms], dtype=np.uint64)
-        return x, z, np.array(list(self.terms.values()), dtype=complex)
+        keep = np.abs(coeffs) >= PRUNE_TOL
+        return cls(n_qubits, x[keep], z[keep], coeffs[keep])
 
 
 @dataclass(frozen=True)
@@ -335,7 +309,7 @@ def pauli_sum_of_hamiltonian(maj: MajoranaHamiltonian) -> PauliSum:
                             np.concatenate([zero, qz, z.ravel()]),
                             np.concatenate([[maj.h0], c1, c2.ravel()]))
     # Hermiticity: imaginary parts cancel between conjugate index pairs
-    if c.size and np.abs(c.imag).max() > 1e-9:
+    if np.abs(c.imag).max() > 1e-9:
         raise AssertionError("qubit operator failed to come out Hermitian")
     return PauliSum.from_arrays(2 * n, x, z, c.real)
 
@@ -384,11 +358,10 @@ def sparse_matrix(op: PauliSum):
     if nq > 24:
         raise ValueError("sparse path limited to 24 qubits")
     dim = 1 << nq
-    if not op.terms:
+    if not len(op):
         return csr_matrix((dim, dim), dtype=complex)
-    x, z, coeffs = op.arrays()
-    x, z = _reverse_bits(x, nq), _reverse_bits(z, nq)
-    coeffs = coeffs * _I_POWERS[-_popcount(x & z) & 3]
+    x, z = _reverse_bits(op.x, nq), _reverse_bits(op.z, nq)
+    coeffs = op.coeffs * _I_POWERS[-_popcount(x & z) & 3]
     if not np.any(coeffs.imag):
         coeffs = coeffs.real
     order = np.argsort(x, kind="stable")

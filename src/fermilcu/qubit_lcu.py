@@ -22,7 +22,6 @@ from .majorana import (
     PauliWord,
     anticommutation_rows,
     build_majorana,
-    pauli_sum_of_hamiltonian,
     reflection_table,
     reflection_terms,
     word_products,
@@ -204,29 +203,25 @@ def _groups_to_lcu(x, z, coeffs, groups, n_qubits, constant, metadata):
 
 
 def sorted_insertion_ac(pauli: PauliSum) -> LcuDecomposition:
-    """Anticommuting grouping of an explicit qubit operator."""
-    if not pauli.is_hermitian():
+    """Anticommuting grouping of an explicit qubit operator, whose items are
+    its combined Pauli terms; the identity term becomes the constant."""
+    if np.any(np.abs(pauli.coeffs.imag) > 1e-10):
         raise ValueError("sorted insertion expects a Hermitian operator")
-    x, z, coeffs = pauli.arrays()
-    items = (x | z) != 0
-    x, z, coeffs = x[items], z[items], coeffs[items].real
+    coeffs = pauli.coeffs.real
+    items = (pauli.x | pauli.z) != 0
+    constant = float(coeffs[~items].sum())
+    x, z, coeffs = pauli.x[items], pauli.z[items], coeffs[items]
     groups = _sorted_insertion(coeffs, word_sort_keys(x, z, pauli.n_qubits),
                                anticommutation_rows(x, z))
-    constant = float(pauli.identity_coefficient().real)
     return _groups_to_lcu(x, z, coeffs, groups, pauli.n_qubits, constant,
                           {"level": "qubit", "n_items": int(x.size)})
 
 
-def ac_lcu(maj: MajoranaHamiltonian, level: str = "tensor") -> LcuDecomposition:
-    """Anticommuting grouping at either representation level.
-
-    tensor: items are the Q / merged-QQ terms, duplicates kept per index pair.
-    qubit: items are the fully combined Pauli terms.
+def ac_lcu(maj: MajoranaHamiltonian) -> LcuDecomposition:
+    """Anticommuting grouping of the tensor-level items: the Q and merged-QQ
+    terms, duplicates kept per index pair. Grouping the combined qubit
+    operator instead is sorted_insertion_ac(pauli_sum_of_hamiltonian(maj)).
     """
-    if level == "qubit":
-        return sorted_insertion_ac(pauli_sum_of_hamiltonian(maj))
-    if level != "tensor":
-        raise ValueError("level must be 'tensor' or 'qubit'")
     struct = _tensor_item_structure(maj.n_orbitals)
     coeffs = _item_coeffs(struct, maj.h_tilde, maj.g)
     groups = _sorted_insertion(coeffs, struct["key"], struct["anti"])

@@ -6,6 +6,9 @@ own, but sums the reflection products first: a reflection (v, w, sigma) is
 sum_ij v_i w_j Q_ij,sigma, so the products of one spin pair (sigma, tau) add
 up, by linearity, to one weight matrix on the ordered Q_ij,sigma Q_kl,tau,
 expanded once. `fragment_pauli_sum` stays the per-fragment reference.
+Partial sums keep every term; only the final `PauliSum` of a fragment or of
+the reconstruction difference drops sums below PRUNE_TOL, so residue that
+cancels across fragments is not lost on the way.
 """
 
 from dataclasses import dataclass
@@ -47,7 +50,7 @@ def spectral_range(maj) -> SpectralRange:
     if nq > 24:
         raise ValueError("spectral range limited to 24 qubits")
     op = pauli_sum_of_hamiltonian(maj)
-    if not op.terms:
+    if not len(op):
         return SpectralRange(0.0, 0.0)
     if nq <= 10:
         eigs = np.linalg.eigvalsh(dense_matrix(op))
@@ -226,19 +229,18 @@ def verify_reconstruction(lcu: LcuDecomposition, maj) -> float:
     upper-bounds the operator norm.
     """
     n = maj.n_orbitals
-    nq = 2 * n
-    target = pauli_sum_of_hamiltonian(maj).arrays()
+    target = pauli_sum_of_hamiltonian(maj)
     identity = np.zeros(1, dtype=np.uint64)
 
     def parts():
         yield from _fragment_parts(lcu.fragments, n)
         yield identity, identity, np.array([lcu.constant], dtype=complex)
-        yield target[0], target[1], -target[2]
+        yield target.x, target.z, -target.coeffs
 
-    diff = _running_sum(parts())
-    if nq <= DENSE_QUBITS:
-        return float(np.abs(dense_matrix(PauliSum.from_arrays(nq, *diff))).max())
-    return float(np.abs(diff[2]).sum())
+    diff = PauliSum.from_arrays(2 * n, *_running_sum(parts()))
+    if diff.n_qubits <= DENSE_QUBITS:
+        return float(np.abs(dense_matrix(diff)).max())
+    return float(np.abs(diff.coeffs).sum())
 
 
 def reconstruction_tolerance(lcu: LcuDecomposition) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fermilcu.integrals import load_fixture
-from fermilcu.majorana import build_majorana
+from fermilcu.majorana import PauliSum, build_majorana, word_from_letters
 from fermilcu.mtd_l4 import cp4_als
 
 MOLECULES = ("h2", "lih", "beh2", "h2o")
@@ -70,6 +70,15 @@ def raw_tensors(name):
 @lru_cache(maxsize=None)
 def hamiltonian(name):
     return build_majorana(load_fixture(name))
+
+
+def pauli_sum(n_qubits, words, coeffs):
+    """PauliSum.from_arrays of words (PauliWords or letter strings) and their
+    coefficients; a word may repeat."""
+    words = [word_from_letters(w) if isinstance(w, str) else w for w in words]
+    return PauliSum.from_arrays(
+        n_qubits, np.array([w.x_mask for w in words], dtype=np.uint64),
+        np.array([w.z_mask for w in words], dtype=np.uint64), coeffs)
 
 
 @lru_cache(maxsize=None)

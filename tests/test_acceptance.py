@@ -17,14 +17,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import cp4_fit, random_two_body
+from conftest import cp4_fit, pauli_sum, random_two_body
 from fermilcu.integrals import load_fixture
-from fermilcu.majorana import (
-    MajoranaHamiltonian,
-    PauliSum,
-    jordan_wigner_majorana,
-    word_from_letters,
-)
+from fermilcu.majorana import MajoranaHamiltonian, jordan_wigner_majorana
 from fermilcu.mtd_l4 import cp4_als, mps_factorize, svd_chain_factorize
 from fermilcu.qubit_lcu import (
     ac_lcu,
@@ -286,15 +281,13 @@ class TestPropertySuites:
     def test_ac_grouping_on_500_random_sums(self):
         rng = np.random.default_rng(41)
         for _ in range(500):
-            op = PauliSum(4)
-            for _ in range(rng.integers(3, 13)):
-                label = [str(rng.choice(list("IXYZ"))) for _ in range(4)]
-                if all(letter == "I" for letter in label):
-                    continue
-                op.add(word_from_letters(label), float(rng.normal()))
-            if not op.without_identity().terms:
-                continue
-            lcu = sorted_insertion_ac(op)
+            labels = [" ".join(str(rng.choice(list("IXYZ"))) for _ in range(4))
+                      for _ in range(rng.integers(3, 13))]
+            coeffs = rng.normal(size=len(labels))
+            lcu = sorted_insertion_ac(pauli_sum(4, labels, coeffs))
+            # identity terms, also of identity-only sums, become the constant
+            assert lcu.constant == pytest.approx(
+                sum(c for w, c in zip(labels, coeffs) if w == "I I I I"), abs=1e-14)
             for fragment in lcu.fragments:
                 words = fragment.unitary.words
                 for a in range(len(words)):

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_two_body
+from conftest import pauli_sum, random_two_body
 from fermilcu.fermionic_lcu import _csa_cost
 from fermilcu.integrals import load_fixture
 from fermilcu.lcu import Fragment, PauliTerm, Reflection, ReflectionProduct
 from fermilcu.majorana import (
+    PRUNE_TOL,
     MajoranaHamiltonian,
     PauliSum,
     PauliWord,
@@ -77,7 +78,45 @@ word_pairs = st.integers(1, 6).flatmap(
         st.integers(0, (1 << n) - 1), min_size=4, max_size=4)))
 
 
+# words from a pool of at most four, so they repeat; unit-sized coefficients
+# cancel exactly, and 3e-15 sums stay below PRUNE_TOL
+pooled_terms = st.integers(1, 32).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
+             min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3),
+                       st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.25j, 3e-15])),
+             max_size=20)))
+
+
 class TestPauliKernels:
+    @given(pooled_terms)
+    def test_from_arrays_matches_per_word_sums(self, case):
+        n, pool, raw = case
+        words = [pool[i % len(pool)] for i, _ in raw]
+        coeffs = [c for _, c in raw]
+        op = PauliSum.from_arrays(n, np.array([x for x, _ in words], dtype=np.uint64),
+                                  np.array([z for _, z in words], dtype=np.uint64),
+                                  coeffs)
+        sums = {}
+        for word, c in zip(words, coeffs):
+            sums[word] = sums.get(word, 0j) + c
+        kept = {word: c for word, c in sums.items() if abs(c) >= PRUNE_TOL}
+        terms = list(zip(op.x.tolist(), op.z.tolist()))
+        assert op.n_qubits == n and len(op) == len(kept)
+        assert op.x.dtype == op.z.dtype == np.uint64 and op.coeffs.dtype == complex
+        assert terms == sorted(kept)
+        assert dict(zip(terms, op.coeffs.tolist())) == kept
+        assert np.all(np.abs(op.coeffs) >= PRUNE_TOL)
+
+    def test_from_arrays_limited_to_32_qubits(self):
+        empty = PauliSum.from_arrays(40, np.zeros(0, dtype=np.uint64),
+                                     np.zeros(0, dtype=np.uint64), [])
+        assert len(empty) == 0 and empty.coeffs.dtype == complex
+        with pytest.raises(ValueError, match="32 qubits"):
+            PauliSum.from_arrays(33, np.array([1 << 32], dtype=np.uint64),
+                                 np.zeros(1, dtype=np.uint64), [1.0])
+
     @given(word_pairs)
     def test_array_product_matches_dense_product(self, case):
         n, (x1, z1, x2, z2) = case
@@ -98,13 +137,10 @@ class TestPauliKernels:
         # X masks come from a pool of four, so groups hold several words,
         # and unit-sized coefficients make entries cancel within a group
         n, raw = case
-        op = PauliSum(n)
-        reference = np.zeros((1 << n, 1 << n), dtype=complex)
-        for x, z, c in raw:
-            word = PauliWord(n, x & ((1 << n) - 1), z)
-            op.add(word, c)
-            reference += c * word.dense()
-        mat = sparse_matrix(op)
+        words = [PauliWord(n, x & ((1 << n) - 1), z) for x, z, _ in raw]
+        coeffs = [c for _, _, c in raw]
+        reference = sum(c * word.dense() for word, c in zip(words, coeffs))
+        mat = sparse_matrix(pauli_sum(n, words, coeffs))
         assert mat.indices.dtype == np.int32
         assert not np.any(np.abs(mat.data) <= 1e-14)
         np.testing.assert_allclose(mat.toarray(), reference, atol=1e-14)
@@ -173,12 +209,10 @@ class TestGroupingKernels:
     def test_sorted_insertion_matches_reference(self, case, rnd):
         # coefficients from a short list, so magnitudes tie often
         n, raw = case
-        op = PauliSum(n)
-        for x, z in raw:
-            if x or z:
-                op.add(PauliWord(n, x, z), rnd.choice([1.0, -1.0, 0.5, -0.25]))
-        words = list(op.terms)
-        coeffs = [c.real for c in op.terms.values()]
+        op = pauli_sum(n, [PauliWord(n, x, z) for x, z in raw if x or z],
+                       [rnd.choice([1.0, -1.0, 0.5, -0.25]) for x, z in raw if x or z])
+        words = [PauliWord(n, x, z) for x, z in zip(op.x.tolist(), op.z.tolist())]
+        coeffs = op.coeffs.real
         expected = [[words[q] for q in members]
                     for members in _reference_sorted_insertion(words, coeffs)]
         lcu = sorted_insertion_ac(op)
@@ -444,13 +478,13 @@ class TestGroupedReconstruction:
     def test_grouped_sum_equals_per_fragment_sum(self, n, count, paulis, seed):
         fragments = random_reflection_lcu(n, count, paulis, np.random.default_rng(seed))
         grouped = PauliSum.from_arrays(
-            2 * n, *_running_sum(_fragment_parts(fragments, n))).terms
-        reference = PauliSum(2 * n)
+            2 * n, *_running_sum(_fragment_parts(fragments, n)))
+        parts = [(grouped.x, grouped.z, grouped.coeffs)]
         for frag in fragments:
-            for word, c in fragment_pauli_sum(frag, n).terms.items():
-                reference.add(word, frag.coefficient * c)
-        for word in grouped.keys() | reference.terms.keys():
-            assert abs(grouped.get(word, 0j) - reference.terms.get(word, 0j)) <= 1e-12
+            ps = fragment_pauli_sum(frag, n)
+            parts.append((ps.x, ps.z, -frag.coefficient * ps.coeffs))
+        difference = PauliSum.from_arrays(2 * n, *map(np.concatenate, zip(*parts)))
+        assert np.all(np.abs(difference.coeffs) <= 1e-12)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_lih_deviation_matches_per_fragment_reference(self, method):
@@ -458,7 +492,7 @@ class TestGroupedReconstruction:
         maj, lcu = decompose_method(load_fixture("lih"), method, oo_budget=200,
                                     oo_restarts=1, max_rank=40)
         n = maj.n_orbitals
-        target = pauli_sum_of_hamiltonian(maj).arrays()
+        target = pauli_sum_of_hamiltonian(maj)
         zero = np.zeros(1, dtype=np.uint64)
 
         def per_fragment():
@@ -466,9 +500,10 @@ class TestGroupedReconstruction:
                 x, z, c = _fragment_terms(frag, n)
                 yield x, z, frag.coefficient * c
             yield zero, zero, np.array([lcu.constant], dtype=complex)
-            yield target[0], target[1], -target[2]
+            yield target.x, target.z, -target.coeffs
 
-        reference = float(np.abs(_running_sum(per_fragment())[2]).sum())
+        reference = float(np.abs(PauliSum.from_arrays(
+            2 * n, *_running_sum(per_fragment())).coeffs).sum())
         allowed = 64 * np.finfo(float).eps * (lcu.one_norm + abs(lcu.constant))
         assert abs(verify_reconstruction(lcu, maj) - reference) <= allowed
 

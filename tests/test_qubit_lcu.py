@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import hamiltonian
+from conftest import hamiltonian, pauli_sum
 
 from fermilcu.integrals import MolecularIntegrals, load_fixture
-from fermilcu.majorana import (
-    PauliSum,
-    build_majorana,
-    pauli_sum_of_hamiltonian,
-    word_from_letters,
-)
+from fermilcu.majorana import build_majorana, pauli_sum_of_hamiltonian
 from fermilcu.qubit_lcu import (
     _tensor_item_structure,
     ac_lcu,
@@ -156,9 +151,7 @@ def test_spin_separated_separable_diagonal():
 
 
 def test_sorted_insertion_single_qubit():
-    s = PauliSum(1)
-    for letter, c in (("X", 0.3), ("Y", -0.4), ("Z", 1.2)):
-        s.add(word_from_letters(letter), c)
+    s = pauli_sum(1, ["X", "Y", "Z"], [0.3, -0.4, 1.2])
     lcu = sorted_insertion_ac(s)
     assert len(lcu.fragments) == 1
     assert lcu.one_norm == pytest.approx(np.sqrt(0.09 + 0.16 + 1.44))
@@ -168,42 +161,57 @@ def test_sorted_insertion_single_qubit():
 
 
 def test_sorted_insertion_commuting_terms_stay_apart():
-    s = PauliSum(2)
-    s.add(word_from_letters("Z I"), 0.5)
-    s.add(word_from_letters("I Z"), 0.25)
+    s = pauli_sum(2, ["Z I", "I Z"], [0.5, 0.25])
     lcu = sorted_insertion_ac(s)
     assert len(lcu.fragments) == 2
     assert lcu.one_norm == pytest.approx(0.75)
 
 
 def test_sorted_insertion_strips_identity_to_constant():
-    s = PauliSum(1)
-    s.add(word_from_letters("I"), 0.7)
-    s.add(word_from_letters("X"), 0.2)
+    s = pauli_sum(1, ["I", "X"], [0.7, 0.2])
     lcu = sorted_insertion_ac(s)
     assert lcu.constant == pytest.approx(0.7)
     assert lcu.one_norm == pytest.approx(0.2)
+
+
+def test_sorted_insertion_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="Hermitian"):
+        sorted_insertion_ac(pauli_sum(2, ["X Z", "Z I"], [0.5, 0.25j]))
+
+
+@pytest.mark.parametrize("words, coeffs, constant", [
+    (["I I"], [0.7], 0.7),
+    (["I I", "X Z", "X Z"], [-1.5, 0.25, -0.25], -1.5),
+    ([], [], 0.0),
+])
+def test_sorted_insertion_without_items(words, coeffs, constant):
+    lcu = sorted_insertion_ac(pauli_sum(2, words, coeffs))
+    assert lcu.fragments == [] and lcu.one_norm == 0.0
+    assert lcu.constant == constant
+    assert lcu.metadata["n_groups"] == 0 and lcu.metadata["n_items"] == 0
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_ac_frozen(name):
     maj = hamiltonian(name)
     lam_p, lam_t, lam_q, ng_t, ng_q, *_ = FROZEN[name]
-    tensor = ac_lcu(maj, "tensor")
+    tensor = ac_lcu(maj)
     assert tensor.one_norm == pytest.approx(lam_t, abs=1e-8)
     assert tensor.metadata["n_groups"] == ng_t
-    qubit = ac_lcu(maj, "qubit")
+    pauli = pauli_sum_of_hamiltonian(maj)
+    qubit = sorted_insertion_ac(pauli)
     assert qubit.one_norm == pytest.approx(lam_q, abs=1e-8)
     assert qubit.metadata["n_groups"] == ng_q
     # grouping can only help relative to the per-term norms
     assert lam_t <= lam_p + 1e-9
-    assert lam_q <= pauli_sum_of_hamiltonian(maj).one_norm() + 1e-9
+    not_identity = (pauli.x | pauli.z) != 0
+    assert lam_q <= np.abs(pauli.coeffs[not_identity]).sum() + 1e-9
 
 
 @pytest.mark.parametrize("name", ["h2", "lih"])
 def test_ac_groups_pairwise_anticommute(name):
-    for level in ("tensor", "qubit"):
-        lcu = ac_lcu(hamiltonian(name), level)
+    maj = hamiltonian(name)
+    for lcu in (ac_lcu(maj), sorted_insertion_ac(pauli_sum_of_hamiltonian(maj))):
         for frag in lcu.fragments:
             group = frag.unitary
             words = group.words
@@ -211,14 +219,6 @@ def test_ac_groups_pairwise_anticommute(name):
             for a in range(len(words)):
                 for b in range(a + 1, len(words)):
                     assert not words[a].commutes_with(words[b])
-
-
-def test_ac_qubit_equals_sorted_insertion_of_pauli_sum():
-    maj = hamiltonian("h2")
-    direct = sorted_insertion_ac(pauli_sum_of_hamiltonian(maj))
-    via = ac_lcu(maj, "qubit")
-    assert direct.one_norm == pytest.approx(via.one_norm, abs=1e-12)
-    assert direct.constant == pytest.approx(via.constant, abs=1e-12)
 
 
 def test_givens_chain_examples():
@@ -249,7 +249,7 @@ def test_naive_phases_examples():
 
 
 def test_naive_phases_accepts_group():
-    lcu = ac_lcu(hamiltonian("h2"), "qubit")
+    lcu = sorted_insertion_ac(pauli_sum_of_hamiltonian(hamiltonian("h2")))
     group = lcu.fragments[0].unitary
     phases = naive_ac_phases(group)
     assert phases.shape == (len(group.words),)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fermilcu.integrals import load_fixture
-from fermilcu.majorana import build_majorana
-from fermilcu.qubit_lcu import ac_lcu
+from fermilcu.majorana import build_majorana, pauli_sum_of_hamiltonian
+from fermilcu.qubit_lcu import sorted_insertion_ac
 from fermilcu.report import (
     COSTED_METHODS,
     CSV_COLUMNS,
@@ -187,7 +187,7 @@ class TestCostsFor:
 
     def test_qubit_level_ac_priced_as_ac(self):
         maj = build_majorana(load_fixture("h2"))
-        lcu = ac_lcu(maj, level="qubit")
+        lcu = sorted_insertion_ac(pauli_sum_of_hamiltonian(maj))
         assert lcu.method == "ac" and lcu.metadata["level"] == "qubit"
         assert costs_for(lcu, maj).params["G"] == lcu.metadata["n_groups"]
 
