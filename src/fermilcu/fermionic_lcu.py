@@ -30,14 +30,6 @@ class OneBodyFragment:
 
 
 @dataclass
-class CholeskyFactor:
-    index: int
-    matrix: np.ndarray
-    eigenvalues: np.ndarray = None
-    rotation: np.ndarray = None
-
-
-@dataclass
 class CsaFragment:
     rotation: np.ndarray
     coefficients: np.ndarray  # symmetric lambda matrix in the rotated basis
@@ -95,8 +87,10 @@ def _pair_fragments(u, lam):
 def pivoted_cholesky(maj: MajoranaHamiltonian, tol: float = CHOLESKY_TOL):
     """Greedy rank-1 peeling of the reshaped two-body tensor.
 
-    Stops once the squared Frobenius norm of the residual drops below tol.
-    Pivots on the largest residual diagonal, lowest index on ties.
+    Returns the factors, symmetric N x N matrices W_l with
+    g ~ sum_l W_l x W_l, and the residual tensor. Stops once the squared
+    Frobenius norm of the residual drops below tol. Pivots on the largest
+    residual diagonal, lowest index on ties.
     """
     n = maj.n_orbitals
     a = maj.g.reshape(n * n, n * n)
@@ -117,8 +111,7 @@ def pivoted_cholesky(maj: MajoranaHamiltonian, tol: float = CHOLESKY_TOL):
         res = res - np.outer(w, w)
         residual_sq = float((res * res).sum())
         wm = w.reshape(n, n)
-        wm = 0.5 * (wm + wm.T)
-        factors.append(CholeskyFactor(index=len(factors), matrix=wm))
+        factors.append(0.5 * (wm + wm.T))
     else:
         raise RuntimeError("pivoting failed to reduce the residual")
     delta = res.reshape(n, n, n, n)
@@ -155,14 +148,14 @@ def cholesky_sf(maj: MajoranaHamiltonian, tol: float = CHOLESKY_TOL):
     fragments = _one_body_fragments(one_body)
     constant = _base_constant(maj)
     weights = []
-    for fac in factors:
-        d = float(np.trace(fac.matrix))
-        norm = 2.0 * float(np.abs(fac.matrix).sum())
+    for w in factors:
+        d = float(np.trace(w))
+        norm = 2.0 * float(np.abs(w).sum())
         weight = norm * norm / 8.0
         weights.append(weight)
         constant += d * d + weight
         fragments.append(Fragment(weight, "sf-poly",
-                                  ChebyshevSquare(fac.matrix, norm)))
+                                  ChebyshevSquare(w, norm)))
     lam = one_body.lambda_contribution + sum(weights)
     metadata = _truncation_metadata(maj, delta)
     metadata.update({
@@ -191,12 +184,13 @@ def double_factorize(maj: MajoranaHamiltonian, factors=None,
     so each factor contributes (sum|mu|)^2 - (1/2) sum mu^2 to the 1-norm;
     the reported per-factor weight keeps the (N_l^DF)^2 / 2 form with
     N_l^DF = sum_i |mu_i|. Eigenvalues below tol are dropped and their
-    weight is accumulated in the metadata.
+    weight is accumulated in the metadata. factors, the symmetric N x N
+    matrices of pivoted_cholesky, default to a fresh pivoted Cholesky.
     """
     if factors is None:
         factors, delta = pivoted_cholesky(maj, cholesky_tol)
     else:
-        recon = sum(np.einsum("ij,kl->ijkl", f.matrix, f.matrix) for f in factors)
+        recon = sum(np.einsum("ij,kl->ijkl", w, w) for w in factors)
         delta = maj.g - recon
     one_body = diagonalize_one_body(maj)
     fragments = _one_body_fragments(one_body)
@@ -204,15 +198,13 @@ def double_factorize(maj: MajoranaHamiltonian, factors=None,
     lam2 = 0.0
     weights = []
     eigenvalue_loss = 0.0
-    for fac in factors:
-        lam, u = eigh(fac.matrix)
+    for w in factors:
+        lam, u = eigh(w)
         keep = np.abs(lam) >= tol
         eigenvalue_loss += float(np.abs(lam)[~keep].sum())
         mu = lam[keep]
         uk = u[:, keep]
-        fac.eigenvalues = mu
-        fac.rotation = uk
-        d = float(np.trace(fac.matrix))
+        d = float(np.trace(w))
         m1 = float(np.abs(mu).sum())
         m2 = float((mu * mu).sum())
         weights.append(m1 * m1 / 2.0)

@@ -22,14 +22,13 @@ class Reflection:
     """i (v.gamma_{sigma 0})(w.gamma_{sigma 1}) for unit vectors v, w.
 
     Hermitian and unitary: the two single-Majorana combinations always
-    anticommute because they mix different flavors only.
+    anticommute because they mix different flavors only. A circuit realizes
+    each direction vector as a Givens chain; the cost models price that
+    chain from N and the angle-register width, so no angles are stored.
     """
     v: np.ndarray
     w: np.ndarray
     sigma: int
-    # Givens-chain realizations of the two direction vectors, when attached
-    v_angles: np.ndarray = None
-    w_angles: np.ndarray = None
 
 
 @dataclass

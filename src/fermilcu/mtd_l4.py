@@ -1,140 +1,64 @@
 """Rank-1 quartic factorizations of the two-body tensor and the LCU whose
 fragments are products of four rotated Majoranas.
 
-All three schemes factorize t = g/4, the tensor whose entries multiply bare
-reflection products; weights therefore enter the 1-norm as 4 sum|Omega| once
-the four spin combinations are counted.
+The three schemes, a branching SVD chain (l4-svd), a tensor train (l4-mps)
+and alternating least squares over rank-1 quadruples (l4-cp4), all write
+t = g/4 in one form,
+
+    t = sum_m omega_m v1_m x v2_m x v3_m x v4_m,
+
+and return it as one record, QuarticFactors: the weights omega, four N x W
+stacks of direction vectors in entry order, the method label, the scheme's
+own metadata and the residual of the fit. l4_lcu reads the arrays directly:
+each weight above WEIGHT_TOL becomes four spin pairs of double reflections,
+so weights enter the 1-norm as 4 sum|omega|.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import khatri_rao
 
 from .fermionic_lcu import OneBodyFragment, _one_body_fragments
 from .lcu import Fragment, LcuDecomposition, Reflection, ReflectionProduct
-from .qubit_lcu import givens_chain_angles
+from .qubit_lcu import _running_sum
 
 SVD_CHAIN_GUARD = 8
 WEIGHT_TOL = 1e-12
 
 
 @dataclass
-class MpsFactors:
-    """Three-cut tensor train i | jkl, (uj) | kl, (vk) | l.
+class QuarticFactors:
+    """t = g/4 as sum_m weights[m] v1[:, m] x v2[:, m] x v3[:, m] x v4[:, m].
 
-    Middle-cut slices are stored with unit columns; the removed norms n2, n3
-    fold into the effective weight, which is no longer a product of the
-    singular values alone.
+    vectors holds the four N x W stacks; their columns are unit wherever the
+    weight exceeds WEIGHT_TOL. metadata carries what the scheme reports
+    (bond_dims for l4-mps; rank and converged for l4-cp4). loss is the
+    squared Frobenius residual at the g scale, loss_abs the sum of
+    |residual entries|, an operator-level bound.
     """
-    label = "l4-mps"
-    metadata_keys = ("bond_dims",)
-    u1: np.ndarray          # N x r1
-    u2: np.ndarray          # r1 x N x r2, unit columns per (u, v)
-    u3: np.ndarray          # r2 x N x r3, unit columns per (v, w)
-    w3: np.ndarray          # N x r3
-    s1: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
-    n2: np.ndarray          # r1 x r2
-    n3: np.ndarray          # r2 x r3
-    loss: float = 0.0       # squared Frobenius residual at the g scale
-    loss_abs: float = 0.0   # sum |residual entries|, an operator-level bound
+    method: str
+    weights: np.ndarray
+    vectors: tuple
+    metadata: dict = field(default_factory=dict)
+    loss: float = 0.0
+    loss_abs: float = 0.0
 
     @property
-    def bond_dims(self):
-        return self.s1.size, self.s2.size, self.s3.size
-
-    def weights(self) -> np.ndarray:
-        return np.einsum("u,v,w,uv,vw->uvw", self.s1, self.s2, self.s3,
-                         self.n2, self.n3)
-
-    def weight_entries(self):
-        omega = self.weights()
-        r1, r2, r3 = omega.shape
-        for u in range(r1):
-            for v in range(r2):
-                for w in range(r3):
-                    yield (omega[u, v, w], self.u1[:, u], self.u2[u, :, v],
-                           self.u3[v, :, w], self.w3[:, w])
+    def rank(self) -> int:
+        return self.weights.size
 
     def reconstruct(self) -> np.ndarray:
-        t = np.einsum("iu,ujv,vkw,lw,uvw->ijkl",
-                      self.u1, self.u2, self.u3, self.w3, self.weights())
-        return 4.0 * t
-
-
-@dataclass
-class Cp4Factors:
-    """Sum of rank-1 quadruples: t = sum_m Omega_m v1 x v2 x v3 x v4."""
-    label = "l4-cp4"
-    metadata_keys = ("rank", "converged")
-    rank: int
-    weights: np.ndarray
-    vectors: tuple  # four N x W arrays with unit columns
-    converged: bool = True
-    loss: float = 0.0
-    loss_abs: float = 0.0
-
-    def weight_entries(self):
+        """4 t, the g-scale tensor, as one product of Khatri-Rao matrices."""
         v1, v2, v3, v4 = self.vectors
-        for m in range(self.rank):
-            yield self.weights[m], v1[:, m], v2[:, m], v3[:, m], v4[:, m]
-
-    def reconstruct(self) -> np.ndarray:
-        v1, v2, v3, v4 = self.vectors
-        return 4.0 * np.einsum("m,im,jm,km,lm->ijkl",
-                               self.weights, v1, v2, v3, v4)
+        n = v1.shape[0]
+        t = (khatri_rao(v1, v2) * self.weights) @ khatri_rao(v3, v4).T
+        return 4.0 * t.reshape(n, n, n, n)
 
 
-@dataclass
-class SvdChainFactors:
-    """Branching SVDs i | jkl, then j | kl per alpha1, then k | l per pair."""
-    label = "l4-svd"
-    metadata_keys = ()
-    u1: np.ndarray
-    s1: np.ndarray
-    u2: list        # per alpha1: N x r2
-    s2: list        # per alpha1: (r2,)
-    u3: list        # per alpha1: list per alpha2 of N x r3
-    s3: list
-    v3: list        # per alpha1: list per alpha2 of N x r3
-    loss: float = 0.0
-    loss_abs: float = 0.0
-
-    def weight_entries(self):
-        """Yield (omega, v1, v2, v3, v4) over all retained branches."""
-        for a1 in range(self.s1.size):
-            for a2 in range(self.s2[a1].size):
-                for a3 in range(self.s3[a1][a2].size):
-                    omega = self.s1[a1] * self.s2[a1][a2] * self.s3[a1][a2][a3]
-                    yield (omega,
-                           self.u1[:, a1],
-                           self.u2[a1][:, a2],
-                           self.u3[a1][a2][:, a3],
-                           self.v3[a1][a2][:, a3])
-
-    def reconstruct(self) -> np.ndarray:
-        n = self.u1.shape[0]
-        t = np.zeros((n, n, n, n))
-        for omega, v1, v2, v3, v4 in self.weight_entries():
-            t += omega * np.einsum("i,j,k,l->ijkl", v1, v2, v3, v4)
-        return 4.0 * t
-
-    def as_cp4(self) -> Cp4Factors:
-        entries = [e for e in self.weight_entries() if abs(e[0]) > WEIGHT_TOL]
-        if not entries:
-            n = self.u1.shape[0]
-            empty = np.zeros((n, 0))
-            return Cp4Factors(0, np.zeros(0), (empty,) * 4)
-        weights = np.array([e[0] for e in entries])
-        vecs = [np.column_stack([e[i] for e in entries]) for i in range(1, 5)]
-        weights, vecs = _apply_sign_convention(weights, vecs)
-        return Cp4Factors(weights.size, weights, tuple(vecs))
-
-
-def _with_loss(factors, g: np.ndarray):
-    """Record the g-scale squared residual and the sum of |residual|."""
+def _record(method, weights, vectors, g, **metadata) -> QuarticFactors:
+    """The record with its g-scale squared residual and sum of |residual|."""
+    factors = QuarticFactors(method, weights, tuple(vectors), metadata)
     delta = factors.reconstruct() - g
     factors.loss = float((delta * delta).sum())
     factors.loss_abs = float(np.abs(delta).sum())
@@ -172,11 +96,14 @@ def _first_cut(g: np.ndarray, tol: float):
     return u1f[:, :keep], s1f[:keep], v1t[:keep], budget, spent
 
 
-def mps_factorize(g: np.ndarray, tol: float = 1e-6) -> MpsFactors:
+def mps_factorize(g: np.ndarray, tol: float = 1e-6) -> QuarticFactors:
     """Tensor-train factorization with cuts i | jkl, (uj) | kl, (vk) | l.
 
     Truncation drops trailing singular values only while the accumulated
     (conservatively weighted) squared loss stays below tol at the g scale.
+    Middle-cut slices are stored with unit columns; the removed norms n2, n3
+    fold into the weight of entry (u, v, w), s1_u s2_v s3_w n2_uv n3_vw, and
+    the entries run over (u, v, w) in row-major order.
     """
     n = g.shape[0]
     u1, s1, v1t, budget, spent = _first_cut(g, tol)
@@ -205,40 +132,42 @@ def mps_factorize(g: np.ndarray, tol: float = 1e-6) -> MpsFactors:
     n3 = np.linalg.norm(u3_slices, axis=1)
     u3_unit = np.where(n3[:, None, :] > 0, u3_slices / np.maximum(n3[:, None, :], 1e-300), 0.0)
 
-    return _with_loss(MpsFactors(u1=u1, u2=u2_unit, u3=u3_unit, w3=v3,
-                                 s1=s1, s2=s2, s3=s3, n2=n2, n3=n3), g)
+    weights = np.einsum("u,v,w,uv,vw->uvw", s1, s2, s3, n2, n3).ravel()
+    shape = (n, r1, r2, r3)
+    columns = (u1[:, :, None, None], u2_unit.transpose(1, 0, 2)[..., None],
+               u3_unit.transpose(1, 0, 2)[:, None], v3[:, None, None, :])
+    vectors = [np.broadcast_to(c, shape).reshape(n, -1) for c in columns]
+    return _record("l4-mps", weights, vectors, g, bond_dims=(r1, r2, r3))
 
 
-def svd_chain_factorize(g: np.ndarray, tol: float = 1e-6) -> SvdChainFactors:
-    """Branching factorization i | jkl, then j | kl, then k | l."""
+def svd_chain_factorize(g: np.ndarray, tol: float = 1e-6) -> QuarticFactors:
+    """Branching factorization i | jkl, then j | kl per alpha1, then k | l
+    per (alpha1, alpha2); the weight of (alpha1, alpha2, alpha3) is
+    (s1 s2) s3, and each branch appends its entries in that order."""
     n = g.shape[0]
     if n > SVD_CHAIN_GUARD:
         raise ValueError(f"branch count grows as N^3; guard is N <= {SVD_CHAIN_GUARD}")
-    u1, s1, v1, budget, spent = _first_cut(g, tol)
+    u1, s1, v1t, budget, spent = _first_cut(g, tol)
 
-    u2, s2, u3, s3, v3 = [], [], [], [], []
+    weights = [np.zeros(0)]
+    stacks = [[np.zeros((n, 0))] for _ in range(4)]
     for a1 in range(s1.size):
-        b = v1[a1].reshape(n, n * n)
+        b = v1t[a1].reshape(n, n * n)
         ub, sb, vbt = np.linalg.svd(b, full_matrices=False)
         keep = _keep_count(sb, budget - spent, weight=float(s1[a1] ** 2))
         spent += float(s1[a1] ** 2) * float((sb[keep:] ** 2).sum())
-        u2.append(ub[:, :keep])
-        s2.append(sb[:keep])
-        u3_branch, s3_branch, v3_branch = [], [], []
         for a2 in range(keep):
             c = vbt[a2].reshape(n, n)
             uc, sc, vct = np.linalg.svd(c, full_matrices=False)
             w_up = float(s1[a1] ** 2) * float(sb[a2] ** 2)
             kc = _keep_count(sc, budget - spent, weight=w_up)
             spent += w_up * float((sc[kc:] ** 2).sum())
-            u3_branch.append(uc[:, :kc])
-            s3_branch.append(sc[:kc])
-            v3_branch.append(vct[:kc].T)
-        u3.append(u3_branch)
-        s3.append(s3_branch)
-        v3.append(v3_branch)
-    return _with_loss(SvdChainFactors(u1=u1, s1=s1, u2=u2, s2=s2, u3=u3,
-                                      s3=s3, v3=v3), g)
+            weights.append(s1[a1] * sb[a2] * sc[:kc])
+            columns = (u1[:, [a1] * kc], ub[:, [a2] * kc], uc[:, :kc], vct[:kc].T)
+            for stack, column in zip(stacks, columns):
+                stack.append(column)
+    return _record("l4-svd", np.concatenate(weights),
+                   [np.hstack(stack) for stack in stacks], g)
 
 
 def _apply_sign_convention(weights, vecs):
@@ -323,7 +252,7 @@ def _als_fit(t, rank, seed, max_sweeps=300, reg=1e-12):
 
 
 def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
-            seed: int = 7) -> Cp4Factors:
+            seed: int = 7) -> QuarticFactors:
     """Alternating least squares over rank-1 quadruples.
 
     Rank grows by doubling until the g-scale squared residual meets tol, then
@@ -354,8 +283,8 @@ def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
             break
         if rank >= max_rank:
             weights, vecs = _apply_sign_convention(weights, list(vecs))
-            return _with_loss(
-                Cp4Factors(rank, weights, tuple(vecs), converged=False), g)
+            return _record("l4-cp4", weights, vecs, g, rank=rank,
+                           converged=False)
         rank = min(2 * rank, max_rank)
 
     lo = rank // 2 if rank > 1 else 1
@@ -370,46 +299,43 @@ def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
     best = hi if rank > 1 else 1
     vecs, weights, resid = fit(best)
     weights, vecs = _apply_sign_convention(weights, list(vecs))
-    return _with_loss(Cp4Factors(best, weights, tuple(vecs), converged=True), g)
+    return _record("l4-cp4", weights, vecs, g, rank=best, converged=True)
 
 
-def l4_lcu(factors, one_body: OneBodyFragment,
+def l4_lcu(factors: QuarticFactors, one_body: OneBodyFragment,
            constant: float = 0.0) -> LcuDecomposition:
-    """Fragments: per weight, four spin pairs of double reflections.
-
-    Each retained direction vector is paired with the Givens chain realizing
-    its rotated Majorana; vectors must be unit to 1e-8. Each factor class
-    gives its label, weight_entries() and the metadata_keys it reports.
+    """Fragments: per weight above WEIGHT_TOL, four spin pairs of double
+    reflections, in entry order; the columns at those weights must be unit
+    to 1e-8. The record's metadata is reported after the common keys.
     """
     fragments = _one_body_fragments(one_body)
-    lam2 = 0.0
-    n_weights = 0
-    for omega, v1, v2, v3, v4 in factors.weight_entries():
-        if abs(omega) <= WEIGHT_TOL:
-            continue
-        n_weights += 1
-        lam2 += 4.0 * abs(omega)
-        angles = [givens_chain_angles(v) for v in (v1, v2, v3, v4)]
+    kept = np.abs(factors.weights) > WEIGHT_TOL
+    omega = factors.weights[kept]
+    vecs = [v[:, kept] for v in factors.vectors]
+    if np.abs(np.linalg.norm(vecs, axis=1) - 1.0).max(initial=0.0) > 1e-8:
+        raise ValueError("direction vectors must be unit")
+    for weight, sign, v1, v2, v3, v4 in zip(np.abs(omega).tolist(),
+                                            np.sign(omega).tolist(),
+                                            *(v.T for v in vecs)):
         for sigma in (0, 1):
             for tau in (0, 1):
                 pair = ReflectionProduct(
-                    (Reflection(v1.copy(), v2.copy(), sigma,
-                                v_angles=angles[0], w_angles=angles[1]),
-                     Reflection(v3.copy(), v4.copy(), tau,
-                                v_angles=angles[2], w_angles=angles[3])),
-                    float(np.sign(omega)),
+                    (Reflection(v1.copy(), v2.copy(), sigma),
+                     Reflection(v3.copy(), v4.copy(), tau)),
+                    sign,
                 )
-                fragments.append(Fragment(abs(omega), "reflection-product", pair))
-    metadata = {"n_weights": n_weights,
+                fragments.append(Fragment(weight, "reflection-product", pair))
+    metadata = {"n_weights": omega.size,
                 "one_body_lambda": one_body.lambda_contribution,
                 "loss": float(factors.loss),
                 "truncation_bound": float(factors.loss_abs)}
-    metadata.update((key, getattr(factors, key)) for key in factors.metadata_keys)
+    metadata.update(factors.metadata)
     return LcuDecomposition(
-        method=factors.label,
+        method=factors.method,
         n_orbitals=one_body.rotation.shape[0],
         fragments=fragments,
-        one_norm=float(one_body.lambda_contribution + lam2),
+        one_norm=float(one_body.lambda_contribution
+                       + _running_sum(4.0 * np.abs(omega))),
         constant=constant,
         metadata=metadata,
     )

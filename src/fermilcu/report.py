@@ -218,7 +218,7 @@ def cost_report_json(report, method: str, n_orbitals: int, lam: float) -> dict:
         "rz": int(report.rz_count),
         "qubits": {"clean": int(report.qubits_nonreusable),
                    "reusable": int(report.qubits_reusable)},
-        "hardness": None if report.hardness is None else float(report.hardness),
+        "hardness": float(report.hardness),
     }
 
 

@@ -30,19 +30,14 @@ def rz_t_cost(eps_r: float) -> float:
     return 3.067 * log2(1.0 / eps_r) + 9.678
 
 
-def mu_bits(n: int, eps: float, product_form: bool = False) -> int:
-    """Width of the keep-probability register when loading n coefficients.
-
-    product_form evaluates ceil(log2(n * eps)), which goes negative for small
-    eps; the default ratio form counts the bits needed to resolve each
-    coefficient to eps.
+def mu_bits(n: int, eps: float) -> int:
+    """Width of the keep-probability register when loading n coefficients:
+    the bits needed to resolve each coefficient to eps, ceil(log2(n / eps)).
     """
     if n < 1:
         raise ValueError("need at least one coefficient")
     if not 0.0 < eps < 1.0:
         raise ValueError("accuracy must sit in (0, 1)")
-    if product_form:
-        return ceil(log2(n * eps))
     return ceil(log2(n / eps))
 
 
@@ -210,9 +205,7 @@ def hardness(report: CostReport, lam: float) -> float:
 def _compose(method, sel: CircuitCost, prep: CircuitCost,
              eps_c, eps_r, lam, params) -> CostReport:
     rz_total = sel.rz_count + 2 * prep.rz_count
-    equiv = 0.0
-    if eps_r is not None and rz_total:
-        equiv = rz_total * rz_t_cost(eps_r)
+    equiv = rz_total * rz_t_cost(eps_r) if rz_total else 0.0
     params = dict(params)
     params["eps_coeff"] = eps_c
     params["eps_rot"] = eps_r
@@ -227,19 +220,17 @@ def _compose(method, sel: CircuitCost, prep: CircuitCost,
         rz_tgate_equiv=equiv,
         params=params,
     )
-    if lam is not None:
-        report.hardness = hardness(report, lam)
+    report.hardness = hardness(report, lam)
     return report
 
 
-def prep_generic_cost(k_coeffs: int, eps_c: float,
-                      controlled: bool = False) -> CircuitCost:
+def prep_generic_cost(k_coeffs: int, eps_c: float) -> CircuitCost:
     """Generic coefficient load with the register width set by eps_c."""
-    return prep_row(k_coeffs, mu_bits(k_coeffs, eps_c), controlled)
+    return prep_row(k_coeffs, mu_bits(k_coeffs, eps_c))
 
 
 def sparse_costs(s_terms: int, n_orbitals: int, eps_c: float,
-                 eps_r: float = None, lam: float = None) -> CostReport:
+                 eps_r: float, lam: float) -> CostReport:
     sel = sparse_sel_row(n_orbitals)
     prep = sparse_prep_row(s_terms, n_orbitals, mu_bits(s_terms, eps_c))
     return _compose("pauli", sel, prep, eps_c, eps_r, lam,
@@ -247,7 +238,7 @@ def sparse_costs(s_terms: int, n_orbitals: int, eps_c: float,
 
 
 def ac_costs(n_groups: int, group_sizes, n_orbitals: int, eps_c: float,
-             eps_r: float, lam: float = None) -> CostReport:
+             eps_r: float, lam: float) -> CostReport:
     sel = ac_sel_row(n_groups, group_sizes, n_orbitals)
     prep = prep_generic_cost(n_groups, eps_c)
     return _compose("ac", sel, prep, eps_c, eps_r, lam,

@@ -6,7 +6,6 @@ import pytest
 from scipy.linalg import eigh, expm
 
 from fermilcu.fermionic_lcu import (
-    CholeskyFactor,
     _csa_seeds,
     _csa_unpack,
     cholesky_sf,
@@ -90,20 +89,20 @@ class TestPivotedCholesky:
     def test_reconstruction_is_exact_bookkeeping(self, any_molecule):
         maj = hamiltonian(any_molecule)
         factors, delta = pivoted_cholesky(maj)
-        recon = sum(two_body_from_matrix(f.matrix) for f in factors) + delta
+        recon = sum(two_body_from_matrix(f) for f in factors) + delta
         assert np.abs(recon - maj.g).max() < 1e-10
 
     def test_factors_are_symmetric(self, h2):
         factors, _ = pivoted_cholesky(h2)
         for f in factors:
-            assert np.abs(f.matrix - f.matrix.T).max() < 1e-12
+            assert np.abs(f - f.T).max() < 1e-12
 
     def test_separable_tensor_gives_single_factor(self):
         w = np.array([[1.0, 0.2], [0.2, 0.5]])
         maj = toy(np.zeros((2, 2)), two_body_from_matrix(w))
         factors, delta = pivoted_cholesky(maj)
         assert len(factors) == 1
-        got = factors[0].matrix
+        got = factors[0]
         assert min(np.abs(got - w).max(), np.abs(got + w).max()) < 1e-10
         assert float((delta * delta).sum()) < 1e-20
 
@@ -147,7 +146,7 @@ class TestCholeskySf:
         maj = h2
         factors, lcu = cholesky_sf(maj)
         for f, weight in zip(factors, lcu.metadata["fragment_weights"]):
-            norm = 2.0 * np.abs(f.matrix).sum()
+            norm = 2.0 * np.abs(f).sum()
             assert weight == pytest.approx(norm * norm / 8.0, abs=1e-12)
 
     def test_truncation_metadata(self, lih):
@@ -174,7 +173,7 @@ class TestDoubleFactorize:
 
     def test_identity_factor_weight(self):
         n = 3
-        factors = [CholeskyFactor(index=0, matrix=np.eye(n))]
+        factors = [np.eye(n)]
         maj = toy(np.zeros((n, n)), two_body_from_matrix(np.eye(n)))
         lcu = double_factorize(maj, factors=factors)
         assert lcu.metadata["fragment_weights"] == [pytest.approx(n * n / 2.0)]
@@ -182,7 +181,7 @@ class TestDoubleFactorize:
     def test_eigenvalue_drop_is_accounted(self):
         w = np.diag([1.0, 1e-6])
         maj = toy(np.zeros((2, 2)), two_body_from_matrix(w))
-        lcu = double_factorize(maj, factors=[CholeskyFactor(0, w)], tol=1e-4)
+        lcu = double_factorize(maj, factors=[w], tol=1e-4)
         assert lcu.metadata["eigenvalue_loss"] == pytest.approx(1e-6, abs=1e-12)
 
     @pytest.mark.parametrize("name", sorted(FROZEN))

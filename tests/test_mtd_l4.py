@@ -5,7 +5,8 @@ import pytest
 
 from fermilcu.fermionic_lcu import OneBodyFragment, diagonalize_one_body
 from fermilcu.mtd_l4 import (
-    Cp4Factors,
+    WEIGHT_TOL,
+    QuarticFactors,
     cp4_als,
     l4_lcu,
     mps_factorize,
@@ -45,7 +46,7 @@ class TestMps:
     def test_frozen_lambda_and_dims(self, name):
         maj = hamiltonian(name)
         factors = mps_factorize(maj.g)
-        assert factors.bond_dims == FROZEN[name][1]
+        assert factors.metadata["bond_dims"] == FROZEN[name][1]
         lcu = l4_lcu(factors, diagonalize_one_body(maj))
         assert lcu.one_norm == pytest.approx(FROZEN[name][0], rel=1e-7)
 
@@ -59,7 +60,7 @@ class TestMps:
         factors = mps_factorize(quartic(v))
         assert factors.loss < 1e-24
         assert np.abs(factors.reconstruct() - quartic(v)).max() < 1e-12
-        assert factors.bond_dims == (1, 1, 1)
+        assert factors.metadata["bond_dims"] == (1, 1, 1)
 
     def test_random_tensor_full_rank_lossless(self):
         g = random_two_body(3, np.random.default_rng(5))
@@ -68,14 +69,23 @@ class TestMps:
 
     def test_stored_vectors_are_unit(self, h2):
         factors = mps_factorize(h2.g)
-        for u in range(factors.n2.shape[0]):
-            for v in range(factors.n2.shape[1]):
-                if factors.n2[u, v] > 0:
-                    assert np.linalg.norm(factors.u2[u, :, v]) == pytest.approx(1.0, abs=1e-10)
-        for v in range(factors.n3.shape[0]):
-            for w in range(factors.n3.shape[1]):
-                if factors.n3[v, w] > 0:
-                    assert np.linalg.norm(factors.u3[v, :, w]) == pytest.approx(1.0, abs=1e-10)
+        nonzero = factors.weights != 0.0
+        assert nonzero.any()
+        for v in factors.vectors:
+            np.testing.assert_allclose(np.linalg.norm(v[:, nonzero], axis=0),
+                                       1.0, atol=1e-10)
+
+    def test_entries_run_row_major_over_bond_indices(self):
+        g = random_two_body(3, np.random.default_rng(11))
+        factors = mps_factorize(g)
+        r1, r2, r3 = factors.metadata["bond_dims"]
+        assert factors.rank == r1 * r2 * r3
+        v1, v2, v3, v4 = (v.reshape(-1, r1, r2, r3) for v in factors.vectors)
+        # v1 depends on u only, v2 on (u, v), v3 on (v, w), v4 on w only
+        assert np.array_equal(v1, np.broadcast_to(v1[:, :, :1, :1], v1.shape))
+        assert np.array_equal(v2, np.broadcast_to(v2[..., :1], v2.shape))
+        assert np.array_equal(v3, np.broadcast_to(v3[:, :1], v3.shape))
+        assert np.array_equal(v4, np.broadcast_to(v4[:, :1, :1], v4.shape))
 
     def test_asymmetric_tensor_rejected(self):
         g = np.zeros((2, 2, 2, 2))
@@ -98,24 +108,15 @@ class TestSvdChain:
     def test_rank_one_single_weight(self):
         v = np.array([1.0, 0.0])
         factors = svd_chain_factorize(quartic(v))
-        entries = [e for e in factors.weight_entries() if abs(e[0]) > 1e-12]
-        assert len(entries) == 1
+        kept = factors.weights[np.abs(factors.weights) > WEIGHT_TOL]
+        assert kept.size == 1
         lcu = l4_lcu(factors, trivial_one_body(2))
-        assert lcu.one_norm == pytest.approx(4 * abs(entries[0][0]), abs=1e-12)
+        assert lcu.one_norm == pytest.approx(4 * abs(kept[0]), abs=1e-12)
 
     def test_guard_rejected(self):
         g = np.zeros((9,) * 4)
         with pytest.raises(ValueError, match="guard"):
             svd_chain_factorize(g)
-
-    def test_flatten_to_cp4_is_identical(self, h2):
-        chain = svd_chain_factorize(h2.g)
-        flat = chain.as_cp4()
-        assert isinstance(flat, Cp4Factors)
-        assert np.abs(flat.reconstruct() - chain.reconstruct()).max() < 1e-12
-        ob = diagonalize_one_body(h2)
-        assert l4_lcu(flat, ob).one_norm == pytest.approx(
-            l4_lcu(chain, ob).one_norm, abs=1e-10)
 
 
 class TestCp4:
@@ -123,7 +124,7 @@ class TestCp4:
     def test_frozen_rank_and_lambda(self, name):
         maj = hamiltonian(name)
         factors = cp4_fit(name)
-        assert factors.converged
+        assert factors.metadata["converged"]
         lcu = l4_lcu(factors, diagonalize_one_body(maj))
         assert (factors.rank, lcu.one_norm) == (
             CP4_FROZEN[name][0], pytest.approx(CP4_FROZEN[name][1], rel=1e-12))
@@ -132,12 +133,12 @@ class TestCp4:
         v = np.array([0.6, 0.8])
         factors = cp4_als(quartic(v))
         assert factors.rank == 1
-        assert factors.converged
+        assert factors.metadata["converged"]
         assert ((factors.reconstruct() - quartic(v)) ** 2).sum() < 1e-10
 
     def test_h2_converges_at_small_rank(self, h2):
         factors = cp4_als(h2.g, max_rank=16)
-        assert factors.converged
+        assert factors.metadata["converged"]
         assert factors.rank <= 16
         assert ((factors.reconstruct() - h2.g) ** 2).sum() < 1e-6
 
@@ -155,7 +156,7 @@ class TestCp4:
 
     def test_max_rank_exhaustion_flags(self, h2):
         factors = cp4_als(h2.g, max_rank=1)
-        assert not factors.converged
+        assert not factors.metadata["converged"]
         assert factors.rank == 1
         assert factors.loss > 1e-6
 
@@ -171,7 +172,7 @@ class TestL4Lcu:
     def test_single_weight_unit_vectors(self):
         e1 = np.array([1.0, 0.0])
         stack = e1[:, None]
-        factors = Cp4Factors(1, np.array([1.0]), (stack, stack, stack, stack))
+        factors = QuarticFactors("l4-cp4", np.array([1.0]), (stack,) * 4)
         lcu = l4_lcu(factors, trivial_one_body(2))
         assert len(lcu) == 4
         assert lcu.one_norm == pytest.approx(4.0, abs=1e-12)
@@ -179,14 +180,14 @@ class TestL4Lcu:
     def test_zero_weights_dropped(self):
         e1 = np.array([1.0, 0.0])
         stack = np.column_stack([e1, e1])
-        factors = Cp4Factors(2, np.array([1.0, 0.0]), (stack,) * 4)
+        factors = QuarticFactors("l4-cp4", np.array([1.0, 0.0]), (stack,) * 4)
         lcu = l4_lcu(factors, trivial_one_body(2))
         assert len(lcu) == 4
         assert lcu.metadata["n_weights"] == 1
 
     def test_unnormalized_vector_rejected(self):
         bad = np.array([[2.0], [0.0]])
-        factors = Cp4Factors(1, np.array([1.0]), (bad, bad, bad, bad))
+        factors = QuarticFactors("l4-cp4", np.array([1.0]), (bad,) * 4)
         with pytest.raises(ValueError):
             l4_lcu(factors, trivial_one_body(2))
 
@@ -195,9 +196,30 @@ class TestL4Lcu:
         lcu = l4_lcu(svd_chain_factorize(h2.g), ob)
         assert lcu.coefficient_sum() == pytest.approx(lcu.one_norm, abs=1e-10)
 
-    def test_givens_angles_attached(self, h2):
-        lcu = l4_lcu(svd_chain_factorize(h2.g), diagonalize_one_body(h2))
-        pairs = [f for f in lcu.fragments if len(f.unitary.reflections) == 2]
-        refl = pairs[0].unitary.reflections[0]
-        assert refl.v_angles is not None
-        assert refl.w_angles is not None
+
+@pytest.mark.parametrize("factorize", [
+    svd_chain_factorize, mps_factorize,
+    lambda g: cp4_als(g, max_rank=16, tol=1e-8, seed=1)],
+    ids=["l4-svd", "l4-mps", "l4-cp4"])
+def test_record_contract(factorize):
+    # every scheme returns the one record: unit columns at the kept weights,
+    # a reconstruction within loss_abs, and four fragments per kept weight
+    g = random_two_body(3, np.random.default_rng(17))
+    factors = factorize(g)
+    assert type(factors) is QuarticFactors
+    assert all(v.shape == (3, factors.rank) for v in factors.vectors)
+    kept = np.abs(factors.weights) > WEIGHT_TOL
+    assert kept.any()
+    for v in factors.vectors:
+        np.testing.assert_allclose(np.linalg.norm(v[:, kept], axis=0), 1.0,
+                                   atol=1e-10)
+    delta = factors.reconstruct() - g
+    assert (delta * delta).sum() < 1e-6
+    assert np.abs(delta).sum() <= factors.loss_abs + 1e-12
+    one_body = OneBodyFragment(rotation=np.eye(3),
+                               eigenvalues=np.array([0.5, 0.0, -0.25]))
+    lcu = l4_lcu(factors, one_body)
+    assert lcu.method == factors.method
+    assert lcu.metadata["n_weights"] == int(kept.sum())
+    # two nonzero eigenvalues give two one-body fragments each, one per spin
+    assert len(lcu) == 2 * 2 + 4 * lcu.metadata["n_weights"]

@@ -400,13 +400,6 @@ class TestFactorizationReconstruction:
                 assert np.allclose(rec, g, atol=1e-8)
                 assert np.abs(rec - g).sum() <= factors.loss_abs + 1e-8
 
-    def test_svd_chain_equals_its_cp4_form(self):
-        rng = np.random.default_rng(9)
-        g = random_two_body(3, rng)
-        factors = svd_chain_factorize(g, tol=1e-10)
-        assert np.allclose(factors.as_cp4().reconstruct(),
-                           factors.reconstruct(), atol=1e-10)
-
     def test_cp4_residual_bound_is_honest(self):
         rng = np.random.default_rng(13)
         g = random_two_body(2, rng)

@@ -76,9 +76,6 @@ class TestRegisterWidths:
         assert mu_bits(4, 0.25) == 4
         assert mu_bits(1, 0.5) == 1
 
-    def test_mu_product_form_goes_negative(self):
-        assert mu_bits(4, 2 ** -10, product_form=True) == -8
-
     def test_mu_validation(self):
         with pytest.raises(ValueError):
             mu_bits(0, 0.1)
@@ -222,7 +219,6 @@ class TestDirectiveRows:
 class TestComposedCosts:
     def test_prep_generic_matches_row(self):
         assert prep_generic_cost(4, 0.25).t_gates == 54
-        assert prep_generic_cost(4, 0.25, controlled=True).t_gates == 62
 
     def test_sparse_report(self):
         eps_c = 4e-4
@@ -237,11 +233,6 @@ class TestComposedCosts:
         assert report.rz_tgate_equiv == pytest.approx(4 * rz_t_cost(1e-4))
         expected = 2.5 * (report.t_gates + report.rz_tgate_equiv)
         assert report.hardness == pytest.approx(expected)
-
-    def test_sparse_report_without_rotation_budget(self):
-        report = sparse_costs(6, 2, 4e-4)
-        assert report.rz_tgate_equiv == 0.0
-        assert report.hardness is None
 
     def test_df_report(self):
         report = df_costs(2, 2, 1.0, 0.125, 2 ** -13)
@@ -259,7 +250,7 @@ class TestComposedCosts:
         assert report.rz_count == 4
 
     def test_ac_report(self):
-        report = ac_costs(1, [3], 2, 0.25, 1e-4)
+        report = ac_costs(1, [3], 2, 0.25, 1e-4, lam=1.0)
         assert report.t_sel == 0
         assert report.rz_sel == 4
         assert report.rz_count == 8
