@@ -37,7 +37,8 @@ def _print_json(payload):
 
 
 def _decomp_options(args) -> dict:
-    return {key: getattr(args, key) for key in OPTION_KEYS}
+    return {key: getattr(args, key) for key in OPTION_KEYS
+            if getattr(args, key) is not None}
 
 
 def _run_decomposition(args):
@@ -108,10 +109,10 @@ def cmd_fit(args) -> int:
     chains = ([c.strip() for c in args.chains.split(",") if c.strip()]
               if args.chains else CHAIN_FIXTURES)
     options = _decomp_options(args)
-    if args.method.startswith("oo-") and options["oo_budget"] is None:
+    if args.method.startswith("oo-"):
         entry = METHOD_TABLE[args.method.removeprefix("oo-")]
-        options["oo_budget"] = entry.chain_oo_budget
-        options["oo_restarts"] = entry.chain_oo_restarts
+        options.setdefault("oo_budget", entry.chain_oo_budget)
+        options.setdefault("oo_restarts", entry.chain_oo_restarts)
     fit, rows = fit_chain_scaling(args.method, args.quantity, chains,
                                   **options)
     if args.output == "csv":
@@ -160,13 +161,14 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True,
                            help="FCIDUMP path or shipped fixture name")
         p.add_argument("--method", required=True, choices=METHODS)
-        p.add_argument("--sparse-threshold", type=float, default=1e-5)
-        p.add_argument("--tol", type=float, default=1e-6)
+        # absent flags stay None, so decompose_method's defaults apply
+        p.add_argument("--sparse-threshold", type=float, default=None)
+        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--fragments", type=int, default=None)
         p.add_argument("--max-rank", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--oo-budget", type=int, default=None)
-        p.add_argument("--oo-restarts", type=int, default=3)
+        p.add_argument("--oo-restarts", type=int, default=None)
 
     p = sub.add_parser("decompose", help="run one decomposition")
     add_decomp(p)

@@ -1,6 +1,7 @@
 """Fermionic factorizations: one-body diagonalization, single and double
 factorization from a pivoted Cholesky of the two-body tensor, and greedy CSA
-fits. All emit fragments built from rotated reflections.
+fits. All emit fragments of rotated reflections, assembled by
+lcu.reflection_fragments under the contract in the lcu module docstring.
 """
 
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ import numpy as np
 from scipy.linalg import eigh, expm, expm_frechet, logm
 from scipy.optimize import minimize
 
-from .lcu import ChebyshevSquare, Fragment, LcuDecomposition, Reflection, ReflectionProduct
+from .lcu import ChebyshevSquare, Fragment, LcuDecomposition, reflection_fragments
 from .majorana import MajoranaHamiltonian
 from .qubit_lcu import _BudgetSpent, rotate_two_body
 
@@ -27,6 +28,15 @@ class OneBodyFragment:
     @property
     def lambda_contribution(self) -> float:
         return 2.0 * float(np.abs(self.eigenvalues).sum())
+
+    def fragments(self) -> list:
+        """One reflection per spin of each rotated column whose eigenvalue
+        is at least 1e-14 in magnitude, with v = w that column."""
+        keep = np.abs(self.eigenvalues) >= 1e-14
+        rows = self.rotation.T[keep].repeat(2, axis=0)
+        return reflection_fragments(self.eigenvalues[keep].repeat(2),
+                                    np.tile([[0], [1]], (keep.sum(), 1)),
+                                    (rows, rows))
 
 
 @dataclass
@@ -49,39 +59,20 @@ def diagonalize_one_body(maj: MajoranaHamiltonian) -> OneBodyFragment:
     return OneBodyFragment(rotation=u, eigenvalues=lam)
 
 
-def _one_body_fragments(one_body: OneBodyFragment):
-    frags = []
-    u = one_body.rotation
-    for a, mu in enumerate(one_body.eigenvalues):
-        if abs(mu) < 1e-14:
-            continue
-        for sigma in (0, 1):
-            refl = Reflection(v=u[:, a].copy(), w=u[:, a].copy(), sigma=sigma)
-            frags.append(Fragment(abs(mu), "reflection-product",
-                                  ReflectionProduct((refl,), float(np.sign(mu)))))
-    return frags
-
-
 def _pair_fragments(u, lam):
     """Rotated reflection pairs of sum_ab lam_ab n_a n_b in the frame u.
 
-    One fragment per unordered pair of distinct (orbital, spin) labels, with
-    coefficient lam_ab / 2; DF passes the rank-one lam = mu mu^T.
+    One fragment per unordered pair x < y of the (orbital, spin) labels
+    x = 2 a + s, in row-major order, with weight lam_ab / 2; DF passes the
+    rank-one lam = mu mu^T.
     """
-    fragments = []
-    labels = [(a, s) for a in range(lam.shape[0]) for s in (0, 1)]
-    for x, (a, s) in enumerate(labels):
-        for b, t in labels[x + 1:]:
-            coeff = 0.5 * lam[a, b]
-            if abs(coeff) < 1e-14:
-                continue
-            pair = ReflectionProduct(
-                (Reflection(u[:, a].copy(), u[:, a].copy(), s),
-                 Reflection(u[:, b].copy(), u[:, b].copy(), t)),
-                float(np.sign(coeff)),
-            )
-            fragments.append(Fragment(abs(coeff), "reflection-product", pair))
-    return fragments
+    x, y = np.triu_indices(2 * lam.shape[0], 1)
+    weights = 0.5 * lam[x // 2, y // 2]
+    keep = np.abs(weights) >= 1e-14
+    x, y = x[keep], y[keep]
+    va, vb = u.T[x // 2], u.T[y // 2]
+    return reflection_fragments(weights[keep], np.stack([x % 2, y % 2], axis=1),
+                                (va, va, vb, vb))
 
 
 def pivoted_cholesky(maj: MajoranaHamiltonian, tol: float = CHOLESKY_TOL):
@@ -145,7 +136,7 @@ def cholesky_sf(maj: MajoranaHamiltonian, tol: float = CHOLESKY_TOL):
     """
     factors, delta = pivoted_cholesky(maj, tol)
     one_body = diagonalize_one_body(maj)
-    fragments = _one_body_fragments(one_body)
+    fragments = one_body.fragments()
     constant = _base_constant(maj)
     weights = []
     for w in factors:
@@ -193,7 +184,7 @@ def double_factorize(maj: MajoranaHamiltonian, factors=None,
         recon = sum(np.einsum("ij,kl->ijkl", w, w) for w in factors)
         delta = maj.g - recon
     one_body = diagonalize_one_body(maj)
-    fragments = _one_body_fragments(one_body)
+    fragments = one_body.fragments()
     constant = _base_constant(maj)
     lam2 = 0.0
     weights = []
@@ -408,7 +399,7 @@ def csa_lcu(maj: MajoranaHamiltonian, result: CsaResult) -> LcuDecomposition:
         fragments += _pair_fragments(u, lam)
     eigs, u0 = eigh(lam_eff)
     one_body = OneBodyFragment(rotation=u0, eigenvalues=eigs)
-    fragments = _one_body_fragments(one_body) + fragments
+    fragments = one_body.fragments() + fragments
     metadata = _truncation_metadata(maj, result.residual)
     metadata["n_fragments"] = len(result.fragments)
     metadata["one_body_lambda"] = one_body.lambda_contribution

@@ -138,10 +138,6 @@ def parse_fcidump(text: str) -> RawIntegrals:
 def to_paper_convention(raw: RawIntegrals) -> MolecularIntegrals:
     """Map file integrals to the working tensors: g = (ij|kl)/2, h = t - fold."""
     g = 0.5 * raw.eri
-    # validate symmetry after expansion before folding
-    for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
-        if np.abs(g - g.transpose(perm)).max() > 1e-8:
-            raise FcidumpError("two-body symmetry violation beyond 1e-8")
     h = raw.t - np.einsum("ikkj->ij", g)
     return MolecularIntegrals(
         n_orbitals=raw.norb,

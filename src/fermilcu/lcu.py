@@ -3,6 +3,15 @@
 A fragment is one term u_k U_k of H = sum_k u_k U_k. The coefficient is the
 magnitude |u_k|; sign or phase information rides inside the payload so that
 verify can rebuild the exact operator.
+
+Every rotated-reflection fragment, in the one-body, pair and quadruple
+streams of sf, df, csa and the L4 methods, comes from reflection_fragments.
+Row k of its stacked inputs is fragment k, in the caller's order: the signed
+weight w_k becomes the coefficient |w_k| and the product's sign sign(w_k)
+(callers drop zero weights), spins[k] holds the spins of its r reflections,
+and the 2r direction stacks come as v_1, w_1, ..., v_r, w_r. The stacks are
+made read-only and every v or w is a row view of its stack, so reflections
+share rows without copies.
 """
 
 from dataclasses import dataclass, field
@@ -55,13 +64,11 @@ class AcGroup:
     """Mutually anticommuting Pauli words with signed coefficients.
 
     norm is the Euclidean length of coeffs; the group contributes
-    A = sum_q (coeffs_q / norm) words_q, and angles hold the Givens chain
-    that rotates the first word onto A.
+    A = sum_q (coeffs_q / norm) words_q.
     """
     words: tuple
     coeffs: np.ndarray
     norm: float
-    angles: np.ndarray
 
 
 @dataclass
@@ -85,3 +92,21 @@ class LcuDecomposition:
 
     def __len__(self) -> int:
         return len(self.fragments)
+
+
+def reflection_fragments(weights, spins, directions) -> list:
+    """One fragment per row of weights (K,), spins (K, r) and the 2r
+    direction stacks (K, N) v_1, w_1, ..., v_r, w_r; the contract is in the
+    module docstring."""
+    rows = []
+    for stack in directions:
+        stack = np.asarray(stack, dtype=float).view()
+        stack.flags.writeable = False
+        rows.append(list(stack))
+    reflections = zip(*([Reflection(*args) for args in zip(v, w, sigma)]
+                        for v, w, sigma in zip(rows[::2], rows[1::2],
+                                               np.asarray(spins).T.tolist())))
+    signs = np.sign(weights).tolist()
+    return [Fragment(c, "reflection-product", ReflectionProduct(product, sign))
+            for c, sign, product in zip(np.abs(weights).tolist(), signs,
+                                        reflections)]

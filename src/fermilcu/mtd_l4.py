@@ -10,8 +10,9 @@ t = g/4 in one form,
 and return it as one record, QuarticFactors: the weights omega, four N x W
 stacks of direction vectors in entry order, the method label, the scheme's
 own metadata and the residual of the fit. l4_lcu reads the arrays directly:
-each weight above WEIGHT_TOL becomes four spin pairs of double reflections,
-so weights enter the 1-norm as 4 sum|omega|.
+each weight above WEIGHT_TOL becomes four products of two reflections, one
+per spin pair, through lcu.reflection_fragments (whose contract the lcu
+module docstring states), so weights enter the 1-norm as 4 sum|omega|.
 """
 
 from dataclasses import dataclass, field
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import khatri_rao
 
-from .fermionic_lcu import OneBodyFragment, _one_body_fragments
-from .lcu import Fragment, LcuDecomposition, Reflection, ReflectionProduct
+from .fermionic_lcu import OneBodyFragment
+from .lcu import LcuDecomposition, reflection_fragments
 from .qubit_lcu import _running_sum
 
 SVD_CHAIN_GUARD = 8
@@ -308,23 +309,14 @@ def l4_lcu(factors: QuarticFactors, one_body: OneBodyFragment,
     reflections, in entry order; the columns at those weights must be unit
     to 1e-8. The record's metadata is reported after the common keys.
     """
-    fragments = _one_body_fragments(one_body)
     kept = np.abs(factors.weights) > WEIGHT_TOL
     omega = factors.weights[kept]
     vecs = [v[:, kept] for v in factors.vectors]
     if np.abs(np.linalg.norm(vecs, axis=1) - 1.0).max(initial=0.0) > 1e-8:
         raise ValueError("direction vectors must be unit")
-    for weight, sign, v1, v2, v3, v4 in zip(np.abs(omega).tolist(),
-                                            np.sign(omega).tolist(),
-                                            *(v.T for v in vecs)):
-        for sigma in (0, 1):
-            for tau in (0, 1):
-                pair = ReflectionProduct(
-                    (Reflection(v1.copy(), v2.copy(), sigma),
-                     Reflection(v3.copy(), v4.copy(), tau)),
-                    sign,
-                )
-                fragments.append(Fragment(weight, "reflection-product", pair))
+    spins = np.tile([[0, 0], [0, 1], [1, 0], [1, 1]], (omega.size, 1))
+    fragments = one_body.fragments() + reflection_fragments(
+        omega.repeat(4), spins, [v.T.repeat(4, axis=0) for v in vecs])
     metadata = {"n_weights": omega.size,
                 "one_body_lambda": one_body.lambda_contribution,
                 "loss": float(factors.loss),

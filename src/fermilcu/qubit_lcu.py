@@ -180,12 +180,10 @@ def _groups_to_lcu(x, z, coeffs, groups, n_qubits, constant, metadata):
     for members in groups:
         d = coeffs[members]
         a_n = float(np.linalg.norm(d))
-        angles = givens_chain_angles(d / a_n)
         group = AcGroup(
             words=tuple(PauliWord(n_qubits, x[q], z[q]) for q in members),
             coeffs=d,
             norm=a_n,
-            angles=angles,
         )
         fragments.append(Fragment(a_n, "ac-group", group))
         total += a_n
@@ -268,14 +266,12 @@ def reconstruct_chain(angles, size: int) -> np.ndarray:
     return out
 
 
-def naive_ac_phases(group) -> np.ndarray:
-    """Cumulative arcsin phases, one per member, in group order.
+def naive_ac_phases(coeffs) -> np.ndarray:
+    """Cumulative arcsin phases, one per coefficient, in group order.
 
     The exponential product built from these phases equals i times the
     normalized group operator; renderers divide the global i back out.
-    Accepts an AcGroup or a bare coefficient vector.
     """
-    coeffs = group.coeffs if isinstance(group, AcGroup) else group
     d = np.asarray(coeffs, dtype=float)
     if d.size and np.linalg.norm(d) < ANGLE_CLAMP:
         raise ValueError("group norm is zero")
@@ -294,9 +290,7 @@ class _BudgetSpent(Exception):
 @dataclass
 class OrbitalRotation:
     """Result of 1-norm minimization over real orbital rotations."""
-    angles: np.ndarray
     matrix: np.ndarray
-    objective: str
     initial_one_norm: float
     one_norm: float
     evaluations: int
@@ -585,9 +579,7 @@ def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
     # rotated Majorana tensors, enough to move items between AC groups
     final = build_majorana(rotated)
     rotation = OrbitalRotation(
-        angles=best_angles,
         matrix=u,
-        objective=objective,
         initial_one_norm=baseline,
         one_norm=one_norm(final.h_tilde, final.g),
         evaluations=counter["evals"],

@@ -291,24 +291,18 @@ def default_precisions(lam: float, rz_count: int,
 
 def sparse_term_count(maj, threshold: float = SPARSE_THRESHOLD) -> int:
     """Unique coefficients the sparse preparation loads: folded one-body
-    entries with i <= j plus one representative per symmetry orbit of g."""
+    entries with i <= j plus one representative per symmetry orbit of g.
+
+    An orbit is named by the least row-major code of the eight index
+    permutations that keep g unchanged.
+    """
+    import numpy as np  # the cost formulas above need only math
+
     n = maj.n_orbitals
-    count = 0
-    for i in range(n):
-        for j in range(i, n):
-            if abs(maj.h_tilde[i, j]) > threshold:
-                count += 1
-    seen = set()
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if abs(maj.g[i, j, k, l]) <= threshold:
-                        continue
-                    orbit = min((i, j, k, l), (j, i, k, l), (i, j, l, k),
-                                (j, i, l, k), (k, l, i, j), (l, k, i, j),
-                                (k, l, j, i), (l, k, j, i))
-                    if orbit not in seen:
-                        seen.add(orbit)
-                        count += 1
-    return count
+    codes = np.arange(n ** 4).reshape((n,) * 4)
+    orbit = np.minimum.reduce([codes.transpose(perm) for perm in (
+        (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+        (2, 3, 0, 1), (2, 3, 1, 0), (3, 2, 0, 1), (3, 2, 1, 0))])
+    one_body = np.abs(maj.h_tilde[np.triu_indices(n)]) > threshold
+    return (int(one_body.sum())
+            + np.unique(orbit[np.abs(maj.g) > threshold]).size)

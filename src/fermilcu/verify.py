@@ -26,7 +26,7 @@ from .majorana import (
     sparse_matrix,
     word_products,
 )
-from .qubit_lcu import naive_ac_phases
+from .qubit_lcu import givens_chain_angles, naive_ac_phases
 
 DENSE_QUBITS = 8
 UNITARY_TOL = 1e-9
@@ -260,7 +260,7 @@ def verify_norm_bound(lcu: LcuDecomposition, srange: SpectralRange) -> bool:
 def ac_naive_matrix(group: AcGroup) -> np.ndarray:
     """Double product of arcsine-phased exponentials, give or take the global
     phase i it carries."""
-    phases = naive_ac_phases(group)
+    phases = naive_ac_phases(group.coeffs)
     nq = group.words[0].n_qubits
     dim = 2 ** nq
     gates = []
@@ -278,10 +278,11 @@ def ac_givens_matrix(group: AcGroup) -> np.ndarray:
     nq = group.words[0].n_qubits
     dim = 2 ** nq
     mats = [w.dense() for w in group.words]
+    angles = givens_chain_angles(group.coeffs / group.norm)
     left = np.eye(dim, dtype=complex)
-    for j in reversed(range(len(group.angles))):
+    for j in reversed(range(len(angles))):
         pp = mats[j + 1] @ mats[j]
-        left = left @ (np.cos(group.angles[j]) * np.eye(dim) + np.sin(group.angles[j]) * pp)
+        left = left @ (np.cos(angles[j]) * np.eye(dim) + np.sin(angles[j]) * pp)
     sign = 1.0
     if len(group.words) == 1 and group.coeffs[0] < 0:
         sign = -1.0

@@ -1,6 +1,6 @@
 """The benchmark's contract with the package: every module attribute that
 perfbench/run.py wraps when tracing must exist, every trace hook must read
-the real result of the call it wraps, and a short untraced run of one
+the real result of the call it wraps, and a short untraced run of each
 workload must come out correct with no failed operation. All only read
 perfbench/."""
 
@@ -71,10 +71,17 @@ def test_trace_hooks_read_real_results(trace_points, monkeypatch):
         assert all(math.isfinite(v) for v in recorder.counts.values()), attr
 
 
-def test_short_verify_molecules_run_is_correct():
+# together the three runs reach every method that assembles rotated
+# reflections: sf, df and l4-svd; df and l4-mps; csa and l4-cp4
+@pytest.mark.parametrize("workload, fixtures", [
+    ("verify-molecules", "h2"),
+    ("chain-scaling", "chain_h02,chain_h04"),
+    ("optimizers", "h2"),
+], ids=["verify-molecules", "chain-scaling", "optimizers"])
+def test_short_run_is_correct(workload, fixtures):
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", "verify-molecules",
-         "--fixtures", "h2", "--seconds", "0.1", "--trace", "0"],
+        [sys.executable, str(RUN), "--workload", workload,
+         "--fixtures", fixtures, "--seconds", "0.1", "--trace", "0"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])

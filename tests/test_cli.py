@@ -201,11 +201,17 @@ class TestFit:
             return optimize(mol, **options)
 
         monkeypatch.setattr(report, "orbital_optimize", recording)
-        code, _, err = run_cli(capsys, "fit", "--method", "oo-ac",
-                               "--quantity", "lambda",
-                               "--chains", "chain_h02,chain_h04")
+        fit = ("fit", "--method", "oo-ac", "--quantity", "lambda",
+               "--chains", "chain_h02,chain_h04")
+        code, _, err = run_cli(capsys, *fit)
         assert code == 0, err
         assert calls == [(6, 1), (6, 1)]
+        # an explicit restart count is kept, the budget still comes from
+        # the table
+        calls.clear()
+        code, _, err = run_cli(capsys, *fit, "--oo-restarts", "3")
+        assert code == 0, err
+        assert calls == [(6, 3), (6, 3)]
 
 
 class TestPipeline:

@@ -16,6 +16,7 @@ from fermilcu.fermionic_lcu import (
     pivoted_cholesky,
 )
 from fermilcu.integrals import load_fixture
+from fermilcu.lcu import reflection_fragments
 from fermilcu.majorana import MajoranaHamiltonian
 from fermilcu.qubit_lcu import rotation_from_angles
 from fermilcu.report import decompose_method
@@ -198,6 +199,36 @@ class TestDoubleFactorize:
         # fragment sum equals the advertised 1-norm
         lcu = double_factorize(h2)
         assert lcu.coefficient_sum() == pytest.approx(lcu.one_norm, abs=1e-12)
+
+
+class TestReflectionAssembly:
+    def test_rows_become_fragments_in_order(self):
+        rng = np.random.default_rng(3)
+        weights = np.array([0.5, -0.25, 2.0])
+        spins = np.array([[0, 1], [1, 1], [1, 0]])
+        stacks = [rng.normal(size=(3, 4)) for _ in range(4)]
+        frags = reflection_fragments(weights, spins, stacks)
+        assert [f.coefficient for f in frags] == [0.5, 0.25, 2.0]
+        assert [f.unitary.sign for f in frags] == [1.0, -1.0, 1.0]
+        for k, frag in enumerate(frags):
+            assert frag.kind == "reflection-product"
+            (r1, r2) = frag.unitary.reflections
+            assert (r1.sigma, r2.sigma) == tuple(spins[k])
+            for vector, stack in zip((r1.v, r1.w, r2.v, r2.w), stacks):
+                assert np.array_equal(vector, stack[k])
+                assert not vector.flags.writeable
+        # the caller's arrays stay writable
+        assert all(stack.flags.writeable for stack in stacks)
+
+    @pytest.mark.parametrize("method", ["sf", "df", "csa", "l4-svd",
+                                        "l4-mps", "l4-cp4"])
+    def test_every_direction_is_read_only(self, method):
+        _, lcu = decompose_method(load_fixture("h2"), method)
+        refls = [r for f in lcu.fragments if f.kind == "reflection-product"
+                 for r in f.unitary.reflections]
+        assert refls
+        assert not any(r.v.flags.writeable or r.w.flags.writeable
+                       for r in refls)
 
 
 class TestCsa:

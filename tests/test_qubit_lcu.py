@@ -248,10 +248,10 @@ def test_naive_phases_examples():
     assert phases[1] == pytest.approx(np.pi / 8)
 
 
-def test_naive_phases_accepts_group():
+def test_naive_phases_of_group_coeffs():
     lcu = sorted_insertion_ac(pauli_sum_of_hamiltonian(hamiltonian("h2")))
     group = lcu.fragments[0].unitary
-    phases = naive_ac_phases(group)
+    phases = naive_ac_phases(group.coeffs)
     assert phases.shape == (len(group.words),)
     assert abs(phases[0]) == pytest.approx(np.pi / 4)
 

@@ -154,8 +154,7 @@ class TestFragmentMatrix:
 
     def test_single_word_group_is_that_pauli(self):
         word = sample_word()
-        group = AcGroup(words=(word,), coeffs=np.array([0.8]), norm=0.8,
-                        angles=np.zeros(0))
+        group = AcGroup(words=(word,), coeffs=np.array([0.8]), norm=0.8)
         frag = Fragment(0.8, "ac-group", group)
         assert np.allclose(fragment_matrix(frag), word.dense())
 
@@ -167,8 +166,7 @@ class TestFragmentMatrix:
     def test_unitarity_violation_raises(self):
         # coefficients and stored norm disagree, so the sum is 0.5 * word
         word = sample_word()
-        group = AcGroup(words=(word,), coeffs=np.array([0.5]), norm=1.0,
-                        angles=np.zeros(0))
+        group = AcGroup(words=(word,), coeffs=np.array([0.5]), norm=1.0)
         with pytest.raises(ValueError, match="not unitary"):
             fragment_matrix(Fragment(0.5, "ac-group", group))
 
@@ -264,8 +262,7 @@ class TestAcRenderers:
 
     def test_single_negative_word(self):
         word = sample_word()
-        group = AcGroup(words=(word,), coeffs=np.array([-0.3]), norm=0.3,
-                        angles=np.zeros(0))
+        group = AcGroup(words=(word,), coeffs=np.array([-0.3]), norm=0.3)
         expected = -word.dense()
         assert np.allclose(ac_naive_matrix(group), expected)
         assert np.allclose(ac_givens_matrix(group), expected)
