@@ -17,6 +17,7 @@ from .qubit_lcu import _BudgetSpent, rotate_two_body
 
 PSD_FLOOR = -1e-8
 CHOLESKY_TOL = 1e-6
+EIGENVALUE_FLOOR = 1e-8
 
 
 @dataclass
@@ -126,7 +127,8 @@ def _base_constant(maj: MajoranaHamiltonian) -> float:
     return float(core + np.trace(h))
 
 
-def cholesky_sf(maj: MajoranaHamiltonian, tol: float = CHOLESKY_TOL):
+def cholesky_sf(maj: MajoranaHamiltonian,
+                tol: float = CHOLESKY_TOL) -> LcuDecomposition:
     """Single factorization: one squared-polynomial fragment per factor.
 
     Each factor contributes the second Chebyshev polynomial of its normalized
@@ -154,7 +156,7 @@ def cholesky_sf(maj: MajoranaHamiltonian, tol: float = CHOLESKY_TOL):
         "fragment_weights": weights,
         "one_body_lambda": one_body.lambda_contribution,
     })
-    lcu = LcuDecomposition(
+    return LcuDecomposition(
         method="sf",
         n_orbitals=maj.n_orbitals,
         fragments=fragments,
@@ -162,27 +164,21 @@ def cholesky_sf(maj: MajoranaHamiltonian, tol: float = CHOLESKY_TOL):
         constant=constant,
         metadata=metadata,
     )
-    return factors, lcu
 
 
-def double_factorize(maj: MajoranaHamiltonian, factors=None,
-                     tol: float = 1e-8,
-                     cholesky_tol: float = CHOLESKY_TOL) -> LcuDecomposition:
+def double_factorize(maj: MajoranaHamiltonian,
+                     tol: float = CHOLESKY_TOL) -> LcuDecomposition:
     """Double factorization: diagonalize each factor, pair up the rotated
     reflections.
 
     Fragment coefficients are mu_a mu_b / 2 over distinct index-spin pairs,
     so each factor contributes (sum|mu|)^2 - (1/2) sum mu^2 to the 1-norm;
     the reported per-factor weight keeps the (N_l^DF)^2 / 2 form with
-    N_l^DF = sum_i |mu_i|. Eigenvalues below tol are dropped and their
-    weight is accumulated in the metadata. factors, the symmetric N x N
-    matrices of pivoted_cholesky, default to a fresh pivoted Cholesky.
+    N_l^DF = sum_i |mu_i|. The factors come from pivoted_cholesky at tol;
+    eigenvalues below EIGENVALUE_FLOOR are dropped and their weight is
+    accumulated in the metadata.
     """
-    if factors is None:
-        factors, delta = pivoted_cholesky(maj, cholesky_tol)
-    else:
-        recon = sum(np.einsum("ij,kl->ijkl", w, w) for w in factors)
-        delta = maj.g - recon
+    factors, delta = pivoted_cholesky(maj, tol)
     one_body = diagonalize_one_body(maj)
     fragments = one_body.fragments()
     constant = _base_constant(maj)
@@ -191,7 +187,7 @@ def double_factorize(maj: MajoranaHamiltonian, factors=None,
     eigenvalue_loss = 0.0
     for w in factors:
         lam, u = eigh(w)
-        keep = np.abs(lam) >= tol
+        keep = np.abs(lam) >= EIGENVALUE_FLOOR
         eigenvalue_loss += float(np.abs(lam)[~keep].sum())
         mu = lam[keep]
         uk = u[:, keep]

@@ -1,4 +1,5 @@
-"""FCIDUMP parsing and the molecular-integral container.
+"""FCIDUMP parsing and the molecular-integral container. The package only
+reads FCIDUMP files; the tests write them for round trips.
 
 The file convention stores two-electron integrals as (ij|kl) in chemists'
 notation. Internally we work with the halved tensor g = (ij|kl)/2 and the
@@ -150,43 +151,6 @@ def to_paper_convention(raw: RawIntegrals) -> MolecularIntegrals:
 def load_fcidump(path) -> MolecularIntegrals:
     raw = parse_fcidump(pathlib.Path(path).read_text())
     return to_paper_convention(raw)
-
-
-def emit_fcidump(mol: MolecularIntegrals, nelec: int = 0) -> str:
-    """Inverse convention map: render MolecularIntegrals as FCIDUMP text."""
-    n = mol.n_orbitals
-    eri = 2.0 * mol.two_body
-    t = mol.one_body + np.einsum("ikkj->ij", mol.two_body)
-    lines = [
-        f"&FCI NORB={n},NELEC={nelec},MS2=0,",
-        " ORBSYM=" + ",".join(["1"] * n) + ",",
-        " ISYM=1,",
-        "&END",
-    ]
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            for k in range(1, i + 1):
-                lmax = j if k == i else k
-                for l in range(1, lmax + 1):
-                    v = eri[i - 1, j - 1, k - 1, l - 1]
-                    if abs(v) > 1e-16:
-                        lines.append(f"{v:23.16E} {i:4d} {j:4d} {k:4d} {l:4d}")
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            v = t[i - 1, j - 1]
-            if abs(v) > 1e-16:
-                lines.append(f"{v:23.16E} {i:4d} {j:4d}    0    0")
-    lines.append(f"{mol.core_energy:23.16E}    0    0    0    0")
-    return "\n".join(lines) + "\n"
-
-
-def symmetrize_two_body(g: np.ndarray) -> np.ndarray:
-    """Project onto the 8-fold symmetric subspace; idempotent."""
-    acc = np.zeros_like(g)
-    for perm in ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
-                 (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)):
-        acc += g.transpose(perm)
-    return acc / 8.0
 
 
 def fixture_dir() -> pathlib.Path:

@@ -3,7 +3,10 @@
 The Hamiltonian separates into a constant h0, a two-Majorana part weighted by
 h_tilde_ij = h_ij + 2 sum_k g_ijkk, and a four-Majorana part weighted by g.
 Reflection operators Q_ij, built from Majorana pairs, carry the coefficients
-h_tilde/2 (per spin) and g/4 (per spin pair).
+h_tilde/2 (per spin) and g/4 (per spin pair). Under Jordan-Wigner with
+interleaved spin orbitals, gamma_{j sigma, m} acts on qubit p = 2(j-1) +
+sigma + 1 as Z...Z X (m = 0) or Z...Z Y (m = 1); `reflection_table` builds
+every Q from that rule.
 
 Pauli words are stored as X/Z bitmasks, bit q for qubit q+1; commutation is
 the parity of the symplectic inner product. With Y = iXZ, the product of two
@@ -70,9 +73,6 @@ class PauliWord:
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
 
-    def weight(self) -> int:
-        return (self.x_mask | self.z_mask).bit_count()
-
     def commutes_with(self, other: "PauliWord") -> bool:
         """Parity of the symplectic inner product decides (anti)commutation."""
         parity = (self.x_mask & other.z_mask).bit_count() \
@@ -97,27 +97,6 @@ class PauliWord:
         for q in range(self.n_qubits):
             out = np.kron(out, _PAULI_MATS[self.letter(q)])
         return out
-
-
-def identity_word(n_qubits: int) -> PauliWord:
-    return PauliWord(n_qubits, 0, 0)
-
-
-def word_from_letters(letters) -> PauliWord:
-    if isinstance(letters, str):
-        letters = letters.split()
-    x = z = 0
-    for q, letter in enumerate(letters):
-        if letter == "X":
-            x |= 1 << q
-        elif letter == "Y":
-            x |= 1 << q
-            z |= 1 << q
-        elif letter == "Z":
-            z |= 1 << q
-        elif letter != "I":
-            raise ValueError(f"unknown Pauli letter {letter!r}")
-    return PauliWord(len(letters), x, z)
 
 
 def _popcount(masks) -> np.ndarray:
@@ -239,26 +218,6 @@ def build_majorana(mol) -> MajoranaHamiltonian:
                                h_tilde=h_tilde, g=g)
 
 
-def jordan_wigner_majorana(j: int, sigma: int, m: int, n_orbitals: int) -> PauliWord:
-    """Majorana operator gamma_{j sigma, m} as a Pauli word over 2N qubits.
-
-    j is 1-based; spin-orbital ordering is interleaved, p = 2(j-1) + sigma + 1.
-    Flavor m=0 maps to Z...ZX and m=1 to Z...ZY on qubit p.
-    """
-    if not 1 <= j <= n_orbitals:
-        raise ValueError(f"orbital index {j} out of range [1, {n_orbitals}]")
-    if sigma not in (0, 1):
-        raise ValueError("sigma must be 0 (alpha) or 1 (beta)")
-    if m not in (0, 1):
-        raise ValueError("flavor must be 0 or 1")
-    p = 2 * (j - 1) + sigma  # 0-based qubit
-    x = 1 << p
-    z = (1 << p) - 1  # Z string on qubits below p
-    if m == 1:
-        z |= 1 << p
-    return PauliWord(2 * n_orbitals, x, z)
-
-
 @lru_cache(maxsize=None)
 def reflection_table(n_orbitals: int):
     """(x, z, coeff) of every Q_ij,sigma = i gamma_{i sigma,0} gamma_{j sigma,1},
@@ -314,16 +273,12 @@ def pauli_sum_of_hamiltonian(maj: MajoranaHamiltonian) -> PauliSum:
     return PauliSum.from_arrays(2 * n, x, z, c.real)
 
 
-def dense_matrix(op) -> np.ndarray:
-    """Dense matrix of a PauliWord or PauliSum; guard 2N <= 16.
-
-    A PauliSum's matrix comes from sparse_matrix, so it is real when every
-    entry is; PauliWord.dense() is the independent Kronecker form.
-    """
+def dense_matrix(op: PauliSum) -> np.ndarray:
+    """Dense matrix of a PauliSum, from sparse_matrix, so it is real when
+    every entry is; guard 2N <= 16. PauliWord.dense() is the independent
+    Kronecker form."""
     if op.n_qubits > 16:
         raise ValueError("dense path limited to 16 qubits")
-    if isinstance(op, PauliWord):
-        return op.dense()
     return sparse_matrix(op).toarray()
 
 

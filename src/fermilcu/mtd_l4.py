@@ -26,6 +26,8 @@ from .qubit_lcu import _running_sum
 
 SVD_CHAIN_GUARD = 8
 WEIGHT_TOL = 1e-12
+ALS_MAX_SWEEPS = 300
+ALS_RIDGE = 1e-12
 
 
 @dataclass
@@ -107,38 +109,31 @@ def mps_factorize(g: np.ndarray, tol: float = 1e-6) -> QuarticFactors:
     the entries run over (u, v, w) in row-major order.
     """
     n = g.shape[0]
-    u1, s1, v1t, budget, spent = _first_cut(g, tol)
-    r1 = s1.size
+    u1, s1, rest, budget, spent = _first_cut(g, tol)
+    values, units, norms = [s1], [], []
+    w_up = 1.0
+    for width in (n * n, n):
+        s = values[-1]
+        w_up *= float((s ** 2).max()) if s.size else 0.0
+        u, sv, vt = np.linalg.svd(rest.reshape(s.size * n, width),
+                                  full_matrices=False)
+        keep = _keep_count(sv, budget - spent, weight=w_up)
+        spent += w_up * float((sv[keep:] ** 2).sum())
+        slices = u[:, :keep].reshape(s.size, n, keep)
+        norm = np.linalg.norm(slices, axis=1)
+        units.append(np.where(norm[:, None] > 0,
+                              slices / np.maximum(norm[:, None], 1e-300), 0.0))
+        norms.append(norm)
+        values.append(sv[:keep])
+        rest = vt[:keep]
 
-    m2 = v1t.reshape(r1 * n, n * n) if r1 else np.zeros((0, n * n))
-    u2f, s2f, v2t = np.linalg.svd(m2, full_matrices=False)
-    w_up = float((s1 ** 2).max()) if r1 else 0.0
-    keep = _keep_count(s2f, budget - spent, weight=w_up)
-    spent += w_up * float((s2f[keep:] ** 2).sum())
-    u2raw, s2, v2 = u2f[:, :keep], s2f[:keep], v2t[:keep].T
-    r2 = keep
-
-    m3 = v2.T.reshape(r2 * n, n) if r2 else np.zeros((0, n))
-    u3f, s3f, v3t = np.linalg.svd(m3, full_matrices=False)
-    w_up3 = w_up * (float((s2 ** 2).max()) if r2 else 0.0)
-    keep = _keep_count(s3f, budget - spent, weight=w_up3)
-    spent += w_up3 * float((s3f[keep:] ** 2).sum())
-    u3raw, s3, v3 = u3f[:, :keep], s3f[:keep], v3t[:keep].T
-    r3 = keep
-
-    u2_slices = u2raw.reshape(r1, n, r2) if r1 * r2 else np.zeros((r1, n, r2))
-    n2 = np.linalg.norm(u2_slices, axis=1)
-    u2_unit = np.where(n2[:, None, :] > 0, u2_slices / np.maximum(n2[:, None, :], 1e-300), 0.0)
-    u3_slices = u3raw.reshape(r2, n, r3) if r2 * r3 else np.zeros((r2, n, r3))
-    n3 = np.linalg.norm(u3_slices, axis=1)
-    u3_unit = np.where(n3[:, None, :] > 0, u3_slices / np.maximum(n3[:, None, :], 1e-300), 0.0)
-
-    weights = np.einsum("u,v,w,uv,vw->uvw", s1, s2, s3, n2, n3).ravel()
-    shape = (n, r1, r2, r3)
-    columns = (u1[:, :, None, None], u2_unit.transpose(1, 0, 2)[..., None],
-               u3_unit.transpose(1, 0, 2)[:, None], v3[:, None, None, :])
-    vectors = [np.broadcast_to(c, shape).reshape(n, -1) for c in columns]
-    return _record("l4-mps", weights, vectors, g, bond_dims=(r1, r2, r3))
+    weights = np.einsum("u,v,w,uv,vw->uvw", *values, *norms).ravel()
+    bond_dims = tuple(s.size for s in values)
+    columns = (u1[:, :, None, None], units[0].transpose(1, 0, 2)[..., None],
+               units[1].transpose(1, 0, 2)[:, None], rest.T[:, None, None, :])
+    vectors = [np.broadcast_to(c, (n, *bond_dims)).reshape(n, -1)
+               for c in columns]
+    return _record("l4-mps", weights, vectors, g, bond_dims=bond_dims)
 
 
 def svd_chain_factorize(g: np.ndarray, tol: float = 1e-6) -> QuarticFactors:
@@ -173,16 +168,12 @@ def svd_chain_factorize(g: np.ndarray, tol: float = 1e-6) -> QuarticFactors:
 
 def _apply_sign_convention(weights, vecs):
     """Flip each column so its largest-magnitude entry is positive."""
-    weights = weights.copy()
     out = []
     for v in vecs:
-        v = v.copy()
-        for m in range(v.shape[1]):
-            col = v[:, m]
-            if col[np.argmax(np.abs(col))] < 0:
-                v[:, m] = -col
-                weights[m] = -weights[m]
-        out.append(v)
+        peak = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+        sign = np.where(peak < 0, -1.0, 1.0)
+        out.append(v * sign)
+        weights = weights * sign
     order = np.argsort(-np.abs(weights), kind="stable")
     return weights[order], [v[:, order] for v in out]
 
@@ -220,7 +211,7 @@ def _als_residual(t, t_sq, vecs, weights, grams):
     return t_sq - 2.0 * float(weights @ inner) + float(weights @ gram @ weights)
 
 
-def _als_fit(t, rank, seed, max_sweeps=300, reg=1e-12):
+def _als_fit(t, rank, seed):
     """Seeded ALS at one rank, at least one sweep: (vecs, weights, squared
     residual).
 
@@ -239,10 +230,10 @@ def _als_fit(t, rank, seed, max_sweeps=300, reg=1e-12):
         vecs.append(v / np.linalg.norm(v, axis=0))
     unfoldings = [np.moveaxis(t, mode, 0).reshape(n, -1) for mode in range(4)]
     grams = [v.T @ v for v in vecs]
-    ridge = reg * np.eye(rank)
+    ridge = ALS_RIDGE * np.eye(rank)
     prev = np.inf
     t_sq = float((t * t).sum())
-    for _ in range(max_sweeps):
+    for _ in range(ALS_MAX_SWEEPS):
         weights = _als_sweep(unfoldings, vecs, grams, ridge)
         resid = _als_residual(t, t_sq, vecs, weights, grams)
         if abs(prev - resid) <= 1e-10 * max(t_sq, 1e-30):
@@ -272,35 +263,25 @@ def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
 
     tried = {}
 
-    def fit(rank):
+    def fits(rank):
         if rank not in tried:
             tried[rank] = _als_fit(t, rank, seed)
-        return tried[rank]
+        return tried[rank][2] < target
 
     rank = 1
-    while True:
-        vecs, weights, resid = fit(rank)
-        if resid < target:
-            break
-        if rank >= max_rank:
-            weights, vecs = _apply_sign_convention(weights, list(vecs))
-            return _record("l4-cp4", weights, vecs, g, rank=rank,
-                           converged=False)
+    while not fits(rank) and rank < max_rank:
         rank = min(2 * rank, max_rank)
-
-    lo = rank // 2 if rank > 1 else 1
-    hi = rank
-    while lo + 1 < hi if rank > 1 else False:
+    converged = fits(rank)
+    lo, hi = rank // 2, rank
+    while converged and lo + 1 < hi:
         mid = (lo + hi) // 2
-        _, _, resid = fit(mid)
-        if resid < target:
+        if fits(mid):
             hi = mid
         else:
             lo = mid
-    best = hi if rank > 1 else 1
-    vecs, weights, resid = fit(best)
+    vecs, weights, _ = tried[hi]
     weights, vecs = _apply_sign_convention(weights, list(vecs))
-    return _record("l4-cp4", weights, vecs, g, rank=best, converged=True)
+    return _record("l4-cp4", weights, vecs, g, rank=hi, converged=converged)
 
 
 def l4_lcu(factors: QuarticFactors, one_body: OneBodyFragment,

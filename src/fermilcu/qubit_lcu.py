@@ -6,7 +6,8 @@ Grouping is sorted insertion (Crawford et al., Quantum 5, 385, 2021): by
 descending |coefficient|, ties by `word_sort_keys` then item index, each item
 joins the first group it anticommutes with throughout. A group keeps a packed
 mask of the items that anticommute with all its members; joining ANDs in the
-item's packed anticommutation row.
+item's packed anticommutation row. AC groups are priced from their sizes
+(resources.ac_costs), so no circuit angles are computed here.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,9 @@ from .majorana import (
 )
 
 COEFF_TOL = 1e-12
-ANGLE_CLAMP = 1e-9
+LOCALIZE_SWEEPS = 8
+LOCALIZE_TOL = 1e-10
+ANGLE_SWEEPS = 40
 
 
 def sparse_pauli_lcu(maj: MajoranaHamiltonian, threshold: float = 1e-5) -> LcuDecomposition:
@@ -83,22 +86,6 @@ def sparse_pauli_lcu(maj: MajoranaHamiltonian, threshold: float = 1e-5) -> LcuDe
 def _running_sum(values, start=0.0):
     """Left-to-right sum from start, the order a loop of += adds in."""
     return np.cumsum(np.concatenate([[start], values]))[-1].item()
-
-
-def spin_separated_two_body_norm(maj: MajoranaHamiltonian) -> float:
-    """Two-body 1-norm after spin separation, for comparison reporting.
-
-    Opposite-spin terms keep their full weight; same-spin pairs combine the
-    exchange-related entries before the absolute value is taken.
-    """
-    g = maj.g
-    n = maj.n_orbitals
-    total = 0.5 * float(np.abs(g).sum())
-    swapped = g.transpose(0, 3, 2, 1)
-    i, j, k, l = np.ogrid[:n, :n, :n, :n]
-    mask = (i > k) & (l > j)
-    total += float(np.abs(g - swapped)[mask].sum())
-    return total
 
 
 @lru_cache(maxsize=None)
@@ -229,60 +216,6 @@ def ac_lcu(maj: MajoranaHamiltonian) -> LcuDecomposition:
                           {"level": "tensor", "n_items": int(coeffs.size)})
 
 
-def givens_chain_angles(c) -> np.ndarray:
-    """Angles of the rotation chain carrying the first element onto c.
-
-    Conjugating the first word by plane rotations with doubled angles yields
-    sum_q c_q P_q; the last angle carries the sign of the final component.
-    For a single element the chain is empty and the sign stays with the
-    stored coefficient.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("expected a nonempty vector")
-    nrm = np.linalg.norm(c)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError("expected a unit vector")
-    c = c / nrm
-    # the doubled angle has cosine c_j / rho_j and sine rho_{j+1} / rho_j;
-    # arctan2 keeps a small tail that arccos of a ratio near 1 would round off
-    rho = np.sqrt(np.cumsum(c[::-1] ** 2)[::-1])
-    angles = 0.5 * np.arctan2(rho[1:], c[:-1])
-    if c.size > 1:
-        angles[-1] = 0.5 * np.arctan2(c[-1], c[-2])
-    return angles
-
-
-def reconstruct_chain(angles, size: int) -> np.ndarray:
-    """Unit vector produced by the angle chain; inverse of givens_chain_angles
-    up to the single-element sign convention.
-    """
-    out = np.zeros(size)
-    prefix = 1.0
-    for j in range(size - 1):
-        out[j] = prefix * np.cos(2.0 * angles[j])
-        prefix *= np.sin(2.0 * angles[j])
-    out[size - 1] = prefix
-    return out
-
-
-def naive_ac_phases(coeffs) -> np.ndarray:
-    """Cumulative arcsin phases, one per coefficient, in group order.
-
-    The exponential product built from these phases equals i times the
-    normalized group operator; renderers divide the global i back out.
-    """
-    d = np.asarray(coeffs, dtype=float)
-    if d.size and np.linalg.norm(d) < ANGLE_CLAMP:
-        raise ValueError("group norm is zero")
-    # the doubled phase has sine d_q / partial_q and cosine
-    # partial_{q-1} / partial_q; arctan2 keeps the cosine accurate when d_q
-    # dominates, where arcsin of a ratio near 1 would round it to zero
-    partial = np.sqrt(np.cumsum(d * d))
-    before = np.concatenate(([0.0], partial[:-1]))
-    return 0.5 * np.arctan2(d, before)
-
-
 class _BudgetSpent(Exception):
     """Raised by an objective when its evaluation budget is used up."""
 
@@ -400,8 +333,7 @@ def _pair_gain(sub: np.ndarray, theta: float) -> float:
     return float(t[0, 0, 0, 0] + t[1, 1, 1, 1])
 
 
-def localizing_rotation(g: np.ndarray, sweeps: int = 8,
-                        tol: float = 1e-10) -> np.ndarray:
+def localizing_rotation(g: np.ndarray) -> np.ndarray:
     """Pairwise-rotation localization maximizing the self-repulsion
     sum_i g_iiii, which needs nothing beyond the two-electron tensor.
 
@@ -412,7 +344,7 @@ def localizing_rotation(g: np.ndarray, sweeps: int = 8,
     n = g.shape[0]
     g = g.copy()
     u = np.eye(n)
-    for _ in range(sweeps):
+    for _ in range(LOCALIZE_SWEEPS):
         total_gain = 0.0
         for i in range(1, n):
             for j in range(i):
@@ -424,7 +356,7 @@ def localizing_rotation(g: np.ndarray, sweeps: int = 8,
                     bounds=(-np.pi / 4, np.pi / 4), method="bounded",
                     options={"xatol": 1e-10})
                 gain = -res.fun - base
-                if gain > tol:
+                if gain > LOCALIZE_TOL:
                     total_gain += gain
                     c, s = np.cos(res.x), np.sin(res.x)
                     rot = np.eye(n)
@@ -434,22 +366,12 @@ def localizing_rotation(g: np.ndarray, sweeps: int = 8,
                     rot[i, j] = -s
                     u = u @ rot
                     g = rotate_two_body(g, rot)
-        if total_gain < tol:
+        if total_gain < LOCALIZE_TOL:
             break
     return u
 
 
-def rotate_hamiltonian(maj: MajoranaHamiltonian, u: np.ndarray) -> MajoranaHamiltonian:
-    """Same operator in rotated orbitals; h0 and both folds are covariant."""
-    return MajoranaHamiltonian(
-        n_orbitals=maj.n_orbitals,
-        h0=maj.h0,
-        h_tilde=u.T @ maj.h_tilde @ u,
-        g=rotate_two_body(maj.g, u),
-    )
-
-
-def _angle_sweeps(evaluate, best_val, best_angles, max_sweeps: int = 40):
+def _angle_sweeps(evaluate, best_val, best_angles):
     """Coordinate descent over the plane-rotation angles, one at a time.
 
     Direction-set search stalls in high dimension; sweeping the angles
@@ -460,7 +382,7 @@ def _angle_sweeps(evaluate, best_val, best_angles, max_sweeps: int = 40):
     """
     n_angles = best_angles.size
     tol = 1e-9 * max(abs(best_val), 1.0)
-    for _ in range(max_sweeps):
+    for _ in range(ANGLE_SWEEPS):
         sweep_start = best_val
         for k in range(n_angles):
             center = best_angles[k]
@@ -565,9 +487,6 @@ def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
                 best_val, best_angles = seen["val"], seen["angles"]
         if budget is not None and counter["evals"] >= budget:
             converged = False
-    if best_val > baseline:
-        best_val = baseline
-        best_angles = np.zeros(n_angles)
     u = rotation_from_angles(best_angles, n)
     rotated = MolecularIntegrals(
         n_orbitals=n,

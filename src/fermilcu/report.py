@@ -123,9 +123,9 @@ METHOD_TABLE = {
             lcu.n_orbitals, eps_c, eps_r, lam=lcu.one_norm),
         # grouped-norm evaluations are costly; keep the default bounded
         optimizable=True, oo_budget=4000),
-    "sf": Method(lambda maj, tol, **_: cholesky_sf(maj, tol=tol)[1]),
+    "sf": Method(lambda maj, tol, **_: cholesky_sf(maj, tol=tol)),
     "df": Method(
-        lambda maj, tol, **_: double_factorize(maj, cholesky_tol=tol),
+        lambda maj, tol, **_: double_factorize(maj, tol=tol),
         lambda lcu, maj, eps_c, eps_r: df_costs(
             lcu.metadata["n_factors"] + 1, lcu.n_orbitals, lcu.one_norm,
             eps_c, eps_r)),
@@ -285,7 +285,7 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line needs 'key = value': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in ("files", "molecules", "methods", "chains"):
+        if key in ("files", "methods"):
             parsed = [v.strip() for v in value.split(",") if v.strip()]
         else:
             parsed = _coerce(value)
@@ -326,14 +326,27 @@ def resolve_input(name: str, base_dir: str = ".") -> pathlib.Path:
 
 OPTION_KEYS = ("sparse_threshold", "tol", "fragments", "max_rank", "seed",
                "oo_budget", "oo_restarts")
+CONFIG_KEYS = ("files", "methods", "overrides", "budget", "eps_coeff",
+               "eps_rot", "output") + OPTION_KEYS
+
+
+def _check_config(config: dict):
+    """ValueError on any key or method name that run_pipeline would not
+    read, so a misspelling never falls back to a default silently."""
+    overrides = config.get("overrides", {})
+    for kind, names, known in (
+            ("config key", list(config), CONFIG_KEYS),
+            ("method", [*config.get("methods", []), *overrides], METHODS),
+            ("override key", [k for o in overrides.values() for k in o],
+             OPTION_KEYS)):
+        for name in names:
+            if name not in known:
+                raise ValueError(f"unknown {kind} {name!r}")
 
 
 def _method_options(config: dict, method: str) -> dict:
     options = {k: config[k] for k in OPTION_KEYS if k in config}
-    for key, value in config.get("overrides", {}).get(method, {}).items():
-        if key not in OPTION_KEYS:
-            raise ValueError(f"unknown override key {key!r}")
-        options[key] = value
+    options.update(config.get("overrides", {}).get(method, {}))
     return options
 
 
@@ -348,13 +361,12 @@ class PipelineResult:
 
 def run_pipeline(config: dict, base_dir: str = ".") -> PipelineResult:
     """Run every (file, method) pair in config order and emit both report
-    forms. Nothing is written until every row has been computed, so a missing
-    file or unknown method never leaves a partial report behind."""
-    files = config.get("files", config.get("molecules", []))
+    forms. Unknown keys and methods are rejected before any row runs, and
+    nothing is written until every row has been computed, so a missing file
+    never leaves a partial report behind."""
+    _check_config(config)
+    files = config.get("files", [])
     methods = config.get("methods", [])
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
     resolved = [(name, resolve_input(name, base_dir)) for name in files]
 
     budget = config.get("budget", DEFAULT_BUDGET)

@@ -1,5 +1,5 @@
-"""Brute-force checks: dense fragment rendering, full reconstruction, and the
-spectral lower bound on the 1-norm.
+"""Brute-force checks: full reconstruction of an LCU against the
+Hamiltonian, and the spectral lower bound on the 1-norm.
 
 Reconstruction expands each Pauli, AC and squared-polynomial fragment on its
 own, but sums the reflection products first: a reflection (v, w, sigma) is
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lcu import AcGroup, ChebyshevSquare, Fragment, LcuDecomposition
+from .lcu import ChebyshevSquare, Fragment, LcuDecomposition
 from .majorana import (
     PauliSum,
     combine_terms,
@@ -26,10 +26,8 @@ from .majorana import (
     sparse_matrix,
     word_products,
 )
-from .qubit_lcu import givens_chain_angles, naive_ac_phases
 
 DENSE_QUBITS = 8
-UNITARY_TOL = 1e-9
 BUFFER_TERMS = 1 << 18
 ROUNDING_ULPS = 64
 
@@ -120,43 +118,6 @@ def fragment_pauli_sum(fragment: Fragment, n_orbitals: int) -> PauliSum:
     excluded)."""
     return PauliSum.from_arrays(2 * n_orbitals,
                                 *_fragment_terms(fragment, n_orbitals))
-
-
-def _fragment_orbitals(fragment: Fragment) -> int:
-    unit = fragment.unitary
-    if fragment.kind == "pauli":
-        return unit.word.n_qubits // 2
-    if fragment.kind == "ac-group":
-        return unit.words[0].n_qubits // 2
-    if fragment.kind == "reflection-product":
-        return len(unit.reflections[0].v)
-    if fragment.kind == "sf-poly":
-        return unit.w_matrix.shape[0]
-    raise ValueError(f"unknown fragment kind {fragment.kind!r}")
-
-
-def fragment_matrix(fragment: Fragment) -> np.ndarray:
-    """Dense matrix of one fragment unitary, with its defining check applied.
-
-    Squared-polynomial fragments are Hermitian with spectrum inside [-1, 1]
-    instead of unitary; everything else must be unitary within 1e-9.
-    """
-    n = _fragment_orbitals(fragment)
-    if 2 * n > DENSE_QUBITS:
-        raise ValueError(f"dense fragments limited to {DENSE_QUBITS} qubits")
-    mat = dense_matrix(fragment_pauli_sum(fragment, n))
-    dim = mat.shape[0]
-    if fragment.kind == "sf-poly":
-        if np.abs(mat - mat.conj().T).max() > UNITARY_TOL:
-            raise ValueError("squared-polynomial fragment is not Hermitian")
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs[0] < -1.0 - 1e-9 or eigs[-1] > 1.0 + 1e-9:
-            raise ValueError("squared-polynomial spectrum escapes [-1, 1]")
-        return mat
-    dev = np.abs(mat @ mat.conj().T - np.eye(dim)).max()
-    if dev > UNITARY_TOL:
-        raise ValueError(f"fragment is not unitary (deviation {dev:.2e})")
-    return mat
 
 
 def _running_sum(parts):
@@ -255,35 +216,3 @@ def reconstruction_tolerance(lcu: LcuDecomposition) -> float:
 def verify_norm_bound(lcu: LcuDecomposition, srange: SpectralRange) -> bool:
     """lambda >= Delta E / 2 once excluded constants are reinstated."""
     return lcu.one_norm + abs(lcu.constant) >= srange.half_range - 1e-9
-
-
-def ac_naive_matrix(group: AcGroup) -> np.ndarray:
-    """Double product of arcsine-phased exponentials, give or take the global
-    phase i it carries."""
-    phases = naive_ac_phases(group.coeffs)
-    nq = group.words[0].n_qubits
-    dim = 2 ** nq
-    gates = []
-    for word, phi in zip(group.words, phases):
-        w = word.dense()
-        gates.append(np.cos(phi) * np.eye(dim) + 1j * np.sin(phi) * w)
-    prod = np.eye(dim, dtype=complex)
-    for gate in gates + gates[::-1]:  # ascending pass, then descending
-        prod = prod @ gate
-    return -1j * prod
-
-
-def ac_givens_matrix(group: AcGroup) -> np.ndarray:
-    """Givens-chain conjugation: rotate the first word onto the combination."""
-    nq = group.words[0].n_qubits
-    dim = 2 ** nq
-    mats = [w.dense() for w in group.words]
-    angles = givens_chain_angles(group.coeffs / group.norm)
-    left = np.eye(dim, dtype=complex)
-    for j in reversed(range(len(angles))):
-        pp = mats[j + 1] @ mats[j]
-        left = left @ (np.cos(angles[j]) * np.eye(dim) + np.sin(angles[j]) * pp)
-    sign = 1.0
-    if len(group.words) == 1 and group.coeffs[0] < 0:
-        sign = -1.0
-    return sign * (left @ mats[0] @ left.conj().T)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from fermilcu.integrals import load_fixture
-from fermilcu.majorana import PauliSum, build_majorana, word_from_letters
+from fermilcu.majorana import PauliSum, build_majorana
 from fermilcu.mtd_l4 import cp4_als
+from reference import word_from_letters
 
 MOLECULES = ("h2", "lih", "beh2", "h2o")
 

@@ -240,6 +240,14 @@ class TestPipeline:
         assert code == 2
         assert "unknown method" in err
 
+    def test_misspelt_config_key_is_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("files = h2\nmethds = df\n")
+        code, out, err = run_cli(capsys, "pipeline", "--config", str(config))
+        assert code == 2
+        assert "unknown config key 'methds'" in err
+        assert out == ""
+
 
 @pytest.mark.parametrize("method", METHODS)
 def test_every_method_through_every_entry_point(capsys, tmp_path, method):

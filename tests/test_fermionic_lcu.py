@@ -130,29 +130,31 @@ class TestCholeskySf:
     @pytest.mark.parametrize("name", sorted(FROZEN))
     def test_frozen_lambda(self, name):
         maj = hamiltonian(name)
-        factors, lcu = cholesky_sf(maj)
+        factors, _ = pivoted_cholesky(maj)
+        lcu = cholesky_sf(maj)
         assert len(factors) == FROZEN[name][1]
         assert lcu.one_norm == pytest.approx(FROZEN[name][2], abs=1e-8)
 
     def test_h2_constant(self, h2):
-        _, lcu = cholesky_sf(h2)
+        lcu = cholesky_sf(h2)
         assert lcu.constant == pytest.approx(H2_SF_CONSTANT, abs=1e-8)
 
     def test_coefficients_are_positive(self, h2):
-        _, lcu = cholesky_sf(h2)
+        lcu = cholesky_sf(h2)
         assert all(f.coefficient > 0 for f in lcu.fragments)
         assert lcu.coefficient_sum() == pytest.approx(lcu.one_norm, abs=1e-12)
 
     def test_weights_match_factor_norms(self, h2):
         maj = h2
-        factors, lcu = cholesky_sf(maj)
+        factors, _ = pivoted_cholesky(maj)
+        lcu = cholesky_sf(maj)
         for f, weight in zip(factors, lcu.metadata["fragment_weights"]):
             norm = 2.0 * np.abs(f).sum()
             assert weight == pytest.approx(norm * norm / 8.0, abs=1e-12)
 
     def test_truncation_metadata(self, lih):
         maj = lih
-        _, lcu = cholesky_sf(maj, tol=1e-2)
+        lcu = cholesky_sf(maj, tol=1e-2)
         assert lcu.metadata["residual_sq"] < 1e-2
         assert lcu.metadata["truncation_bound"] > 0.0
 
@@ -173,24 +175,27 @@ class TestDoubleFactorize:
         assert len(lcu) == H2_DF_FRAGMENTS
 
     def test_identity_factor_weight(self):
+        # g = I x I peels into the single Cholesky factor I
         n = 3
-        factors = [np.eye(n)]
         maj = toy(np.zeros((n, n)), two_body_from_matrix(np.eye(n)))
-        lcu = double_factorize(maj, factors=factors)
+        lcu = double_factorize(maj)
         assert lcu.metadata["fragment_weights"] == [pytest.approx(n * n / 2.0)]
 
     def test_eigenvalue_drop_is_accounted(self):
-        w = np.diag([1.0, 1e-6])
+        # the single factor diag(1, 1e-9) has one eigenvalue below the floor
+        w = np.diag([1.0, 1e-9])
         maj = toy(np.zeros((2, 2)), two_body_from_matrix(w))
-        lcu = double_factorize(maj, factors=[w], tol=1e-4)
-        assert lcu.metadata["eigenvalue_loss"] == pytest.approx(1e-6, abs=1e-12)
+        lcu = double_factorize(maj)
+        assert lcu.metadata["eigenvalue_loss"] == pytest.approx(1e-9, abs=1e-15)
 
     @pytest.mark.parametrize("name", sorted(FROZEN))
     def test_weight_totals_never_exceed_sf(self, name):
-        # per-factor (sum|mu|)^2/2 against (2 sum|W|)^2/8, factor by factor
+        # per-factor (sum|mu|)^2/2 against (2 sum|W|)^2/8, factor by factor;
+        # both peel the same pivoted Cholesky factors at the default tol
         maj = hamiltonian(name)
-        factors, sf = cholesky_sf(maj)
-        df = double_factorize(maj, factors=factors)
+        sf = cholesky_sf(maj)
+        df = double_factorize(maj)
+        assert df.metadata["n_factors"] == sf.metadata["n_factors"]
         for wdf, wsf in zip(df.metadata["fragment_weights"],
                             sf.metadata["fragment_weights"]):
             assert wdf <= wsf + 1e-9

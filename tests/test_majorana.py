@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import dense_from_tensors, hamiltonian, pauli_sum, raw_tensors
+from reference import jordan_wigner_majorana, word_from_letters
 
 from fermilcu.integrals import MolecularIntegrals
 from fermilcu.majorana import (
     PauliWord,
     build_majorana,
     dense_matrix,
-    jordan_wigner_majorana,
     pauli_sum_of_hamiltonian,
     reflection_table,
     sparse_matrix,
-    word_from_letters,
 )
 
 ONE_NORM_HT = {"h2": 0.7884587663, "lih": 4.6145712545, "beh2": 6.9489516950, "h2o": 44.0338845042}
@@ -60,7 +59,7 @@ def test_majorana_anticommutation_exhaustive():
         for a, b in itertools.combinations(ops, 2):
             assert not a.commutes_with(b)
         for a in ops:
-            mat = dense_matrix(a)
+            mat = a.dense()
             np.testing.assert_allclose(mat @ mat, np.eye(mat.shape[0]), atol=1e-12)
 
 
@@ -68,7 +67,7 @@ def test_reflection_is_hermitian_unitary():
     x, z, coeff = reflection_table(3)
     for i, j, sigma in [(1, 1, 0), (1, 2, 1), (2, 3, 0)]:
         q = (i - 1, j - 1, sigma)
-        mat = coeff[q] * dense_matrix(PauliWord(6, int(x[q]), int(z[q])))
+        mat = coeff[q] * PauliWord(6, int(x[q]), int(z[q])).dense()
         np.testing.assert_allclose(mat, mat.conj().T, atol=1e-12)
         np.testing.assert_allclose(mat @ mat, np.eye(mat.shape[0]), atol=1e-12)
 
@@ -154,7 +153,7 @@ def test_random_word_sparse_vs_dense():
         letters = " ".join(rng.choice(list("IXYZ")) for _ in range(4))
         w = word_from_letters(letters)
         s = pauli_sum(4, [w], [1.0])
-        np.testing.assert_allclose(sparse_matrix(s).toarray(), dense_matrix(w), atol=0)
+        np.testing.assert_allclose(sparse_matrix(s).toarray(), w.dense(), atol=0)
 
 
 def test_size_guard():

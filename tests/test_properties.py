@@ -13,6 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pauli_sum, random_two_body
+from reference import (
+    givens_chain_angles,
+    naive_ac_phases,
+    reconstruct_chain,
+    rotate_hamiltonian,
+)
 from fermilcu.fermionic_lcu import _csa_cost
 from fermilcu.integrals import load_fixture
 from fermilcu.lcu import Fragment, PauliTerm, Reflection, ReflectionProduct
@@ -31,10 +37,7 @@ from fermilcu.mtd_l4 import _als_residual, _als_sweep, cp4_als, mps_factorize, s
 from fermilcu.qubit_lcu import (
     ac_lcu,
     angles_from_rotation,
-    givens_chain_angles,
     localizing_rotation,
-    naive_ac_phases,
-    reconstruct_chain,
     rotate_two_body,
     rotation_from_angles,
     rotation_pairs,
@@ -548,8 +551,6 @@ class TestCostMonotonicity:
 def test_rotation_preserves_spectrum_and_norm_bound(seed):
     # an orbital rotation relabels the same operator, so the spectrum stays
     # put and the rotated frame's 1-norm still clears the original floor
-    from fermilcu.qubit_lcu import rotate_hamiltonian
-
     rng = np.random.default_rng(seed)
     maj = random_hamiltonian(2, rng)
     angles = rng.uniform(-np.pi, np.pi, size=1)

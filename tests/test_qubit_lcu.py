@@ -2,21 +2,22 @@ import numpy as np
 import pytest
 
 from conftest import hamiltonian, pauli_sum
+from reference import (
+    givens_chain_angles,
+    naive_ac_phases,
+    reconstruct_chain,
+    rotate_hamiltonian,
+)
 
 from fermilcu.integrals import MolecularIntegrals, load_fixture
 from fermilcu.majorana import build_majorana, pauli_sum_of_hamiltonian
 from fermilcu.qubit_lcu import (
     _tensor_item_structure,
     ac_lcu,
-    givens_chain_angles,
-    naive_ac_phases,
     orbital_optimize,
-    reconstruct_chain,
-    rotate_hamiltonian,
     rotation_from_angles,
     sorted_insertion_ac,
     sparse_pauli_lcu,
-    spin_separated_two_body_norm,
 )
 
 # columns: pauli λ, ac tensor λ, ac qubit λ, tensor groups, qubit groups,
@@ -93,61 +94,6 @@ def test_pauli_threshold_moves_weight_to_metadata():
     assert len(cut.fragments) < len(full.fragments)
     assert cut.one_norm == pytest.approx(full.one_norm)
     assert cut.metadata["dropped_weight"] > 0.0
-
-
-def test_spin_separated_norm_is_lower():
-    maj = hamiltonian("h2")
-    assert spin_separated_two_body_norm(maj) <= np.abs(maj.g).sum()
-    assert spin_separated_two_body_norm(maj) == pytest.approx(
-        FROZEN["h2"][5], abs=1e-8)
-
-
-def test_spin_separated_norm_zero_tensor():
-    mol = MolecularIntegrals(2, 0.0, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)))
-    assert spin_separated_two_body_norm(build_majorana(mol)) == 0.0
-
-
-def _spin_separated_oracle(g):
-    n = g.shape[0]
-    total = 0.0
-    for s in range(2):
-        for t in range(2):
-            if s == t:
-                continue
-            total += 0.25 * np.abs(g).sum()
-    for s in range(2):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        if i > k and l > j:
-                            total += 0.5 * abs(g[i, j, k, l] - g[i, l, k, j])
-    return total
-
-
-def test_spin_separated_matches_direct_summation():
-    from conftest import random_two_body
-
-    rng = np.random.default_rng(17)
-    g = random_two_body(3, rng)
-    mol = MolecularIntegrals(3, 0.0, np.zeros((3, 3)), g)
-    maj = build_majorana(mol)
-    assert spin_separated_two_body_norm(maj) == pytest.approx(
-        _spin_separated_oracle(g), abs=1e-12)
-
-
-def test_spin_separated_separable_diagonal():
-    # g = w (x) w with diagonal w: only exchange-pattern entries survive the
-    # same-spin antisymmetrization
-    w = np.diag([0.4, -0.9])
-    g = np.einsum("ij,kl->ijkl", w, w)
-    mol = MolecularIntegrals(2, 0.0, np.zeros((2, 2)), g)
-    maj = build_majorana(mol)
-    exchange = sum(abs(w[i, i] * w[k, k]) for i in range(2) for k in range(2) if i > k)
-    expected = 0.5 * np.abs(g).sum() + exchange
-    assert spin_separated_two_body_norm(maj) == pytest.approx(expected, abs=1e-12)
-    assert spin_separated_two_body_norm(maj) == pytest.approx(
-        _spin_separated_oracle(g), abs=1e-12)
 
 
 def test_sorted_insertion_single_qubit():

@@ -325,6 +325,20 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline(config)
 
+    @pytest.mark.parametrize("line, message", [
+        ("methds = df", "unknown config key 'methds'"),
+        ("toll = 1e-3", "unknown config key 'toll'"),
+        ("oo_budjet = 5", "unknown config key 'oo_budjet'"),
+        ("molecules = lih", "unknown config key 'molecules'"),
+        ("budget.df = 2", "unknown override key 'budget'"),
+        ("tol.dff = 1e-3", "unknown method 'dff'"),
+    ], ids=["methds", "toll", "oo_budjet", "molecules", "budget.df", "tol.dff"])
+    def test_misspelt_key_rejected_before_any_input(self, line, message):
+        # the missing file would raise FileNotFoundError once inputs resolve
+        text = f"files = no_such_molecule\nmethods = pauli\n{line}\n"
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(parse_config(text))
+
     def test_per_method_override_applies(self):
         # the truncation threshold drives the kept-term count, so the
         # aggressive override must shrink PREPARE and grow the deviation
