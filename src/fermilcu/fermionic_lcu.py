@@ -9,7 +9,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh, expm, expm_frechet, logm
-from scipy.optimize import minimize
 
 from .lcu import ChebyshevSquare, Fragment, LcuDecomposition, reflection_fragments
 from .majorana import MajoranaHamiltonian
@@ -329,6 +328,8 @@ def csa_decompose(maj: MajoranaHamiltonian, n_fragments: int,
     caps their total, and a fit or cascade cut short by it flags the result
     as partial.
     """
+    from scipy.optimize import minimize
+
     if n_fragments < 1:
         raise ValueError("need at least one fragment")
     n = maj.n_orbitals

@@ -29,6 +29,11 @@ matrix that the tests use as references.
 Grouping uses two more array forms: `anticommutation_rows` packs, per word,
 one bit per word it anticommutes with (m^2/8 bytes for m words), and
 `word_sort_keys` maps a word to an integer ordered as its letter string.
+The symplectic product is bilinear over GF(2), so the row of a product word
+w1 w2 is the XOR of the rows of w1 and w2. The tensor-level AC grouping
+(`qubit_lcu._tensor_item_structure`) relies on this: it packs, with
+`pack_bits`, only the rows of the 2N^2 reflection words against its items,
+not one row per item.
 """
 from __future__ import annotations
 
@@ -117,6 +122,15 @@ def word_products(x1, z1, x2, z2):
     return x, z, _I_POWERS[k & 3]
 
 
+def pack_bits(bits) -> np.ndarray:
+    """Boolean rows of length m as uint64 rows of ceil(m/64) words: bit b
+    goes to word b // 64, bit b % 64; the padding bits are zero."""
+    m = bits.shape[-1]
+    packed = np.zeros(bits.shape[:-1] + (8 * -(-m // 64),), dtype=np.uint8)
+    packed[..., :-(-m // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
+
+
 def anticommutation_rows(x, z) -> np.ndarray:
     """m x ceil(m/64) uint64 rows: bit b of row q (word b // 64, bit b % 64)
     is set when words q and b anticommute. Row q is the XOR of the per-qubit
@@ -126,10 +140,8 @@ def anticommutation_rows(x, z) -> np.ndarray:
     shifts = np.arange(int(np.bitwise_or.reduce(x | z, initial=0)).bit_length(),
                        dtype=np.uint64)[:, None]
     bits = np.array([(x >> shifts) & 1, (z >> shifts) & 1], dtype=bool)
-    packed = np.zeros(bits.shape[:2] + (8 * -(-m // 64),), dtype=np.uint8)
-    packed[..., :-(-m // 8)] = np.packbits(bits, axis=-1, bitorder="little")
-    x_cols, z_cols = packed.view("<u8").astype(np.uint64)
-    anti = np.zeros((m, packed.shape[-1] // 8), dtype=np.uint64)
+    x_cols, z_cols = pack_bits(bits)
+    anti = np.zeros((m, x_cols.shape[-1]), dtype=np.uint64)
     for p in range(shifts.size):
         np.bitwise_xor(anti, x_cols[p], out=anti, where=bits[1, p, :, None])
         np.bitwise_xor(anti, z_cols[p], out=anti, where=bits[0, p, :, None])

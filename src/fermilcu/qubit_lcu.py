@@ -8,13 +8,19 @@ joins the first group it anticommutes with throughout. A group keeps a packed
 mask of the items that anticommute with all its members; joining ANDs in the
 item's packed anticommutation row. AC groups are priced from their sizes
 (resources.ac_costs), so no circuit angles are computed here.
+
+Anticommutation rows are stored factored. The symplectic product is bilinear
+over GF(2), so the row of a product word Q_a Q_b is the XOR of the rows of
+Q_a and Q_b. The tensor-level structure keeps one packed row per Q word
+against every item, plus a zero row, and each item names its two factor rows:
+(a, b) for a pair, (a, zero row) for a Q word. Sorted insertion expands the
+rows of a block of items at a time as they are placed.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .lcu import AcGroup, Fragment, LcuDecomposition, PauliTerm
 from .majorana import (
@@ -23,6 +29,7 @@ from .majorana import (
     PauliWord,
     anticommutation_rows,
     build_majorana,
+    pack_bits,
     reflection_table,
     reflection_terms,
     word_products,
@@ -30,6 +37,8 @@ from .majorana import (
 )
 
 COEFF_TOL = 1e-12
+# items whose anticommutation rows sorted insertion expands at once
+INSERTION_BLOCK = 128
 LOCALIZE_SWEEPS = 8
 LOCALIZE_TOL = 1e-10
 ANGLE_SWEEPS = 40
@@ -95,68 +104,106 @@ def _tensor_item_structure(n: int):
     Items are the Q words a = (i, j, sigma), row-major, carrying h~_ij/2,
     then the products Q_a Q_b over pairs a < b, row-major, each merging the
     two conjugate orderings of the pair; pairs whose phases are imaginary
-    cancel exactly and are dropped here once and for all. The cached masks,
-    sort keys and packed anticommutation rows are read-only.
+    cancel exactly and are dropped here once and for all. Item k is the
+    product of factors fa[k] and fb[k], indices into the Q words followed by
+    the identity: "qx" and "qz" hold the factor masks and "rows" the factor
+    anticommutation rows against every item, each with a zero entry last.
+    The cached arrays are read-only.
     """
     qx, qz, qc = (a.ravel() for a in reflection_table(n))
     if np.any(qc.imag):
         raise AssertionError("Q word phase must be real")
-    i, j, _ = np.unravel_index(np.arange(qx.size), (n, n, 2))
-    a, b = np.triu_indices(qx.size, k=1)
-    x, z, phase = word_products(qx[a], qz[a], qx[b], qz[b])
+    n_q = qx.size
+    a, b = np.triu_indices(n_q, k=1)
+    phase = word_products(qx[a], qz[a], qx[b], qz[b])[2]
     real = (qc[a] * qc[b] * phase).real
     merged = np.abs(real) >= 1e-12
-    a, b = a[merged], b[merged]
-    x, z = np.concatenate([qx, x[merged]]), np.concatenate([qz, z[merged]])
+    # int32 halves the two index arrays of one entry per item
+    fa = np.concatenate([np.arange(n_q), a[merged]]).astype(np.int32)
+    fb = np.concatenate([np.full(n_q, n_q), b[merged]]).astype(np.int32)
+    qx, qz = np.append(qx, np.uint64(0)), np.append(qz, np.uint64(0))
+    # parity of the symplectic product of every factor pair; the zero
+    # factor anticommutes with nothing
+    parity = (np.bitwise_count((qx[:, None] & qz) ^ (qz[:, None] & qx))
+              & 1).astype(bool)
+    rows = pack_bits(parity[:, fa] ^ parity[:, fb])
     struct = {
-        "x": x,
-        "z": z,
-        "key": word_sort_keys(x, z, 2 * n),
-        "anti": anticommutation_rows(x, z),
-        "ob_i": i,
-        "ob_j": j,
-        "ob_sign": 0.5 * qc.real,
-        "tb_idx": (i[a], j[a], i[b], j[b]),
-        "tb_weight": 0.5 * real[merged],
+        "qx": qx,
+        "qz": qz,
+        "rows": rows,
+        "fa": fa,
+        "fb": fb,
+        "weight": 0.5 * np.concatenate([qc.real, real[merged]]),
     }
-    for array in (*struct.values(), *struct["tb_idx"]):
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
+    struct["key"] = word_sort_keys(*_item_words(struct), 2 * n)
+    for array in struct.values():
+        array.flags.writeable = False
     return struct
 
 
 def _item_coeffs(struct, h_tilde: np.ndarray, g: np.ndarray) -> np.ndarray:
-    d_ob = struct["ob_sign"] * h_tilde[struct["ob_i"], struct["ob_j"]]
-    d_tb = struct["tb_weight"] * g[struct["tb_idx"]]
-    return np.concatenate([d_ob, d_tb])
+    """Coefficients of the items: h~_ij of Q word a = (i, j, sigma) sits at
+    h~.flat[a // 2], and g_ijkl of the pair (a, b) at g[a // 2, b // 2] with
+    g read as an N^2 x N^2 matrix."""
+    n_q = 2 * h_tilde.size
+    a, b = struct["fa"] >> 1, struct["fb"][n_q:] >> 1
+    entries = np.concatenate([h_tilde.ravel()[a[:n_q]],
+                              g.reshape(h_tilde.size, -1)[a[n_q:], b]])
+    return struct["weight"] * entries
 
 
-def _sorted_insertion(coeffs, key, anti):
-    """Greedy grouping: descending |coefficient|, ties by key then index;
-    each item joins the first group it fully anticommutes with.
+def _item_words(struct):
+    """X and Z masks of every item, the products of its two factors."""
+    fa, fb = struct["fa"], struct["fb"]
+    return (struct["qx"][fa] ^ struct["qx"][fb],
+            struct["qz"][fa] ^ struct["qz"][fb])
+
+
+def _word_items(x, z, n_qubits: int):
+    """Sorted-insertion items of explicit words: each word's full kernel row
+    is its first factor and a zero row its second."""
+    rows = anticommutation_rows(x, z)
+    return {
+        "rows": np.vstack([rows, np.zeros_like(rows[:1])]),
+        "fa": np.arange(x.size),
+        "fb": np.full(x.size, x.size),
+        "key": word_sort_keys(x, z, n_qubits),
+    }
+
+
+def _sorted_insertion(coeffs, items):
+    """Greedy grouping: descending |coefficient|, ties by items["key"] then
+    index; each item joins the first group it fully anticommutes with.
 
     Bit q of a group's mask is set while item q anticommutes with every
-    member, so placing q ANDs its row anti[q] into the mask.
+    member, so placing q ANDs its row into the mask. Item q's row is
+    rows[fa[q]] ^ rows[fb[q]]; the rows of the ordered items are expanded
+    INSERTION_BLOCK at a time, a block small enough to stay in cache, so the
+    loop reads one contiguous row each.
     """
+    rows, fa, fb = items["rows"], items["fa"], items["fb"]
     magnitude = np.abs(coeffs)
-    order = np.lexsort((key, -magnitude))
+    order = np.lexsort((items["key"], -magnitude))
     order = order[magnitude[order] > COEFF_TOL]
     bit = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    # one column per group, so the bits of item q sit in one contiguous row;
-    # the column after the last group is all ones and stands for a new group
-    masks = np.empty((anti.shape[1], 64), dtype=np.uint64)
-    masks[:, 0] = ~np.uint64(0)
+    # one row per group, so placing an item ANDs two contiguous rows; the
+    # row after the last group is all ones and stands for a new group
+    masks = np.empty((64, rows.shape[1]), dtype=np.uint64)
+    masks[0] = ~np.uint64(0)
     groups = []
-    for q in order.tolist():
-        gi = int((masks[q >> 6, :len(groups) + 1] & bit[q & 63]).argmax())
-        masks[:, gi] &= anti[q]
-        if gi < len(groups):
-            groups[gi].append(q)
-            continue
-        groups.append([q])
-        if len(groups) == masks.shape[1]:
-            masks = np.concatenate([masks, np.empty_like(masks)], axis=1)
-        masks[:, len(groups)] = ~np.uint64(0)
+    for start in range(0, order.size, INSERTION_BLOCK):
+        block = order[start:start + INSERTION_BLOCK]
+        block_rows = rows.take(fa[block], axis=0) ^ rows.take(fb[block], axis=0)
+        for q, row in zip(block.tolist(), block_rows):
+            gi = int((masks[:len(groups) + 1, q >> 6] & bit[q & 63]).argmax())
+            masks[gi] &= row
+            if gi < len(groups):
+                groups[gi].append(q)
+                continue
+            groups.append([q])
+            if len(groups) == masks.shape[0]:
+                masks = np.concatenate([masks, np.empty_like(masks)])
+            masks[len(groups)] = ~np.uint64(0)
     return groups
 
 
@@ -196,8 +243,7 @@ def sorted_insertion_ac(pauli: PauliSum) -> LcuDecomposition:
     items = (pauli.x | pauli.z) != 0
     constant = float(coeffs[~items].sum())
     x, z, coeffs = pauli.x[items], pauli.z[items], coeffs[items]
-    groups = _sorted_insertion(coeffs, word_sort_keys(x, z, pauli.n_qubits),
-                               anticommutation_rows(x, z))
+    groups = _sorted_insertion(coeffs, _word_items(x, z, pauli.n_qubits))
     return _groups_to_lcu(x, z, coeffs, groups, pauli.n_qubits, constant,
                           {"level": "qubit", "n_items": int(x.size)})
 
@@ -209,9 +255,9 @@ def ac_lcu(maj: MajoranaHamiltonian) -> LcuDecomposition:
     """
     struct = _tensor_item_structure(maj.n_orbitals)
     coeffs = _item_coeffs(struct, maj.h_tilde, maj.g)
-    groups = _sorted_insertion(coeffs, struct["key"], struct["anti"])
+    groups = _sorted_insertion(coeffs, struct)
     constant = maj.h0 + 0.5 * float(np.einsum("ijij->", maj.g))
-    return _groups_to_lcu(struct["x"], struct["z"], coeffs, groups,
+    return _groups_to_lcu(*_item_words(struct), coeffs, groups,
                           2 * maj.n_orbitals, constant,
                           {"level": "tensor", "n_items": int(coeffs.size)})
 
@@ -341,6 +387,8 @@ def localizing_rotation(g: np.ndarray) -> np.ndarray:
     for 1-norm minimization on extended systems where searches started at the
     delocalized frame stall.
     """
+    from scipy.optimize import minimize_scalar
+
     n = g.shape[0]
     g = g.copy()
     u = np.eye(n)
@@ -380,6 +428,8 @@ def _angle_sweeps(evaluate, best_val, best_angles):
     sweeps do. An evaluation budget is enforced by evaluate itself, which
     raises _BudgetSpent at the cap.
     """
+    from scipy.optimize import minimize_scalar
+
     n_angles = best_angles.size
     tol = 1e-9 * max(abs(best_val), 1.0)
     for _ in range(ANGLE_SWEEPS):
@@ -418,6 +468,8 @@ def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
     one_norm is the objective on the Hamiltonian built from those integrals,
     the λ the method then reports.
     """
+    from scipy.optimize import minimize
+
     from .integrals import MolecularIntegrals
 
     maj = build_majorana(mol)
@@ -433,7 +485,7 @@ def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
 
         def one_norm(h_tilde, g):
             coeffs = _item_coeffs(struct, h_tilde, g)
-            groups = _sorted_insertion(coeffs, struct["key"], struct["anti"])
+            groups = _sorted_insertion(coeffs, struct)
             return float(sum(np.linalg.norm(coeffs[members])
                              for members in groups))
     else:

@@ -285,6 +285,9 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line needs 'key = value': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key == "overrides":
+            raise ValueError("'overrides' is not set directly; "
+                             "write 'key.method = value'")
         if key in ("files", "methods"):
             parsed = [v.strip() for v in value.split(",") if v.strip()]
         else:
@@ -324,15 +327,17 @@ def resolve_input(name: str, base_dir: str = ".") -> pathlib.Path:
     raise FileNotFoundError(f"no input file or fixture named {name!r}")
 
 
-OPTION_KEYS = ("sparse_threshold", "tol", "fragments", "max_rank", "seed",
-               "oo_budget", "oo_restarts")
-CONFIG_KEYS = ("files", "methods", "overrides", "budget", "eps_coeff",
-               "eps_rot", "output") + OPTION_KEYS
+INTEGER_KEYS = ("fragments", "max_rank", "seed", "oo_budget", "oo_restarts")
+OPTION_KEYS = ("sparse_threshold", "tol") + INTEGER_KEYS
+REAL_KEYS = ("budget", "eps_coeff", "eps_rot", "sparse_threshold", "tol")
+CONFIG_KEYS = ("files", "methods", "overrides", "output") + REAL_KEYS \
+    + INTEGER_KEYS
 
 
 def _check_config(config: dict):
     """ValueError on any key or method name that run_pipeline would not
-    read, so a misspelling never falls back to a default silently."""
+    read, so a misspelling never falls back to a default silently, and on
+    a numeric key set to a value of another type."""
     overrides = config.get("overrides", {})
     for kind, names, known in (
             ("config key", list(config), CONFIG_KEYS),
@@ -342,6 +347,13 @@ def _check_config(config: dict):
         for name in names:
             if name not in known:
                 raise ValueError(f"unknown {kind} {name!r}")
+    for options in (config, *overrides.values()):
+        for keys, kinds, noun in ((INTEGER_KEYS, int, "an integer"),
+                                  (REAL_KEYS, (int, float), "a number")):
+            for key in keys:
+                if not isinstance(options.get(key, 0), kinds):
+                    raise ValueError(f"config key {key!r} needs {noun}, "
+                                     f"not {options[key]!r}")
 
 
 def _method_options(config: dict, method: str) -> dict:

@@ -248,6 +248,15 @@ class TestPipeline:
         assert "unknown config key 'methds'" in err
         assert out == ""
 
+    @pytest.mark.parametrize("line", ["overrides = 3", "tol = abc"])
+    def test_malformed_config_value_is_exit_2(self, capsys, tmp_path, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"files = h2\nmethods = df\n{line}\n")
+        code, out, err = run_cli(capsys, "pipeline", "--config", str(config))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
 
 @pytest.mark.parametrize("method", METHODS)
 def test_every_method_through_every_entry_point(capsys, tmp_path, method):

@@ -3,10 +3,15 @@ function or class in src/fermilcu/ must be referenced by some package module
 or by the benchmark in perfbench/, outside its own definition. References
 are names and attributes, and in perfbench/ also string constants, by which
 its trace points look attributes up; imports alone do not count. Code that
-only the tests reach belongs in tests/reference.py. Only reads perfbench/."""
+only the tests reach belongs in tests/reference.py. Only reads perfbench/.
+The package also imports only what a run uses: scipy.optimize loads with the
+fitters that call it."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "fermilcu").glob("*.py"))
@@ -59,3 +64,14 @@ def test_every_public_definition_is_composed():
             unused.append(f"{home.name}:{name}")
     assert not unused, f"defined but composed by no run: {unused}"
 
+
+def test_package_import_leaves_optimizers_unloaded():
+    # scipy.optimize is imported by the fitters that call it, so a run that
+    # never fits does not pay for its import
+    code = ("import sys, fermilcu.report, fermilcu.verify; "
+            "print('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -35,6 +35,11 @@ from fermilcu.majorana import (
 )
 from fermilcu.mtd_l4 import _als_residual, _als_sweep, cp4_als, mps_factorize, svd_chain_factorize
 from fermilcu.qubit_lcu import (
+    _item_coeffs,
+    _item_words,
+    _sorted_insertion,
+    _tensor_item_structure,
+    _word_items,
     ac_lcu,
     angles_from_rotation,
     localizing_rotation,
@@ -220,6 +225,19 @@ class TestGroupingKernels:
                     for members in _reference_sorted_insertion(words, coeffs)]
         lcu = sorted_insertion_ac(op)
         assert [list(f.unitary.words) for f in lcu.fragments] == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+    def test_factored_rows_group_as_kernel_rows(self, n, seed):
+        # entries from a short list, so magnitudes tie often and some vanish
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, 1.0, -1.0, 0.5, -0.25])
+        h = rng.choice(values, size=(n, n))
+        g = rng.choice(values, size=(n, n, n, n))
+        struct = _tensor_item_structure(n)
+        coeffs = _item_coeffs(struct, h + h.T, g)
+        kernel = _word_items(*_item_words(struct), 2 * n)
+        assert _sorted_insertion(coeffs, struct) == _sorted_insertion(coeffs, kernel)
 
 
 unit_vectors = st.lists(

@@ -10,9 +10,17 @@ from reference import (
 )
 
 from fermilcu.integrals import MolecularIntegrals, load_fixture
-from fermilcu.majorana import build_majorana, pauli_sum_of_hamiltonian
+from fermilcu.majorana import (
+    anticommutation_rows,
+    build_majorana,
+    pauli_sum_of_hamiltonian,
+)
 from fermilcu.qubit_lcu import (
+    _item_coeffs,
+    _item_words,
+    _sorted_insertion,
     _tensor_item_structure,
+    _word_items,
     ac_lcu,
     orbital_optimize,
     rotation_from_angles,
@@ -58,12 +66,38 @@ def test_pauli_phases_are_exact_units(name):
 
 
 def test_item_structure_holds_packed_rows_only():
-    # an m x m boolean matrix would hold 335 MB at chain_h10
+    # one packed row per item would hold 41.9 MB at chain_h10, an m x m
+    # boolean matrix 335 MB; the rows of the 200 Q words and a zero row
+    # hold 0.46 MB
     struct = _tensor_item_structure(10)
-    arrays = [v for v in struct.values() if isinstance(v, np.ndarray)]
-    arrays += list(struct["tb_idx"])
-    assert struct["anti"].shape == (18300, 286)
-    assert sum(a.nbytes for a in arrays) < 64 * 2 ** 20
+    m = struct["key"].size
+    assert m == 18300
+    assert all(a.ndim == 1 for a in struct.values() if a.shape[0] == m)
+    assert struct["rows"].shape == (201, 286)
+    assert sum(a.nbytes for a in struct.values()) < 2 ** 20
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_factored_rows_expand_to_kernel_rows(n):
+    struct = _tensor_item_structure(n)
+    rows, fa, fb = struct["rows"], struct["fa"], struct["fb"]
+    assert not rows[-1].any()
+    np.testing.assert_array_equal(rows[fa] ^ rows[fb],
+                                  anticommutation_rows(*_item_words(struct)))
+
+
+@pytest.mark.parametrize("name", ("h2", "lih", "beh2", "h2o", "chain_h08"))
+def test_ac_groups_match_grouping_from_kernel_rows(name):
+    maj = hamiltonian(name)
+    struct = _tensor_item_structure(maj.n_orbitals)
+    x, z = _item_words(struct)
+    coeffs = _item_coeffs(struct, maj.h_tilde, maj.g)
+    expected = _sorted_insertion(coeffs, _word_items(x, z, 2 * maj.n_orbitals))
+    groups = [f.unitary for f in ac_lcu(maj).fragments]
+    assert [[(w.x_mask, w.z_mask) for w in g.words] for g in groups] == [
+        [(int(x[q]), int(z[q])) for q in members] for members in expected]
+    for group, members in zip(groups, expected):
+        np.testing.assert_array_equal(group.coeffs, coeffs[members])
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))

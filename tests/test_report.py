@@ -339,6 +339,17 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match=message):
             run_pipeline(parse_config(text))
 
+    @pytest.mark.parametrize("line, message", [
+        ("overrides = 3", "'overrides' is not set directly"),
+        ("tol = abc", "'tol' needs a number"),
+        ("oo_budget.oo-ac = many", "'oo_budget' needs an integer"),
+        ("fragments.csa = 1.5", "'fragments' needs an integer"),
+    ], ids=["overrides", "tol", "oo_budget.oo-ac", "fragments.csa"])
+    def test_malformed_value_rejected_before_any_input(self, line, message):
+        text = f"files = no_such_molecule\nmethods = df\n{line}\n"
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(parse_config(text))
+
     def test_per_method_override_applies(self):
         # the truncation threshold drives the kept-term count, so the
         # aggressive override must shrink PREPARE and grow the deviation
