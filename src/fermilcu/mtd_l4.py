@@ -13,12 +13,18 @@ own metadata and the residual of the fit. l4_lcu reads the arrays directly:
 each weight above WEIGHT_TOL becomes four products of two reflections, one
 per spin pair, through lcu.reflection_fragments (whose contract the lcu
 module docstring states), so weights enter the 1-norm as 4 sum|omega|.
+
+l4-cp4 searches for the smallest rank that meets the tolerance, doubling
+and then bisecting, and warm-starts each trial rank from the factors of an
+earlier one (cp4_als). Each ALS sweep solves its symmetric positive-definite
+normal equations by Cholesky, falling back to LU (_als_sweep).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import khatri_rao
+from scipy.linalg.lapack import dposv
 
 from .fermionic_lcu import OneBodyFragment
 from .lcu import LcuDecomposition, reflection_fragments
@@ -36,9 +42,9 @@ class QuarticFactors:
 
     vectors holds the four N x W stacks; their columns are unit wherever the
     weight exceeds WEIGHT_TOL. metadata carries what the scheme reports
-    (bond_dims for l4-mps; rank and converged for l4-cp4). loss is the
-    squared Frobenius residual at the g scale, loss_abs the sum of
-    |residual entries|, an operator-level bound.
+    (bond_dims for l4-mps; rank, converged, sweeps and trial_ranks for
+    l4-cp4). loss is the squared Frobenius residual at the g scale,
+    loss_abs the sum of |residual entries|, an operator-level bound.
     """
     method: str
     weights: np.ndarray
@@ -183,19 +189,25 @@ def _als_sweep(unfoldings, vecs, grams, ridge):
 
     unfoldings[mode] is t with that mode's index first, as an n x n^3
     matrix; grams[k] is vecs[k]^T vecs[k], recomputed only for the factor
-    that changes. Returns the column norms of the last factor, the weights.
+    that changes. Each mode solves the symmetric positive-definite normal
+    equations (G o G' o G'' + ridge) A^T = (unfolding @ z)^T, z the
+    Khatri-Rao product of the other three factors, by Cholesky (LAPACK
+    dposv), and by LU when the matrix is not numerically positive definite.
+    Returns the column norms of the last factor, the weights.
     """
     rank = vecs[0].shape[1]
     for mode in range(4):
-        others = [i for i in range(4) if i != mode]
-        z = np.einsum("jm,km,lm->jklm", *(vecs[i] for i in others)).reshape(-1, rank)
-        gram = np.ones((rank, rank))
-        for i in others:
-            gram = gram * grams[i]
-        a = np.linalg.solve(gram + ridge, (unfoldings[mode] @ z).T).T
-        norms = np.linalg.norm(a, axis=0)
+        a, b, c = (i for i in range(4) if i != mode)
+        z = (vecs[a][:, None, None] * vecs[b][None, :, None]
+             * vecs[c][None, None]).reshape(-1, rank)
+        lhs = grams[a] * grams[b] * grams[c] + ridge
+        rhs = (unfoldings[mode] @ z).T
+        _, solved, info = dposv(lhs, rhs)
+        if info > 0:
+            solved = np.linalg.solve(lhs, rhs)
+        norms = np.linalg.norm(solved, axis=1)
         norms = np.where(norms > 0, norms, 1.0)
-        vecs[mode] = a / norms
+        vecs[mode] = solved.T / norms
         grams[mode] = vecs[mode].T @ vecs[mode]
     return norms
 
@@ -211,16 +223,19 @@ def _als_residual(t, t_sq, vecs, weights, grams):
     return t_sq - 2.0 * float(weights @ inner) + float(weights @ gram @ weights)
 
 
-def _als_fit(t, rank, seed):
+def _als_fit(t, rank, seed, start=None):
     """Seeded ALS at one rank, at least one sweep: (vecs, weights, squared
-    residual).
+    residual, sweeps).
 
-    The four unfoldings of t are built once per fit, and each factor's Gram
-    matrix is carried between sweeps and recomputed only when that factor
-    changes; products of Gram matrices keep the order of a fresh
-    computation, so the fit is bit-identical to rebuilding them. Sweeps stop
-    once the residual, taken in Gram form by _als_residual, changes by at
-    most 1e-10 ||t||^2 between sweeps.
+    The start draws seeded random unit columns; a warm start, four N x W
+    stacks of unit columns, then overwrites the leading min(rank, W) columns
+    of each factor. Mode 0 is solved first, from modes 1-3, so no weights
+    are carried over. The four unfoldings of t are built once per fit, and
+    each factor's Gram matrix is carried between sweeps and recomputed only
+    when that factor changes; products of Gram matrices keep the order of a
+    fresh computation, so the fit is bit-identical to rebuilding them.
+    Sweeps stop once the residual, taken in Gram form by _als_residual,
+    changes by at most 1e-10 ||t||^2 between sweeps.
     """
     n = t.shape[0]
     rng = np.random.default_rng([seed, rank])
@@ -228,19 +243,30 @@ def _als_fit(t, rank, seed):
     for _ in range(4):
         v = rng.standard_normal((n, rank))
         vecs.append(v / np.linalg.norm(v, axis=0))
+    if start is not None:
+        width = min(rank, start[0].shape[1])
+        for v, s in zip(vecs, start):
+            v[:, :width] = s[:, :width]
     unfoldings = [np.moveaxis(t, mode, 0).reshape(n, -1) for mode in range(4)]
     grams = [v.T @ v for v in vecs]
     ridge = ALS_RIDGE * np.eye(rank)
     prev = np.inf
     t_sq = float((t * t).sum())
-    for _ in range(ALS_MAX_SWEEPS):
+    for sweeps in range(1, ALS_MAX_SWEEPS + 1):
         weights = _als_sweep(unfoldings, vecs, grams, ridge)
         resid = _als_residual(t, t_sq, vecs, weights, grams)
         if abs(prev - resid) <= 1e-10 * max(t_sq, 1e-30):
             prev = resid
             break
         prev = resid
-    return vecs, weights, prev
+    return vecs, weights, prev, sweeps
+
+
+def _by_weight(fit):
+    """A fit's factors with columns sorted by descending |weight|."""
+    vecs, weights = fit[:2]
+    order = np.argsort(-np.abs(weights), kind="stable")
+    return [v[:, order] for v in vecs]
 
 
 def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
@@ -248,11 +274,18 @@ def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
     """Alternating least squares over rank-1 quadruples.
 
     Rank grows by doubling until the g-scale squared residual meets tol, then
-    bisects to the smallest sufficient rank. Each trial rank is fitted from
-    its own seeded random start, and its residual is read from the factors'
-    Gram matrices (_als_residual); only the returned factors are rebuilt as a
-    tensor, for loss and loss_abs. Hitting max_rank without convergence
-    returns the best factors flagged.
+    bisects between the last rank that failed and the first that fitted to
+    the smallest sufficient rank. Every trial rank draws its own seeded
+    random start, warm-started from an earlier fit (Kolda & Bader, SIAM
+    Rev. 51, 455, 2009): a doubled rank from the rank before it, a bisection
+    midpoint from the smallest rank that has fitted, their columns sorted
+    by descending |weight| in the leading places. Each sweep solves its
+    normal equations by Cholesky (_als_sweep), and each residual is read
+    from the factors' Gram matrices (_als_residual); only the returned
+    factors are rebuilt as a tensor, for loss and loss_abs. Hitting max_rank
+    without convergence returns the best factors flagged. metadata reports
+    the rank, converged, the ALS sweeps summed over every trial fit and the
+    trial ranks in the order they were fitted.
     """
     _check_symmetric(g)
     n = g.shape[0]
@@ -260,28 +293,28 @@ def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
         max_rank = n ** 4
     t = 0.25 * g
     target = tol / 16.0
-
     tried = {}
 
-    def fits(rank):
-        if rank not in tried:
-            tried[rank] = _als_fit(t, rank, seed)
+    def fits(rank, start=None):
+        tried[rank] = _als_fit(t, rank, seed, start)
         return tried[rank][2] < target
 
-    rank = 1
-    while not fits(rank) and rank < max_rank:
-        rank = min(2 * rank, max_rank)
-    converged = fits(rank)
-    lo, hi = rank // 2, rank
+    lo, hi = 0, 1
+    converged = fits(hi)
+    while not converged and hi < max_rank:
+        lo, hi = hi, min(2 * hi, max_rank)
+        converged = fits(hi, _by_weight(tried[lo]))
     while converged and lo + 1 < hi:
         mid = (lo + hi) // 2
-        if fits(mid):
+        if fits(mid, _by_weight(tried[hi])):
             hi = mid
         else:
             lo = mid
-    vecs, weights, _ = tried[hi]
+    vecs, weights = tried[hi][:2]
     weights, vecs = _apply_sign_convention(weights, list(vecs))
-    return _record("l4-cp4", weights, vecs, g, rank=hi, converged=converged)
+    return _record("l4-cp4", weights, vecs, g, rank=hi, converged=converged,
+                   sweeps=sum(fit[3] for fit in tried.values()),
+                   trial_ranks=list(tried))
 
 
 def l4_lcu(factors: QuarticFactors, one_body: OneBodyFragment,

@@ -161,12 +161,12 @@ def _item_words(struct):
 
 def _word_items(x, z, n_qubits: int):
     """Sorted-insertion items of explicit words: each word's full kernel row
-    is its first factor and a zero row its second."""
-    rows = anticommutation_rows(x, z)
+    is its only factor, so the items have no second factor (fb is None) and
+    the kernel rows are kept as the one copy."""
     return {
-        "rows": np.vstack([rows, np.zeros_like(rows[:1])]),
+        "rows": anticommutation_rows(x, z),
         "fa": np.arange(x.size),
-        "fb": np.full(x.size, x.size),
+        "fb": None,
         "key": word_sort_keys(x, z, n_qubits),
     }
 
@@ -177,9 +177,9 @@ def _sorted_insertion(coeffs, items):
 
     Bit q of a group's mask is set while item q anticommutes with every
     member, so placing q ANDs its row into the mask. Item q's row is
-    rows[fa[q]] ^ rows[fb[q]]; the rows of the ordered items are expanded
-    INSERTION_BLOCK at a time, a block small enough to stay in cache, so the
-    loop reads one contiguous row each.
+    rows[fa[q]] ^ rows[fb[q]], or rows[fa[q]] when fb is None; the rows of
+    the ordered items are expanded INSERTION_BLOCK at a time, a block small
+    enough to stay in cache, so the loop reads one contiguous row each.
     """
     rows, fa, fb = items["rows"], items["fa"], items["fb"]
     magnitude = np.abs(coeffs)
@@ -193,7 +193,9 @@ def _sorted_insertion(coeffs, items):
     groups = []
     for start in range(0, order.size, INSERTION_BLOCK):
         block = order[start:start + INSERTION_BLOCK]
-        block_rows = rows.take(fa[block], axis=0) ^ rows.take(fb[block], axis=0)
+        block_rows = rows.take(fa[block], axis=0)
+        if fb is not None:
+            block_rows ^= rows.take(fb[block], axis=0)
         for q, row in zip(block.tolist(), block_rows):
             gi = int((masks[:len(groups) + 1, q >> 6] & bit[q & 63]).argmax())
             masks[gi] &= row

@@ -1,12 +1,22 @@
 """Quartic tensor factorizations and their double-reflection LCU."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fermilcu import mtd_l4
 from fermilcu.fermionic_lcu import OneBodyFragment, diagonalize_one_body
 from fermilcu.mtd_l4 import (
     WEIGHT_TOL,
     QuarticFactors,
+    _als_fit,
+    _als_residual,
+    _als_sweep,
     cp4_als,
     l4_lcu,
     mps_factorize,
@@ -26,10 +36,10 @@ FROZEN = {
 
 # cp4_als(g) at the default tol and seed, priced by l4_lcu: (rank, lambda)
 CP4_FROZEN = {
-    "h2": (5, 2.7077546815210445),
-    "lih": (80, 12.836412481968893),
-    "beh2": (122, 22.116457529095037),
-    "h2o": (129, 70.59935761915233),
+    "h2": (4, 2.4091885377624727),
+    "lih": (49, 11.072836380204214),
+    "beh2": (73, 18.217766144473227),
+    "h2o": (81, 59.88586874095229),
 }
 
 
@@ -159,6 +169,112 @@ class TestCp4:
         assert not factors.metadata["converged"]
         assert factors.rank == 1
         assert factors.loss > 1e-6
+
+    def test_bisection_starts_at_last_failed_rank(self, monkeypatch):
+        # fits succeed from rank 9 on; doubling clamps at max_rank 12 after
+        # 8 fails, so the bisection runs between 8 and 12
+        fitted = []
+
+        def from_rank_nine(t, rank, seed, start=None):
+            vecs, weights, _, sweeps = _als_fit(t, rank, seed, start)
+            fitted.append((rank, rank >= 9, sweeps))
+            return vecs, weights, 0.0 if rank >= 9 else 1.0, sweeps
+
+        monkeypatch.setattr(mtd_l4, "_als_fit", from_rank_nine)
+        factors = cp4_als(random_two_body(3, np.random.default_rng(0)),
+                          max_rank=12)
+        assert factors.metadata["converged"] and factors.rank == 9
+        ranks = [rank for rank, _, _ in fitted]
+        assert ranks[:5] == [1, 2, 4, 8, 12]
+        for i, rank in enumerate(ranks):
+            assert all(rank > failed for failed, ok, _ in fitted[:i] if not ok)
+        assert factors.metadata["trial_ranks"] == ranks
+        assert factors.metadata["sweeps"] == sum(s for _, _, s in fitted)
+
+    def test_warm_start_keeps_seeded_columns_beyond_its_width(self, monkeypatch):
+        t = 0.25 * random_two_body(3, np.random.default_rng(4))
+        start = _als_fit(t, 3, seed=5)[0]
+
+        class FirstSweep(Exception):
+            pass
+
+        def stop(unfoldings, vecs, grams, ridge):
+            raise FirstSweep([v.copy() for v in vecs])
+
+        monkeypatch.setattr(mtd_l4, "_als_sweep", stop)
+        initial = []
+        for warm in (None, start):
+            with pytest.raises(FirstSweep) as caught:
+                _als_fit(t, 6, seed=5, start=warm)
+            initial.append(caught.value.args[0])
+        for cold, warm, s in zip(*initial, start):
+            assert np.array_equal(warm[:, :3], s)
+            assert np.array_equal(warm[:, 3:], cold[:, 3:])
+
+    def test_lu_fallback_on_indefinite_normal_equations(self, monkeypatch):
+        infos = []
+        dposv = mtd_l4.dposv
+
+        def recording(a, b):
+            out = dposv(a, b)
+            infos.append(out[2])
+            return out
+
+        rng = np.random.default_rng(9)
+        n, rank = 3, 4
+        t = random_two_body(n, rng)
+        unfoldings = [np.moveaxis(t, mode, 0).reshape(n, -1) for mode in range(4)]
+        vecs = [rng.normal(size=(n, rank)) for _ in range(4)]
+        vecs = [v / np.linalg.norm(v, axis=0) for v in vecs]
+        ridge = -2.0 * np.eye(rank)
+        expected = [v.copy() for v in vecs]
+        for mode in range(4):
+            others = [expected[i] for i in range(4) if i != mode]
+            z = np.einsum("jm,km,lm->jklm", *others).reshape(-1, rank)
+            gram = np.prod([v.T @ v for v in others], axis=0)
+            a = np.linalg.solve(gram + ridge, (unfoldings[mode] @ z).T).T
+            expected[mode] = a / np.linalg.norm(a, axis=0)
+        monkeypatch.setattr(mtd_l4, "dposv", recording)
+        grams = [v.T @ v for v in vecs]
+        _als_sweep(unfoldings, vecs, grams, ridge)
+        assert len(infos) == 4 and all(info > 0 for info in infos)
+        for v, e in zip(vecs, expected):
+            np.testing.assert_allclose(v, e, rtol=1e-10, atol=1e-12)
+
+    def test_sweep_from_exact_decomposition_leaves_no_residual(self):
+        rng = np.random.default_rng(21)
+        n, rank = 4, 5
+        vecs = [rng.normal(size=(n, rank)) for _ in range(4)]
+        vecs = [v / np.linalg.norm(v, axis=0) for v in vecs]
+        t = np.einsum("m,im,jm,km,lm->ijkl", rng.uniform(1, 2, rank), *vecs)
+        t_sq = float((t * t).sum())
+        unfoldings = [np.moveaxis(t, mode, 0).reshape(n, -1) for mode in range(4)]
+        grams = [v.T @ v for v in vecs]
+        weights = _als_sweep(unfoldings, vecs, grams, mtd_l4.ALS_RIDGE * np.eye(rank))
+        assert abs(_als_residual(t, t_sq, vecs, weights, grams)) <= 1e-12 * t_sq
+
+    def test_rank_and_lambda_independent_of_blas_threads(self):
+        code = ("import json\n"
+                "from fermilcu.fermionic_lcu import diagonalize_one_body\n"
+                "from fermilcu.integrals import load_fixture\n"
+                "from fermilcu.majorana import build_majorana\n"
+                "from fermilcu.mtd_l4 import cp4_als, l4_lcu\n"
+                "maj = build_majorana(load_fixture('lih'))\n"
+                "f = cp4_als(maj.g)\n"
+                "lam = l4_lcu(f, diagonalize_one_body(maj)).one_norm\n"
+                "print(json.dumps([f.rank, lam]))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            result = subprocess.run([sys.executable, "-c", code], env=env,
+                                    capture_output=True, text=True, check=True)
+            runs.append(json.loads(result.stdout))
+        (rank1, lam1), (rank2, lam2) = runs
+        assert rank1 == rank2
+        assert lam2 == pytest.approx(lam1, rel=1e-12)
 
     def test_sign_convention(self, h2):
         factors = cp4_als(h2.g, max_rank=16)
