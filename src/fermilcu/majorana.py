@@ -270,10 +270,9 @@ def reflection_terms(maj: MajoranaHamiltonian):
 
 
 def pauli_sum_of_hamiltonian(maj: MajoranaHamiltonian) -> PauliSum:
-    """Fully multiplied-out qubit operator with like terms combined."""
+    """Fully multiplied-out qubit operator with like terms combined; the
+    array form's 32 qubits (N <= 16) are its only size limit."""
     n = maj.n_orbitals
-    if n > 12:
-        raise ValueError("term count grows as N^4; guard is N <= 12")
     (qx, qz, c1), (x, z, c2) = reflection_terms(maj)
     zero = np.zeros(1, dtype=np.uint64)
     x, z, c = combine_terms(np.concatenate([zero, qx, x.ravel()]),

@@ -30,7 +30,6 @@ from .fermionic_lcu import OneBodyFragment
 from .lcu import LcuDecomposition, reflection_fragments
 from .qubit_lcu import _running_sum
 
-SVD_CHAIN_GUARD = 8
 WEIGHT_TOL = 1e-12
 ALS_MAX_SWEEPS = 300
 ALS_RIDGE = 1e-12
@@ -147,8 +146,6 @@ def svd_chain_factorize(g: np.ndarray, tol: float = 1e-6) -> QuarticFactors:
     per (alpha1, alpha2); the weight of (alpha1, alpha2, alpha3) is
     (s1 s2) s3, and each branch appends its entries in that order."""
     n = g.shape[0]
-    if n > SVD_CHAIN_GUARD:
-        raise ValueError(f"branch count grows as N^3; guard is N <= {SVD_CHAIN_GUARD}")
     u1, s1, v1t, budget, spent = _first_cut(g, tol)
 
     weights = [np.zeros(0)]

@@ -18,9 +18,10 @@ import numpy as np
 
 from fermilcu.majorana import MajoranaHamiltonian, PauliWord, dense_matrix
 from fermilcu.qubit_lcu import rotate_two_body
-from fermilcu.verify import DENSE_QUBITS, fragment_pauli_sum
+from fermilcu.verify import fragment_pauli_sum
 
 UNITARY_TOL = 1e-9
+DENSE_QUBITS = 8  # fragment_matrix renders at most a 256 x 256 matrix
 ANGLE_CLAMP = 1e-9
 
 

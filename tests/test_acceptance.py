@@ -168,11 +168,12 @@ def test_norm_bound_every_method(method, name):
         f"< {molecule_range(name).half_range:.4f}")
 
 
-# every method on the molecules; on the chains past the spectral limit, the
-# methods the chain grid runs
+# every method on the molecules; on the two largest chains, every method
+# that takes at most seconds there (not the oo-* searches or the l4-cp4 fit)
 RECONSTRUCTION_ROWS = (
     [(method, name) for method in ALL_METHODS for name in MOLECULES]
-    + [(method, name) for method in ("pauli", "ac", "sf", "df", "l4-mps")
+    + [(method, name)
+       for method in ("pauli", "ac", "sf", "df", "csa", "l4-svd", "l4-mps")
        for name in ("chain_h08", "chain_h10")])
 
 

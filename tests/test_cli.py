@@ -130,6 +130,22 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["bound_ok"] is True
 
+    def test_chain_h10_reconstructs_without_spectral_range(self, capsys,
+                                                           monkeypatch):
+        from fermilcu import report
+
+        def refuse(maj):
+            raise AssertionError("spectral range taken above its limit")
+
+        monkeypatch.setattr(report, "spectral_range", refuse)
+        code, out, err = run_cli(capsys, "verify", "--input", "chain_h10",
+                                 "--method", "df")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["bound_ok"] is None and payload["half_range"] is None
+        assert payload["deviation"] <= payload["tolerance"]
+        assert payload["verified"] is True
+
 
 class TestSpectrum:
     def test_half_range_json(self, capsys):
@@ -185,6 +201,12 @@ class TestFit:
             assert code == 2
             assert f"no closed-form cost model for method '{method}'" in err
 
+    def test_l4_svd_lambda_over_default_chains(self, capsys):
+        # every chain, chain_h10 included, factorizes without a size guard
+        code, out, err = run_cli(capsys, "fit", "--method", "l4-svd",
+                                 "--quantity", "lambda")
+        assert code == 0, err
+        assert json.loads(out)["n_points"] == 5
 
     def test_oo_chain_default_comes_from_method_table(self, capsys,
                                                       monkeypatch):

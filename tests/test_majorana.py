@@ -157,7 +157,11 @@ def test_random_word_sparse_vs_dense():
 
 
 def test_size_guard():
-    n = 13
-    mol = MolecularIntegrals(n, 0.0, np.zeros((n, n)), np.zeros((n, n, n, n)))
-    with pytest.raises(ValueError):
-        pauli_sum_of_hamiltonian(build_majorana(mol))
+    # the one limit is the array form's 32 qubits: N = 16 combines, 17 raises
+    def operator(n):
+        mol = MolecularIntegrals(n, 0.0, np.zeros((n, n)), np.zeros((n, n, n, n)))
+        return pauli_sum_of_hamiltonian(build_majorana(mol))
+
+    assert len(operator(16)) == 0
+    with pytest.raises(ValueError, match="32 qubits"):
+        operator(17)

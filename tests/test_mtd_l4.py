@@ -123,11 +123,6 @@ class TestSvdChain:
         lcu = l4_lcu(factors, trivial_one_body(2))
         assert lcu.one_norm == pytest.approx(4 * abs(kept[0]), abs=1e-12)
 
-    def test_guard_rejected(self):
-        g = np.zeros((9,) * 4)
-        with pytest.raises(ValueError, match="guard"):
-            svd_chain_factorize(g)
-
 
 class TestCp4:
     @pytest.mark.parametrize("name", sorted(CP4_FROZEN))

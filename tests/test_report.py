@@ -1,6 +1,7 @@
 """Batch plumbing: config parsing, input resolution, pipeline assembly, CSV
 and JSON emission, and the chain scaling fits."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -218,6 +219,18 @@ class TestVerificationPayload:
         assert payload["bound_ok"] is True
         assert payload["deviation"] < 1e-4
         assert payload["half_range"] == pytest.approx(1.0291289548, abs=1e-8)
+        assert payload["verified"] is True
+
+    def test_each_check_decides_the_verdict(self):
+        maj, lcu = decompose_method(load_fixture("h2"), "pauli")
+        deflated = dataclasses.replace(lcu, one_norm=0.1, constant=0.0)
+        payload = verification_payload(deflated, maj)
+        assert payload["bound_ok"] is False and payload["verified"] is False
+        shifted = dataclasses.replace(lcu, constant=lcu.constant + 1e-3)
+        payload = verification_payload(shifted, maj)
+        assert payload["bound_ok"] is True
+        assert payload["deviation"] > payload["tolerance"]
+        assert payload["verified"] is False
 
 
 class TestDecomposeMetadata:
@@ -293,6 +306,28 @@ class TestRunPipeline:
         assert "t_sel" not in row
         assert row["verified"] is True
         assert result.exit_code == 0
+
+    def test_chain_h10_rows_verified_without_spectral_range(self,
+                                                            monkeypatch):
+        import fermilcu.report as report
+
+        def refuse(maj):
+            raise AssertionError("spectral range taken above its limit")
+
+        monkeypatch.setattr(report, "spectral_range", refuse)
+        methods = ["pauli", "ac", "sf", "df", "l4-svd", "l4-mps"]
+        result = run_pipeline({"files": ["chain_h10"], "methods": methods})
+        assert result.exit_code == 0
+        assert [row["method"] for row in result.rows] == methods
+        for row in result.rows:
+            assert row["verified"] is True, row
+            assert row["deviation"] <= row["tolerance"]
+            assert row["bound_ok"] is None and row["half_range"] is None
+        # the CSV shows the verdict of a row whose bound was not checked
+        for line in result.csv_text.splitlines()[1:]:
+            cells = line.split(",")
+            assert cells[CSV_COLUMNS.index("bound_ok")] == ""
+            assert cells[CSV_COLUMNS.index("verified")] == "true"
 
     def test_output_stem_writes_both_forms(self, tmp_path):
         config = dict(self.CONFIG, methods=["pauli"], output="report")

@@ -305,7 +305,8 @@ class TestReconstruction:
         assert abs(moved - verify_reconstruction(lcu, maj)) > 1e-7
 
     def test_lih_coefficient_level(self):
-        # 12 qubits falls back to the Pauli-coefficient 1-norm of the difference
+        # the deviation is the Pauli-coefficient 1-norm of the difference at
+        # every size; an untruncated Pauli LCU leaves only rounding in it
         maj = hamiltonian("lih")
         exact = sparse_pauli_lcu(maj, threshold=0.0)
         assert verify_reconstruction(exact, maj) < 1e-8
