@@ -187,7 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_decomp(p)
     p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("spectrum", help="extremal eigenvalues and half-range")
+    p = sub.add_parser("spectrum", help="extremal eigenvalues and half-range, "
+                       "exact from the S_z = 0 or -1/2 sector of each "
+                       "electron count of the spin-free Hamiltonian")
     p.add_argument("--input", required=True)
     add_output(p)
     p.set_defaults(handler=cmd_spectrum)

@@ -18,8 +18,12 @@ Sums of words have one form, the array form: packed uint64 X and Z masks and
 complex coefficients in parallel arrays. `word_products` multiplies word
 arrays elementwise (with broadcasting), `expand_reflections` lists the Q and
 ordered QQ terms of any spin-resolved weights (`reflection_terms`: the
-Hamiltonian's), `combine_terms` sums like terms by sorting their masks, and
-`sparse_matrix` assembles the matrix of a sum one X mask at a time.
+Hamiltonian's), and `combine_terms` sums like terms by sorting their masks.
+`sparse_matrix` assembles the matrix of a sum one X mask at a time, and
+`sector_matrix` the blocks of chosen (n_alpha, n_beta) sectors with the
+same row-vector kernel restricted to those sectors' states, without the
+2^nq-row matrix; a sum that conserves both electron counts, as every
+Hamiltonian here does, is block diagonal over the sectors.
 `PauliSum` is the combined record of such a sum; `PauliSum.from_arrays`
 builds it and is the one place where terms below PRUNE_TOL are dropped.
 `combine_terms` packs a word into one 64-bit key, so like terms combine on at
@@ -300,23 +304,71 @@ def _reverse_bits(masks, n_bits: int):
     return out
 
 
-def _parity_signs(masks, n_bits: int):
-    """(-1)^|m & b| for every mask m (rows) and every b < 2^n_bits (columns)."""
-    states = np.arange(1 << n_bits, dtype=np.uint64)
+def _parity_signs(masks, states):
+    """(-1)^|m & s| for every mask m (rows) and every state s (columns)."""
     parity = np.bitwise_count(masks[:, None] & states[None, :]) & 1
     return 1.0 - 2.0 * parity.astype(np.float64)
+
+
+def _row_block(z_a, z_b, coeffs, states_a, states_b):
+    """The X-group row vector v(r) = sum_t c_t (-1)^|z_t & r| on a grid of
+    rows r = (a, b), a in states_a and b in states_b, where r and every z_t
+    split into the same two disjoint bit sets (z_t into z_a and z_b): the
+    sign factors, so the grid is one matrix product."""
+    return (_parity_signs(z_a, states_a).T * coeffs) @ _parity_signs(z_b, states_b)
+
+
+def _x_groups(op: PauliSum):
+    """The terms in row form, grouped by X mask: (x, z, coeffs, groups).
+
+    Qubit 1 is the leftmost Kronecker factor, so mask bit q becomes bit
+    nq-1-q of a basis-state index. Row r of a word holds i^-|x&z| (-1)^|z&r|
+    at column r ^ x, so each coefficient takes the phase i^-|x&z|, and the
+    words of one X mask, a (start, stop) slice in groups, fill one row
+    vector (_row_block).
+    """
+    nq = op.n_qubits
+    x, z = _reverse_bits(op.x, nq), _reverse_bits(op.z, nq)
+    coeffs = op.coeffs * _I_POWERS[-_popcount(x & z) & 3]
+    if not np.any(coeffs.imag):
+        coeffs = coeffs.real
+    order = np.argsort(x, kind="stable")
+    x, z, coeffs = x[order], z[order], coeffs[order]
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    return x, z, coeffs, list(zip(starts, np.r_[starts[1:], x.size]))
+
+
+def _csr_from_groups(entries, groups, dim: int, dtype):
+    """CSR matrix from each X group's (rows, cols, values), which
+    entries(start, stop) returns with distinct rows. A first pass counts
+    the entries of every row and a second writes them in place, so the
+    matrix is written once, group by group."""
+    from scipy.sparse import csr_matrix
+
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    for lo, hi in groups:
+        indptr[1 + entries(lo, hi)[0]] += 1
+    np.cumsum(indptr, out=indptr)
+    index_type = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+    indptr = indptr.astype(index_type)
+    indices = np.empty(indptr[-1], dtype=index_type)
+    data = np.empty(indptr[-1], dtype=dtype)
+    fill = indptr[:-1].copy()
+    for lo, hi in groups:
+        rows, cols, values = entries(lo, hi)
+        at = fill[rows]
+        indices[at] = cols
+        data[at] = values
+        fill[rows] = at + 1
+    return csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def sparse_matrix(op: PauliSum):
     """CSR matrix of a PauliSum, real when every entry is; guard 2N <= 24.
 
-    Qubit 1 is the leftmost Kronecker factor, so mask bit q is bit nq-1-q of
-    a basis-state index. Row r of a word holds i^-|x&z| (-1)^|z&r| at column
-    r ^ x, so the words sharing an X mask fill one vector over rows,
-    v(r) = sum_t c_t i^-|x&z_t| (-1)^|z_t&r|. Splitting r into high and low
-    bits factors the signs, which turns v into one small matrix product.
-    Entries at or below PRUNE_TOL are dropped; a first pass over the groups
-    finds the kept rows, so the matrix is written once, in place.
+    Each X group's row vector (_x_groups) is taken over all 2^nq rows,
+    split into their high and low bits; entries at or below PRUNE_TOL are
+    dropped.
     """
     from scipy.sparse import csr_matrix
 
@@ -326,37 +378,72 @@ def sparse_matrix(op: PauliSum):
     dim = 1 << nq
     if not len(op):
         return csr_matrix((dim, dim), dtype=complex)
-    x, z = _reverse_bits(op.x, nq), _reverse_bits(op.z, nq)
-    coeffs = op.coeffs * _I_POWERS[-_popcount(x & z) & 3]
-    if not np.any(coeffs.imag):
-        coeffs = coeffs.real
-    order = np.argsort(x, kind="stable")
-    x, z, coeffs = x[order], z[order], coeffs[order]
-    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    groups = list(zip(starts, np.r_[starts[1:], x.size]))
+    x, z, coeffs, groups = _x_groups(op)
     n_low = np.uint64(nq // 2)
+    low_mask = (np.uint64(1) << n_low) - np.uint64(1)
+    high_states = np.arange(1 << (nq - nq // 2), dtype=np.uint64)
+    low_states = np.arange(1 << (nq // 2), dtype=np.uint64)
 
-    def group_vector(lo, hi):
-        high = _parity_signs(z[lo:hi] >> n_low, nq - nq // 2)
-        low = _parity_signs(z[lo:hi] & ((np.uint64(1) << n_low) - np.uint64(1)),
-                            nq // 2)
-        return ((high.T * coeffs[lo:hi]) @ low).ravel()
+    def entries(lo, hi):
+        v = _row_block(z[lo:hi] >> n_low, z[lo:hi] & low_mask, coeffs[lo:hi],
+                       high_states, low_states).ravel()
+        rows = np.flatnonzero(np.abs(v) > PRUNE_TOL)
+        return rows, rows ^ int(x[lo]), v[rows]
 
-    kept = []
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    for lo, hi in groups:
-        nonzero = np.abs(group_vector(lo, hi)) > PRUNE_TOL
-        indptr[1:] += nonzero
-        kept.append(np.flatnonzero(nonzero))
-    np.cumsum(indptr, out=indptr)
-    index_type = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-    indptr = indptr.astype(index_type)
-    indices = np.empty(indptr[-1], dtype=index_type)
-    data = np.empty(indptr[-1], dtype=coeffs.dtype)
-    fill = indptr[:-1].copy()
-    for (lo, hi), rows in zip(groups, kept):
-        at = fill[rows]
-        indices[at] = rows ^ int(x[lo])
-        data[at] = group_vector(lo, hi)[rows]
-        fill[rows] = at + 1
-    return csr_matrix((data, indices, indptr), shape=(dim, dim))
+    return _csr_from_groups(entries, groups, dim, coeffs.dtype)
+
+
+def _spin_strings(masks, spin: int, n_orbitals: int):
+    """The occupations of one spin in row-form masks, as N-bit strings: the
+    spin-orbital (i, spin) is mask bit 2i + spin, row bit 2N-1-2i-spin, and
+    string bit N-1-i."""
+    one = np.uint64(1)
+    out = np.zeros_like(masks)
+    for k in range(n_orbitals):
+        out |= ((masks >> np.uint64(2 * k + 1 - spin)) & one) << np.uint64(k)
+    return out
+
+
+def sector_matrix(op: PauliSum, sectors):
+    """Block-diagonal CSR matrix of a PauliSum on the basis states of the
+    given (n_alpha, n_beta) sectors, and the block offsets: block k spans
+    rows offsets[k] to offsets[k+1]. Alpha electrons sit on qubits 1, 3,
+    ..., beta on qubits 2, 4, ..., an occupied spin-orbital on |1>. A
+    block's rows are its states in ascending (alpha string, beta string),
+    a string reading its orbitals' occupations as a binary number, orbital
+    1 most significant. A block is the operator's compression onto its
+    sector, the whole operator there when the sum conserves both counts.
+
+    A basis state is a pair of alpha and beta strings, and the sign of a
+    Z mask factors over the two, so each X group's row vector is one
+    _row_block over the strings whose count its flips keep; of that grid
+    only the rows in the sectors are written, and the 2^nq-row matrix is
+    never formed. Entries at or below PRUNE_TOL are dropped, as
+    sparse_matrix drops them.
+    """
+    n = op.n_qubits // 2
+    strings = np.arange(1 << n, dtype=np.uint64)
+    counts = np.bitwise_count(strings)
+    position = np.full((1 << n, 1 << n), -1, dtype=np.int64)
+    offsets = [0]
+    for n_alpha, n_beta in sectors:
+        alpha, beta = strings[counts == n_alpha], strings[counts == n_beta]
+        position[np.ix_(alpha, beta)] = offsets[-1] + np.arange(
+            alpha.size * beta.size).reshape(alpha.size, beta.size)
+        offsets.append(offsets[-1] + alpha.size * beta.size)
+    if not len(op):
+        return _csr_from_groups(None, [], offsets[-1], float), offsets
+    x, z, coeffs, groups = _x_groups(op)
+    x_a, x_b = _spin_strings(x, 0, n), _spin_strings(x, 1, n)
+    z_a, z_b = _spin_strings(z, 0, n), _spin_strings(z, 1, n)
+
+    def entries(lo, hi):
+        rows_a = strings[counts[strings ^ x_a[lo]] == counts]
+        rows_b = strings[counts[strings ^ x_b[lo]] == counts]
+        v = _row_block(z_a[lo:hi], z_b[lo:hi], coeffs[lo:hi], rows_a, rows_b)
+        rows = position[np.ix_(rows_a, rows_b)]
+        keep = (rows >= 0) & (np.abs(v) > PRUNE_TOL)
+        cols = position[np.ix_(rows_a ^ x_a[lo], rows_b ^ x_b[lo])]
+        return rows[keep], cols[keep], v[keep]
+
+    return _csr_from_groups(entries, groups, offsets[-1], coeffs.dtype), offsets

@@ -190,7 +190,8 @@ def _als_sweep(unfoldings, vecs, grams, ridge):
     equations (G o G' o G'' + ridge) A^T = (unfolding @ z)^T, z the
     Khatri-Rao product of the other three factors, by Cholesky (LAPACK
     dposv), and by LU when the matrix is not numerically positive definite.
-    Returns the column norms of the last factor, the weights.
+    Returns the column norms of the last factor, the weights, and that
+    mode's right-hand side, whose factors v1-v3 no later mode changes.
     """
     rank = vecs[0].shape[1]
     for mode in range(4):
@@ -206,16 +207,16 @@ def _als_sweep(unfoldings, vecs, grams, ridge):
         norms = np.where(norms > 0, norms, 1.0)
         vecs[mode] = solved.T / norms
         grams[mode] = vecs[mode].T @ vecs[mode]
-    return norms
+    return norms, rhs
 
 
-def _als_residual(t, t_sq, vecs, weights, grams):
+def _als_residual(t_sq, rhs, vecs, weights, grams):
     """||t - sum_m w_m v1_m x v2_m x v3_m x v4_m||^2 without the model tensor:
     t_sq - 2 sum_m w_m <t, v1_m x v2_m x v3_m x v4_m> + w^T (G1 o G2 o G3 o G4) w
-    with the Gram matrices grams[k] = G_k = V_k^T V_k."""
-    v1, v2, v3, v4 = vecs
-    n = t.shape[0]
-    inner = ((t.reshape(n ** 3, n).T @ khatri_rao(khatri_rao(v1, v2), v3)) * v4).sum(axis=0)
+    with the Gram matrices grams[k] = G_k = V_k^T V_k. The inner products
+    contract the sweep's last right-hand side, rhs[m] = t contracted with
+    v1_m, v2_m and v3_m, against v4_m."""
+    inner = (rhs.T * vecs[3]).sum(axis=0)
     gram = grams[0] * grams[1] * grams[2] * grams[3]
     return t_sq - 2.0 * float(weights @ inner) + float(weights @ gram @ weights)
 
@@ -250,8 +251,8 @@ def _als_fit(t, rank, seed, start=None):
     prev = np.inf
     t_sq = float((t * t).sum())
     for sweeps in range(1, ALS_MAX_SWEEPS + 1):
-        weights = _als_sweep(unfoldings, vecs, grams, ridge)
-        resid = _als_residual(t, t_sq, vecs, weights, grams)
+        weights, rhs = _als_sweep(unfoldings, vecs, grams, ridge)
+        resid = _als_residual(t_sq, rhs, vecs, weights, grams)
         if abs(prev - resid) <= 1e-10 * max(t_sq, 1e-30):
             prev = resid
             break

@@ -282,41 +282,54 @@ def rotation_pairs(n: int):
     return [(i, j) for i in range(1, n) for j in range(i)]
 
 
-@lru_cache(maxsize=None)
-def _givens_stack(n: int):
-    """Pair numbers, row and column indices of rotation_pairs(n), and a
-    stack of identities, one per pair, for rotation_from_angles to fill; all
-    read-only."""
-    i, j = np.array(rotation_pairs(n), dtype=np.intp).reshape(-1, 2).T.copy()
-    k = np.arange(i.size)
-    eye = np.tile(np.eye(n), (i.size, 1, 1))
-    for array in (k, i, j, eye):
-        array.flags.writeable = False
-    return k, i, j, eye
+class _RotationChain:
+    """Products of plane rotations over all index pairs, in a fixed order,
+    that keep the last call's Givens matrices and running products.
+
+    The Givens matrices are multiplied left to right as full n x n
+    products, u = u @ g_k starting from the identity. Applying each
+    rotation to two columns instead rounds differently, and the
+    orbital-optimization search follows those last bits. A call restarts
+    the product at the first angle whose bits differ from the last call's
+    (compared as int64, so +0.0 and -0.0 differ); the prefix before it is
+    the same product of the same matrices, so the result is bit-identical
+    to a fresh chain's.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.pairs = rotation_pairs(n)
+        self.givens = [np.eye(n) for _ in self.pairs]
+        # products[k] = g_0 ... g_{k-1}; the first call fills k >= 1
+        self.products = [np.eye(n)] * (len(self.pairs) + 1)
+        self.bits = None
+
+    def __call__(self, angles) -> np.ndarray:
+        angles = np.asarray(angles, dtype=float)
+        if angles.size != len(self.pairs):
+            raise ValueError(f"expected {len(self.pairs)} angles for "
+                             f"{self.n} orbitals")
+        bits = angles.view(np.int64)
+        first = 0
+        if self.bits is not None:
+            changed = np.flatnonzero(bits != self.bits)
+            first = changed[0] if changed.size else len(self.pairs)
+        c, s = np.cos(angles), np.sin(angles)
+        for k in range(first, len(self.pairs)):
+            i, j = self.pairs[k]
+            g = self.givens[k]
+            g[j, j] = g[i, i] = c[k]
+            g[j, i] = s[k]
+            g[i, j] = -s[k]
+            self.products[k + 1] = self.products[k] @ g
+        self.bits = bits.copy()
+        return self.products[-1]
 
 
 def rotation_from_angles(angles, n: int) -> np.ndarray:
-    """Product of plane rotations over all index pairs, in a fixed order.
-
-    All Givens matrices are filled at once by four indexed writes into a
-    copy of the cached identity stack, then multiplied left to right as
-    full n x n products, u = u @ g_k starting from the identity. Applying
-    each rotation to two columns instead rounds differently, and the
-    orbital-optimization search follows those last bits.
-    """
-    k, i, j, eye = _givens_stack(n)
-    if len(angles) != k.size:
-        raise ValueError(f"expected {k.size} angles for {n} orbitals")
-    c, s = np.cos(angles), np.sin(angles)
-    g = eye.copy()
-    g[k, j, j] = c
-    g[k, i, i] = c
-    g[k, j, i] = s
-    g[k, i, j] = -s
-    u = np.eye(n)
-    for g_k in g:
-        u = u @ g_k
-    return u
+    """Product of plane rotations over all index pairs, in a fixed order:
+    a fresh _RotationChain."""
+    return _RotationChain(n)(angles)
 
 
 def rotate_two_body(g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -496,12 +509,13 @@ def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
     # the unrotated evaluation always runs, whatever the budget
     limit = np.inf if budget is None else max(budget, 1)
     seen = {"val": np.inf}
+    chain = _RotationChain(n)
 
     def evaluate(angles):
         if counter["evals"] >= limit:
             raise _BudgetSpent
         counter["evals"] += 1
-        u = rotation_from_angles(angles, n)
+        u = chain(angles)
         value = one_norm(u.T @ maj.h_tilde @ u, rotate_two_body(maj.g, u))
         if value < seen["val"]:
             seen.update(val=value, angles=np.array(angles, dtype=float))

@@ -1,6 +1,10 @@
 """Brute-force checks: full reconstruction of an LCU against the
 Hamiltonian, and the spectral lower bound on the 1-norm.
 
+The spectral range is taken on one sector per electron count, the one
+with S_z = 0 or -1/2, and is exact there because a MajoranaHamiltonian is
+spin-free (`spectral_range`); the 2^2N-state matrix is never built.
+
 Reconstruction expands each Pauli, AC and squared-polynomial fragment on its
 own, but sums the reflection products first: a reflection (v, w, sigma) is
 sum_ij v_i w_j Q_ij,sigma, so the products of one spin pair (sigma, tau) add
@@ -16,18 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lcu import ChebyshevSquare, Fragment, LcuDecomposition
-from .majorana import (
+# dense_matrix and sparse_matrix are not called here; perfbench's checks
+# and trace points read them, with pauli_sum_of_hamiltonian, from this module
+from .majorana import (  # noqa: F401
     PauliSum,
     combine_terms,
     dense_matrix,
     expand_reflections,
     pauli_sum_of_hamiltonian,
     reflection_table,
+    sector_matrix,
     sparse_matrix,
     word_products,
 )
 
 BUFFER_TERMS = 1 << 18
+DENSE_STATES = 400
 ROUNDING_ULPS = 64
 
 
@@ -41,24 +49,50 @@ class SpectralRange:
         return 0.5 * (self.e_max - self.e_min)
 
 
+def _extremes(block) -> tuple:
+    """Lowest and highest eigenvalue of a Hermitian CSR block: dense up to
+    DENSE_STATES states, where that is the faster, else two extremal
+    Lanczos runs from one deterministic start."""
+    dim = block.shape[0]
+    if dim <= DENSE_STATES:
+        eigs = np.linalg.eigvalsh(block.toarray())
+        return float(eigs[0]), float(eigs[-1])
+    from scipy.sparse.linalg import eigsh
+
+    v0 = np.ones(dim) / np.sqrt(dim)
+    lo = eigsh(block, k=1, which="SA", v0=v0, return_eigenvectors=False)
+    hi = eigsh(block, k=1, which="LA", v0=v0, return_eigenvectors=False)
+    return float(lo[0]), float(hi[0])
+
+
 def spectral_range(maj) -> SpectralRange:
-    """Extremal eigenvalues of the qubit matrix, constants included."""
-    nq = 2 * maj.n_orbitals
-    if nq > 24:
+    """Extremal eigenvalues of the qubit matrix, constants included, from
+    the central spin sector of each electron count.
+
+    A MajoranaHamiltonian with symmetric h_tilde and g_ijkl = g_jikl =
+    g_ijlk is a spin-free electronic Hamiltonian: it conserves the alpha
+    and beta electron counts, so its matrix is block diagonal over the
+    (n_alpha, n_beta) sectors, and it commutes with the total spin, so
+    every spin multiplet of n_e electrons has a member with
+    S_z = 0 (n_e even) or -1/2 (n_e odd). The extremes over the 2N+1
+    sectors (floor(n_e/2), ceil(n_e/2)), n_e = 0..2N, are therefore the
+    extremes of the whole 2^2N Fock space, whose matrix is never built.
+    """
+    n = maj.n_orbitals
+    if 2 * n > 24:
         raise ValueError("spectral range limited to 24 qubits")
+    g = maj.g
+    if max(np.abs(g - g.transpose(1, 0, 2, 3)).max(),
+           np.abs(g - g.transpose(0, 1, 3, 2)).max()) > 1e-10:
+        raise ValueError("spectral range needs g_ijkl = g_jikl = g_ijlk")
     op = pauli_sum_of_hamiltonian(maj)
     if not len(op):
         return SpectralRange(0.0, 0.0)
-    if nq <= 10:
-        eigs = np.linalg.eigvalsh(dense_matrix(op))
-        return SpectralRange(float(eigs[0]), float(eigs[-1]))
-    from scipy.sparse.linalg import eigsh
-
-    mat = sparse_matrix(op)
-    v0 = np.ones(mat.shape[0]) / np.sqrt(mat.shape[0])  # deterministic start
-    lo = eigsh(mat, k=1, which="SA", v0=v0, return_eigenvectors=False)
-    hi = eigsh(mat, k=1, which="LA", v0=v0, return_eigenvectors=False)
-    return SpectralRange(float(lo[0]), float(hi[0]))
+    sectors = [(n_e // 2, n_e - n_e // 2) for n_e in range(2 * n + 1)]
+    matrix, offsets = sector_matrix(op, sectors)
+    lows, highs = zip(*(_extremes(matrix[a:b, a:b])
+                        for a, b in zip(offsets, offsets[1:])))
+    return SpectralRange(min(lows), max(highs))
 
 
 def _reflection_terms(refl, n_orbitals: int):

@@ -12,13 +12,24 @@ inputs with; no run of the package calls them.
   model prices; both must equal the normalized group operator.
 - `rotate_hamiltonian` rotates the Majorana tensors, for the invariants of
   orbital optimization; `emit_fcidump` writes FCIDUMP text for round trips.
+- `sector_states` lists a sector's basis-state indices in the row order
+  `majorana.sector_matrix` documents; `full_space_range` and
+  `full_space_eigsh_range` take the spectral range over the whole 2^2N
+  Fock space, dense and by extremal Lanczos, for the central-sector
+  `spectral_range` to match.
 """
 
 import numpy as np
 
-from fermilcu.majorana import MajoranaHamiltonian, PauliWord, dense_matrix
+from fermilcu.majorana import (
+    MajoranaHamiltonian,
+    PauliWord,
+    dense_matrix,
+    pauli_sum_of_hamiltonian,
+    sparse_matrix,
+)
 from fermilcu.qubit_lcu import rotate_two_body
-from fermilcu.verify import fragment_pauli_sum
+from fermilcu.verify import SpectralRange, fragment_pauli_sum
 
 UNITARY_TOL = 1e-9
 DENSE_QUBITS = 8  # fragment_matrix renders at most a 256 x 256 matrix
@@ -221,3 +232,43 @@ def emit_fcidump(mol, nelec: int = 0) -> str:
                 lines.append(f"{v:23.16E} {i:4d} {j:4d}    0    0")
     lines.append(f"{mol.core_energy:23.16E}    0    0    0    0")
     return "\n".join(lines) + "\n"
+
+
+def full_space_range(maj: MajoranaHamiltonian) -> SpectralRange:
+    """Extremes of every eigenvalue of the dense 2^2N matrix (2N <= 16)."""
+    eigs = np.linalg.eigvalsh(dense_matrix(pauli_sum_of_hamiltonian(maj)))
+    return SpectralRange(float(eigs[0]), float(eigs[-1]))
+
+
+def full_space_eigsh_range(maj: MajoranaHamiltonian) -> SpectralRange:
+    """Extremal Lanczos eigenvalues of the sparse 2^2N matrix, from the
+    normalized all-ones start."""
+    from scipy.sparse.linalg import eigsh
+
+    mat = sparse_matrix(pauli_sum_of_hamiltonian(maj))
+    v0 = np.ones(mat.shape[0]) / np.sqrt(mat.shape[0])
+    lo = eigsh(mat, k=1, which="SA", v0=v0, return_eigenvectors=False)
+    hi = eigsh(mat, k=1, which="LA", v0=v0, return_eigenvectors=False)
+    return SpectralRange(float(lo[0]), float(hi[0]))
+
+
+def sector_states(n_orbitals: int, n_alpha: int, n_beta: int) -> list:
+    """Indices of the basis states with n_alpha alpha and n_beta beta
+    electrons, in ascending (alpha string, beta string): a string reads its
+    orbitals' occupations as a binary number, orbital 1 most significant.
+    Spin-orbital (i, spin) is qubit 2i + spin + 1, the bit 2N-2i-spin-1 of
+    an index, set when occupied."""
+    nq = 2 * n_orbitals
+
+    def strings(count):
+        return [s for s in range(1 << n_orbitals) if s.bit_count() == count]
+
+    def index(alpha, beta):
+        r = 0
+        for i in range(n_orbitals):
+            bit = n_orbitals - 1 - i
+            r |= ((alpha >> bit) & 1) << (nq - 1 - 2 * i)
+            r |= ((beta >> bit) & 1) << (nq - 2 - 2 * i)
+        return r
+
+    return [index(a, b) for a in strings(n_alpha) for b in strings(n_beta)]

@@ -245,8 +245,9 @@ class TestCp4:
         t_sq = float((t * t).sum())
         unfoldings = [np.moveaxis(t, mode, 0).reshape(n, -1) for mode in range(4)]
         grams = [v.T @ v for v in vecs]
-        weights = _als_sweep(unfoldings, vecs, grams, mtd_l4.ALS_RIDGE * np.eye(rank))
-        assert abs(_als_residual(t, t_sq, vecs, weights, grams)) <= 1e-12 * t_sq
+        weights, rhs = _als_sweep(unfoldings, vecs, grams,
+                                  mtd_l4.ALS_RIDGE * np.eye(rank))
+        assert abs(_als_residual(t_sq, rhs, vecs, weights, grams)) <= 1e-12 * t_sq
 
     def test_rank_and_lambda_independent_of_blas_threads(self):
         code = ("import json\n"

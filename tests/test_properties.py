@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import pauli_sum, random_two_body
 from reference import (
+    full_space_range,
     givens_chain_angles,
     naive_ac_phases,
     reconstruct_chain,
     rotate_hamiltonian,
+    sector_states,
 )
 from fermilcu.fermionic_lcu import _csa_cost
 from fermilcu.integrals import load_fixture
@@ -29,12 +31,14 @@ from fermilcu.majorana import (
     PauliWord,
     anticommutation_rows,
     pauli_sum_of_hamiltonian,
+    sector_matrix,
     sparse_matrix,
     word_products,
     word_sort_keys,
 )
 from fermilcu.mtd_l4 import _als_residual, _als_sweep, cp4_als, mps_factorize, svd_chain_factorize
 from fermilcu.qubit_lcu import (
+    _RotationChain,
     _item_coeffs,
     _item_words,
     _sorted_insertion,
@@ -152,6 +156,29 @@ class TestPauliKernels:
         assert mat.indices.dtype == np.int32
         assert not np.any(np.abs(mat.data) <= 1e-14)
         np.testing.assert_allclose(mat.toarray(), reference, atol=1e-14)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.sampled_from([0, 0b0101, 0b1010, 0b1111, 0b0011]),
+                  st.integers(0, (1 << 2 * n) - 1),
+                  st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.5j, -0.25j])),
+        min_size=1, max_size=12))))
+    def test_sector_blocks_are_kron_sum_compressions(self, case):
+        # X masks flip same-spin pairs, both spins, or one orbital's two
+        # spins, so some sums conserve the counts and some do not; every
+        # block is the reference restricted to its sector's states
+        n, raw = case
+        nq = 2 * n
+        words = [PauliWord(nq, x & ((1 << nq) - 1), z) for x, z, _ in raw]
+        reference = sum(c * word.dense() for word, (_, _, c) in zip(words, raw))
+        sectors = [(a, b) for a in range(n + 1) for b in range(n + 1)]
+        mat, offsets = sector_matrix(pauli_sum(nq, words, [c for *_, c in raw]),
+                                     sectors)
+        assert offsets[-1] == 1 << nq
+        for (a, b), lo, hi in zip(sectors, offsets, offsets[1:]):
+            rows = sector_states(n, a, b)
+            np.testing.assert_allclose(mat[lo:hi, lo:hi].toarray(),
+                                       reference[np.ix_(rows, rows)], atol=1e-14)
 
 
 def _word_lists(sizes, max_qubits):
@@ -338,6 +365,27 @@ class TestBitExactKernels:
         assert np.array_equal(rotation_from_angles(list(angles), n),
                               givens_product(list(angles), n))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 2 ** 32 - 1))
+    def test_reused_chain_equals_fresh_chain(self, n, seed):
+        # the search's chain restarts at the first angle whose bits changed,
+        # a sign-flipped zero included, and must round like a fresh chain
+        rng = np.random.default_rng(seed)
+        chain = _RotationChain(n)
+        angles = rng.normal(size=n * (n - 1) // 2)
+        for _ in range(8):
+            angles = angles.copy()
+            k = rng.integers(angles.size)
+            choice = rng.integers(3)
+            if choice == 0:
+                angles[k] = rng.normal()
+            elif choice == 1:
+                angles[k] = -0.0 if np.signbit(angles[k]) == 0 else 0.0
+            else:
+                angles[k:] = rng.normal(size=angles.size - k)
+            assert (chain(angles).tobytes()
+                    == rotation_from_angles(angles, n).tobytes())
+
     def test_rotation_rejects_wrong_angle_count(self):
         with pytest.raises(ValueError):
             rotation_from_angles(np.zeros(2), 3)
@@ -457,8 +505,9 @@ class TestFitKernels:
         explicit = float(((t - model) ** 2).sum())
         t_sq = float((t * t).sum())
         grams = [v.T @ v for v in vecs]
+        rhs = np.einsum("ijkl,im,jm,km->ml", t, *vecs[:3])
         # both forms round at the scale of the larger of t_sq and the residual
-        assert (abs(_als_residual(t, t_sq, vecs, weights, grams) - explicit)
+        assert (abs(_als_residual(t_sq, rhs, vecs, weights, grams) - explicit)
                 <= 1e-10 * max(t_sq, explicit))
 
 
@@ -520,6 +569,30 @@ class TestGroupedReconstruction:
             2 * n, *_running_sum(per_fragment())).coeffs).sum())
         allowed = 64 * np.finfo(float).eps * (lcu.one_norm + abs(lcu.constant))
         assert abs(verify_reconstruction(lcu, maj) - reference) <= allowed
+
+
+def spin_free_hamiltonian(n, seed, two_body_scale) -> MajoranaHamiltonian:
+    rng = np.random.default_rng(seed)
+    maj = random_hamiltonian(n, rng)
+    return MajoranaHamiltonian(n_orbitals=n, h0=maj.h0, h_tilde=maj.h_tilde,
+                               g=two_body_scale * maj.g)
+
+
+class TestSpectralSectors:
+    # one orbital whose minimum only the one-electron sector holds
+    ODD_GROUND = MajoranaHamiltonian(n_orbitals=1, h0=0.0,
+                                     h_tilde=np.zeros((1, 1)),
+                                     g=np.ones((1, 1, 1, 1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.builds(spin_free_hamiltonian, st.integers(1, 4),
+                     st.integers(0, 2 ** 32 - 1),
+                     st.sampled_from([0.1, 1.0, 10.0])))
+    @example(ODD_GROUND)
+    def test_central_sectors_give_full_space_extremes(self, maj):
+        sectors, full = spectral_range(maj), full_space_range(maj)
+        assert sectors.e_min == pytest.approx(full.e_min, abs=1e-10)
+        assert sectors.e_max == pytest.approx(full.e_max, abs=1e-10)
 
 
 class TestNormBound:

@@ -15,7 +15,12 @@ from fermilcu.fermionic_lcu import (
     double_factorize,
 )
 from fermilcu.lcu import AcGroup, Fragment, LcuDecomposition, PauliTerm, Reflection, ReflectionProduct
-from fermilcu.majorana import MajoranaHamiltonian, PauliWord, pauli_sum_of_hamiltonian
+from fermilcu.majorana import (
+    MajoranaHamiltonian,
+    PauliWord,
+    pauli_sum_of_hamiltonian,
+    sector_matrix,
+)
 from fermilcu.mtd_l4 import cp4_als, l4_lcu, mps_factorize, svd_chain_factorize
 from fermilcu.qubit_lcu import ac_lcu, sorted_insertion_ac, sparse_pauli_lcu
 from fermilcu.verify import (
@@ -28,9 +33,15 @@ from fermilcu.verify import (
 )
 
 from conftest import hamiltonian
-from reference import ac_givens_matrix, ac_naive_matrix, fragment_matrix
+from reference import (
+    ac_givens_matrix,
+    ac_naive_matrix,
+    fragment_matrix,
+    full_space_eigsh_range,
+    full_space_range,
+)
 
-# measured on this implementation (dense path for h2, iterative for lih)
+# measured on this implementation
 H2_E_MIN = -1.1372744061
 H2_E_MAX = 0.9209835035
 H2_HALF = 1.0291289548
@@ -43,6 +54,11 @@ METHODS = ("pauli", "ac-tensor", "ac-qubit", "sf", "df", "csa",
 def zero_hamiltonian(n: int = 1) -> MajoranaHamiltonian:
     return MajoranaHamiltonian(n_orbitals=n, h0=0.0, h_tilde=np.zeros((n, n)),
                                g=np.zeros((n, n, n, n)))
+
+
+def odd_ground_hamiltonian() -> MajoranaHamiltonian:
+    return MajoranaHamiltonian(n_orbitals=1, h0=0.0, h_tilde=np.zeros((1, 1)),
+                               g=np.ones((1, 1, 1, 1)))
 
 
 @lru_cache(maxsize=None)
@@ -108,14 +124,14 @@ def sample_word():
 
 
 class TestSpectralRange:
-    def test_h2_dense_path(self):
+    def test_h2_extremes_match_pinned_values(self):
         sr = spectral_range(hamiltonian("h2"))
         assert sr.e_min == pytest.approx(H2_E_MIN, abs=1e-9)
         assert sr.e_max == pytest.approx(H2_E_MAX, abs=1e-9)
         assert sr.half_range == pytest.approx(H2_HALF, abs=1e-9)
 
-    def test_lih_iterative_path(self):
-        # 12 qubits, so this exercises the sparse extremal eigensolver
+    def test_lih_half_range_matches_pinned_value(self):
+        # 12 qubits in 13 central sectors; the largest, (3, 3), has 400 states
         sr = spectral_range(hamiltonian("lih"))
         assert sr.half_range == pytest.approx(LIH_HALF, abs=1e-6)
         assert sr.e_min < 0.0 < sr.e_max
@@ -139,6 +155,39 @@ class TestSpectralRange:
     def test_guard_rejects_large_systems(self):
         with pytest.raises(ValueError, match="24 qubits"):
             spectral_range(zero_hamiltonian(13))
+
+    def test_rejects_two_body_tensor_without_pair_symmetry(self):
+        # g_ijkl != g_jikl breaks the electron counts the sectors rely on
+        g = np.zeros((2, 2, 2, 2))
+        g[0, 1, 0, 0] = g[0, 0, 0, 1] = 1.0
+        maj = MajoranaHamiltonian(n_orbitals=2, h0=0.0,
+                                  h_tilde=np.zeros((2, 2)), g=g)
+        with pytest.raises(ValueError, match="g_ijkl = g_jikl"):
+            spectral_range(maj)
+
+    def test_minimum_in_odd_electron_sector_only(self):
+        # one orbital, H = h0 + (1/4) g (Q_a + Q_b)^2: 1 with zero or two
+        # electrons, 0 with one, so only an odd sector holds the minimum
+        maj = odd_ground_hamiltonian()
+        op = pauli_sum_of_hamiltonian(maj)
+        even, _ = sector_matrix(op, [(0, 0), (1, 1)])
+        assert np.linalg.eigvalsh(even.toarray()).min() == pytest.approx(1.0)
+        sr = spectral_range(maj)
+        assert (sr.e_min, sr.e_max) == (pytest.approx(0.0, abs=1e-12),
+                                        pytest.approx(1.0))
+        full = full_space_range(maj)
+        assert (full.e_min, full.e_max) == (pytest.approx(0.0, abs=1e-12),
+                                            pytest.approx(1.0))
+
+    @pytest.mark.parametrize("name", ["lih", "beh2", "h2o", "chain_h06",
+                                      "chain_h08"])
+    def test_sectors_match_full_space_lanczos(self, name):
+        maj = hamiltonian(name)
+        sectors, full = spectral_range(maj), full_space_eigsh_range(maj)
+        assert sectors.half_range == pytest.approx(full.half_range, rel=1e-10)
+        for mine, theirs in ((sectors.e_min, full.e_min),
+                             (sectors.e_max, full.e_max)):
+            assert mine == pytest.approx(theirs, rel=1e-10)
 
 
 class TestFragmentMatrix:
