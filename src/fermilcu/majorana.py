@@ -338,16 +338,17 @@ def _x_groups(op: PauliSum):
     return x, z, coeffs, list(zip(starts, np.r_[starts[1:], x.size]))
 
 
-def _csr_from_groups(entries, groups, dim: int, dtype):
+def _csr_from_groups(rows_of, entries, groups, dim: int, dtype):
     """CSR matrix from each X group's (rows, cols, values), which
     entries(start, stop) returns with distinct rows. A first pass counts
-    the entries of every row and a second writes them in place, so the
-    matrix is written once, group by group."""
+    the entries of every row from rows_of(start, stop), the same rows that
+    entries returns, and a second writes them in place, so the matrix is
+    written once, group by group."""
     from scipy.sparse import csr_matrix
 
     indptr = np.zeros(dim + 1, dtype=np.int64)
     for lo, hi in groups:
-        indptr[1 + entries(lo, hi)[0]] += 1
+        indptr[1 + rows_of(lo, hi)] += 1
     np.cumsum(indptr, out=indptr)
     index_type = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
     indptr = indptr.astype(index_type)
@@ -390,7 +391,8 @@ def sparse_matrix(op: PauliSum):
         rows = np.flatnonzero(np.abs(v) > PRUNE_TOL)
         return rows, rows ^ int(x[lo]), v[rows]
 
-    return _csr_from_groups(entries, groups, dim, coeffs.dtype)
+    return _csr_from_groups(lambda lo, hi: entries(lo, hi)[0], entries,
+                            groups, dim, coeffs.dtype)
 
 
 def _spin_strings(masks, spin: int, n_orbitals: int):
@@ -416,10 +418,13 @@ def sector_matrix(op: PauliSum, sectors):
 
     A basis state is a pair of alpha and beta strings, and the sign of a
     Z mask factors over the two, so each X group's row vector is one
-    _row_block over the strings whose count its flips keep; of that grid
-    only the rows in the sectors are written, and the 2^nq-row matrix is
-    never formed. Entries at or below PRUNE_TOL are dropped, as
-    sparse_matrix drops them.
+    _row_block over the strings whose count its flips keep, computed once;
+    the 2^nq-row matrix is never formed. Of that grid only the central
+    cells, the rows in the given sectors, are written. Which cells those
+    are follows from the strings alone, so the first pass of
+    _csr_from_groups counts them without the values; the second writes
+    every central cell, those at or below PRUNE_TOL as 0, and
+    eliminate_zeros drops them, as sparse_matrix drops them.
     """
     n = op.n_qubits // 2
     strings = np.arange(1 << n, dtype=np.uint64)
@@ -432,18 +437,29 @@ def sector_matrix(op: PauliSum, sectors):
             alpha.size * beta.size).reshape(alpha.size, beta.size)
         offsets.append(offsets[-1] + alpha.size * beta.size)
     if not len(op):
-        return _csr_from_groups(None, [], offsets[-1], float), offsets
+        return _csr_from_groups(None, None, [], offsets[-1], float), offsets
     x, z, coeffs, groups = _x_groups(op)
     x_a, x_b = _spin_strings(x, 0, n), _spin_strings(x, 1, n)
     z_a, z_b = _spin_strings(z, 0, n), _spin_strings(z, 1, n)
 
-    def entries(lo, hi):
+    def grid(lo):
         rows_a = strings[counts[strings ^ x_a[lo]] == counts]
         rows_b = strings[counts[strings ^ x_b[lo]] == counts]
-        v = _row_block(z_a[lo:hi], z_b[lo:hi], coeffs[lo:hi], rows_a, rows_b)
         rows = position[np.ix_(rows_a, rows_b)]
-        keep = (rows >= 0) & (np.abs(v) > PRUNE_TOL)
-        cols = position[np.ix_(rows_a ^ x_a[lo], rows_b ^ x_b[lo])]
-        return rows[keep], cols[keep], v[keep]
+        return rows_a, rows_b, rows, rows >= 0
 
-    return _csr_from_groups(entries, groups, offsets[-1], coeffs.dtype), offsets
+    def rows_of(lo, hi):
+        _, _, rows, central = grid(lo)
+        return rows[central]
+
+    def entries(lo, hi):
+        rows_a, rows_b, rows, central = grid(lo)
+        v = _row_block(z_a[lo:hi], z_b[lo:hi], coeffs[lo:hi], rows_a, rows_b)
+        v[np.abs(v) <= PRUNE_TOL] = 0
+        cols = position[np.ix_(rows_a ^ x_a[lo], rows_b ^ x_b[lo])]
+        return rows[central], cols[central], v[central]
+
+    matrix = _csr_from_groups(rows_of, entries, groups, offsets[-1],
+                              coeffs.dtype)
+    matrix.eliminate_zeros()
+    return matrix, offsets

@@ -15,8 +15,10 @@ inputs with; no run of the package calls them.
 - `sector_states` lists a sector's basis-state indices in the row order
   `majorana.sector_matrix` documents; `full_space_range` and
   `full_space_eigsh_range` take the spectral range over the whole 2^2N
-  Fock space, dense and by extremal Lanczos, for the central-sector
-  `spectral_range` to match.
+  Fock space, dense and by ARPACK's extremal Lanczos, for the
+  central-sector `spectral_range` to match.
+- `cycle_laplacian` and `random_sparse_symmetric` are operators with known
+  or dense-checkable extremes for the in-package Lanczos run.
 """
 
 import numpy as np
@@ -34,6 +36,7 @@ from fermilcu.verify import SpectralRange, fragment_pauli_sum
 UNITARY_TOL = 1e-9
 DENSE_QUBITS = 8  # fragment_matrix renders at most a 256 x 256 matrix
 ANGLE_CLAMP = 1e-9
+EIGSH_SEED = 1950
 
 
 def word_from_letters(letters) -> PauliWord:
@@ -241,12 +244,14 @@ def full_space_range(maj: MajoranaHamiltonian) -> SpectralRange:
 
 
 def full_space_eigsh_range(maj: MajoranaHamiltonian) -> SpectralRange:
-    """Extremal Lanczos eigenvalues of the sparse 2^2N matrix, from the
-    normalized all-ones start."""
+    """Extremal Lanczos eigenvalues of the sparse 2^2N matrix, from a
+    seeded Gaussian start: a start that a symmetry of the matrix maps to
+    itself, such as the all-ones vector, can keep an extreme out of the
+    Krylov space."""
     from scipy.sparse.linalg import eigsh
 
     mat = sparse_matrix(pauli_sum_of_hamiltonian(maj))
-    v0 = np.ones(mat.shape[0]) / np.sqrt(mat.shape[0])
+    v0 = np.random.default_rng(EIGSH_SEED).standard_normal(mat.shape[0])
     lo = eigsh(mat, k=1, which="SA", v0=v0, return_eigenvectors=False)
     hi = eigsh(mat, k=1, which="LA", v0=v0, return_eigenvectors=False)
     return SpectralRange(float(lo[0]), float(hi[0]))
@@ -272,3 +277,26 @@ def sector_states(n_orbitals: int, n_alpha: int, n_beta: int) -> list:
         return r
 
     return [index(a, b) for a in strings(n_alpha) for b in strings(n_beta)]
+
+
+def cycle_laplacian(nodes: int):
+    """Graph Laplacian of the cycle on `nodes` nodes, spectrum
+    2 - 2 cos(2 pi k / nodes): its lowest eigenvector, for 0, is the
+    all-ones vector, and for even `nodes` its highest is 4."""
+    from scipy.sparse import diags
+
+    off = -np.ones(nodes - 1)
+    lap = diags([2.0 * np.ones(nodes), off, off], [0, 1, -1]).tolil()
+    lap[0, nodes - 1] = lap[nodes - 1, 0] = -1.0
+    return lap.tocsr()
+
+
+def random_sparse_symmetric(dim: int, density: float, seed: int):
+    """A real symmetric CSR matrix with Gaussian entries at about `density`
+    of the positions and a Gaussian diagonal."""
+    from scipy.sparse import diags, random as sparse_random
+
+    rng = np.random.default_rng(seed)
+    upper = sparse_random(dim, dim, density=density, random_state=rng,
+                          data_rvs=rng.standard_normal)
+    return (upper + upper.T + diags(rng.standard_normal(dim))).tocsr()

@@ -3,6 +3,10 @@ exit codes (0 ok, 1 failed verification, 2 usage or input errors)."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +167,30 @@ class TestSpectrum:
         assert header == "e_min,e_max,half_range"
         e_min, e_max, half = (float(c) for c in row.split(","))
         assert half == pytest.approx((e_max - e_min) / 2, rel=1e-10)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak from /proc/self/status")
+    def test_chain_h08_peak_memory(self):
+        # The child prints its own peak resident set, VmHWM. Its ru_maxrss
+        # would not do: Linux carries the parent's high-water mark into it
+        # across exec, so under pytest it read 207 MB for a 128 MB run.
+        # Measured at one BLAS thread: 110.1 MB, against 129 MB with a
+        # copied block per sector and 241 MB for the full 2^16-state
+        # matrix; the bound leaves 15 MB of headroom.
+        code = ("from fermilcu.cli import main\n"
+                "assert main(['spectrum', '--input', 'chain_h08']) == 0\n"
+                "print(next(line.split()[1] for line in open('/proc/self/status')"
+                " if line.startswith('VmHWM:')))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        *payload, peak_kib = result.stdout.strip().splitlines()
+        assert json.loads("\n".join(payload))["half_range"] == pytest.approx(
+            4.627652435955006, rel=1e-12)
+        assert int(peak_kib) / 1024 <= 125.0
 
 
 class TestFit:

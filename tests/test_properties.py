@@ -17,6 +17,7 @@ from reference import (
     full_space_range,
     givens_chain_angles,
     naive_ac_phases,
+    random_sparse_symmetric,
     reconstruct_chain,
     rotate_hamiltonian,
     sector_states,
@@ -65,6 +66,8 @@ from fermilcu.resources import (
 )
 from fermilcu.report import METHODS, decompose_method
 from fermilcu.verify import (
+    DENSE_STATES,
+    _extremes,
     _fragment_parts,
     _fragment_terms,
     _running_sum,
@@ -175,6 +178,8 @@ class TestPauliKernels:
         mat, offsets = sector_matrix(pauli_sum(nq, words, [c for *_, c in raw]),
                                      sectors)
         assert offsets[-1] == 1 << nq
+        # cancelled and sub-PRUNE_TOL cells are written, then eliminated
+        assert not np.any(np.abs(mat.data) <= PRUNE_TOL)
         for (a, b), lo, hi in zip(sectors, offsets, offsets[1:]):
             rows = sector_states(n, a, b)
             np.testing.assert_allclose(mat[lo:hi, lo:hi].toarray(),
@@ -593,6 +598,20 @@ class TestSpectralSectors:
         sectors, full = spectral_range(maj), full_space_range(maj)
         assert sectors.e_min == pytest.approx(full.e_min, abs=1e-10)
         assert sectors.e_max == pytest.approx(full.e_max, abs=1e-10)
+
+
+class TestLanczosExtremes:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(DENSE_STATES + 1, DENSE_STATES + 64),
+           st.sampled_from([0.003, 0.02, 0.1]), st.integers(0, 2 ** 32 - 1))
+    def test_both_ends_match_dense_spectrum(self, dim, density, seed):
+        block = random_sparse_symmetric(dim, density, seed)
+        low, high, steps = _extremes(block)
+        eigs = np.linalg.eigvalsh(block.toarray())
+        scale = np.abs(eigs).max()
+        assert steps > 0
+        assert abs(low - eigs[0]) <= 1e-10 * scale
+        assert abs(high - eigs[-1]) <= 1e-10 * scale
 
 
 class TestNormBound:

@@ -1,6 +1,8 @@
 """Dense-oracle checks: spectral ranges, fragment rendering, operator
 reconstruction, and the 1-norm lower bound, across every decomposition route."""
 
+import logging
+import re
 from dataclasses import replace
 from functools import lru_cache
 
@@ -24,7 +26,10 @@ from fermilcu.majorana import (
 from fermilcu.mtd_l4 import cp4_als, l4_lcu, mps_factorize, svd_chain_factorize
 from fermilcu.qubit_lcu import ac_lcu, sorted_insertion_ac, sparse_pauli_lcu
 from fermilcu.verify import (
+    DENSE_STATES,
     SpectralRange,
+    _extremes,
+    _project_out,
     fragment_pauli_sum,
     reconstruction_tolerance,
     spectral_range,
@@ -36,6 +41,7 @@ from conftest import hamiltonian
 from reference import (
     ac_givens_matrix,
     ac_naive_matrix,
+    cycle_laplacian,
     fragment_matrix,
     full_space_eigsh_range,
     full_space_range,
@@ -188,6 +194,103 @@ class TestSpectralRange:
         for mine, theirs in ((sectors.e_min, full.e_min),
                              (sectors.e_max, full.e_max)):
             assert mine == pytest.approx(theirs, rel=1e-10)
+
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_number_operator_spans_minus_n_to_n(self, n):
+        # H = (1/2) sum_{i, sigma} Q_ii,sigma, each Q_ii,sigma = -Z on its
+        # qubit, is n - n_e on every sector. At n = 7 the blocks above
+        # DENSE_STATES are multiples of the identity, so every start vector
+        # is an eigenvector and the Lanczos run breaks down at once
+        maj = MajoranaHamiltonian(n_orbitals=n, h0=0.0, h_tilde=np.eye(n),
+                                  g=np.zeros((n,) * 4))
+        sr = spectral_range(maj)
+        assert (sr.e_min, sr.e_max) == (pytest.approx(-n), pytest.approx(n))
+
+    def test_logs_one_record_per_sector(self, caplog):
+        maj = hamiltonian("beh2")
+        sectors = [(n_e // 2, n_e - n_e // 2) for n_e in range(15)]
+        matrix, offsets = sector_matrix(pauli_sum_of_hamiltonian(maj), sectors)
+        with caplog.at_level(logging.DEBUG, logger="fermilcu"):
+            spectral_range(maj)
+        records = [r for r in caplog.records if r.name.startswith("fermilcu")]
+        assert len(records) == len(sectors)
+        entries = 0
+        for record, sector, a, b in zip(records, sectors, offsets,
+                                        offsets[1:]):
+            assert record.levelno == logging.DEBUG
+            found = re.fullmatch(
+                r"sector \((\d+), (\d+)\): (\d+) states, (\d+) entries, "
+                r"(dense|lanczos), (\d+) Lanczos steps", record.getMessage())
+            n_alpha, n_beta, states, stored, path, steps = found.groups()
+            assert (int(n_alpha), int(n_beta), int(states)) == (*sector, b - a)
+            lanczos = b - a > DENSE_STATES
+            assert path == ("lanczos" if lanczos else "dense")
+            assert (int(steps) > 0) == lanczos
+            entries += int(stored)
+        assert entries == matrix.nnz
+
+
+class TestLanczosExtremes:
+    def test_cycle_laplacian_whose_all_ones_vector_is_an_eigenvector(self):
+        # an all-ones start spans the invariant subspace of eigenvalue 0
+        low, high, steps = _extremes(cycle_laplacian(500))
+        assert steps > 0
+        assert low == pytest.approx(0.0, abs=1e-10)
+        assert high == pytest.approx(4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["beh2", "h2o"])
+    def test_every_lanczos_block_matches_dense_spectrum(self, name):
+        n = hamiltonian(name).n_orbitals
+        sectors = [(n_e // 2, n_e - n_e // 2) for n_e in range(2 * n + 1)]
+        matrix, offsets = sector_matrix(
+            pauli_sum_of_hamiltonian(hamiltonian(name)), sectors)
+        blocks = [matrix[a:b, a:b] for a, b in zip(offsets, offsets[1:])
+                  if b - a > DENSE_STATES]
+        assert len(blocks) == 7
+        for block in blocks:
+            low, high, steps = _extremes(block)
+            eigs = np.linalg.eigvalsh(block.toarray())
+            scale = np.abs(eigs).max()
+            assert steps > 0
+            assert abs(low - eigs[0]) <= 1e-12 * scale
+            assert abs(high - eigs[-1]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_runs_until_both_ends_converge(self, sign):
+        # one end 9 below the rest, the other 1e-4 above a uniform bulk: a
+        # run that stopped once the isolated end converged would leave the
+        # other off by far more than the bound
+        from scipy.sparse import diags
+
+        spectrum = sign * np.r_[-10.0, np.linspace(-1.0, 1.0, 498), 1.0 + 1e-4]
+        low, high, _ = _extremes(diags(spectrum).tocsr())
+        assert low == pytest.approx(spectrum.min(), abs=1e-10)
+        assert high == pytest.approx(spectrum.max(), abs=1e-10)
+
+    def test_complex_hermitian_block_matches_dense_spectrum(self):
+        from scipy.sparse import csr_matrix
+
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((450, 450)) + 1j * rng.standard_normal(
+            (450, 450))
+        block = csr_matrix(a + a.conj().T)
+        low, high, steps = _extremes(block)
+        eigs = np.linalg.eigvalsh(block.toarray())
+        assert steps > 0
+        assert abs(low - eigs[0]) <= 1e-10 * np.abs(eigs).max()
+        assert abs(high - eigs[-1]) <= 1e-10 * np.abs(eigs).max()
+
+    def test_projection_of_a_nearly_dependent_vector_is_orthogonal(self):
+        # one Gram-Schmidt pass leaves the result about eps |w| / |result|,
+        # here 1e-7, off orthogonal; the second brings it to rounding
+        rng = np.random.default_rng(11)
+        rows = np.linalg.qr(rng.standard_normal((300, 40)))[0].T
+        w = rows.T @ rng.standard_normal(40) + 1e-9 * rng.standard_normal(300)
+        coefficient = rows[-1] @ w
+        out, last = _project_out(w.copy(), [rows[:25], rows[25:]])
+        assert np.abs(rows @ out).max() <= 1e-14 * np.linalg.norm(out)
+        assert last == pytest.approx(coefficient, rel=1e-12)
 
 
 class TestFragmentMatrix:
