@@ -1,7 +1,7 @@
 """Fermionic factorizations: one-body diagonalization, single and double
 factorization from a pivoted Cholesky of the two-body tensor, and greedy CSA
-fits. All emit fragments of rotated reflections, assembled by
-lcu.reflection_fragments under the contract in the lcu module docstring.
+fits. All emit blocks of rotated reflections, lcu.ReflectionBlock under
+the contract in the lcu module docstring.
 """
 
 from dataclasses import dataclass
@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh, expm, expm_frechet, logm
 
-from .lcu import ChebyshevSquare, Fragment, LcuDecomposition, reflection_fragments
+from .lcu import LcuDecomposition, PolyBlock, ReflectionBlock
 from .majorana import MajoranaHamiltonian
 from .qubit_lcu import _BudgetSpent, rotate_two_body
 
@@ -29,14 +29,14 @@ class OneBodyFragment:
     def lambda_contribution(self) -> float:
         return 2.0 * float(np.abs(self.eigenvalues).sum())
 
-    def fragments(self) -> list:
+    def block(self) -> ReflectionBlock:
         """One reflection per spin of each rotated column whose eigenvalue
         is at least 1e-14 in magnitude, with v = w that column."""
         keep = np.abs(self.eigenvalues) >= 1e-14
         rows = self.rotation.T[keep].repeat(2, axis=0)
-        return reflection_fragments(self.eigenvalues[keep].repeat(2),
-                                    np.tile([[0], [1]], (keep.sum(), 1)),
-                                    (rows, rows))
+        return ReflectionBlock(self.eigenvalues[keep].repeat(2),
+                               np.tile([[0], [1]], (keep.sum(), 1)),
+                               (rows, rows))
 
 
 @dataclass
@@ -59,10 +59,10 @@ def diagonalize_one_body(maj: MajoranaHamiltonian) -> OneBodyFragment:
     return OneBodyFragment(rotation=u, eigenvalues=lam)
 
 
-def _pair_fragments(u, lam):
+def _pair_block(u, lam):
     """Rotated reflection pairs of sum_ab lam_ab n_a n_b in the frame u.
 
-    One fragment per unordered pair x < y of the (orbital, spin) labels
+    One row per unordered pair x < y of the (orbital, spin) labels
     x = 2 a + s, in row-major order, with weight lam_ab / 2; DF passes the
     rank-one lam = mu mu^T.
     """
@@ -71,8 +71,8 @@ def _pair_fragments(u, lam):
     keep = np.abs(weights) >= 1e-14
     x, y = x[keep], y[keep]
     va, vb = u.T[x // 2], u.T[y // 2]
-    return reflection_fragments(weights[keep], np.stack([x % 2, y % 2], axis=1),
-                                (va, va, vb, vb))
+    return ReflectionBlock(weights[keep], np.stack([x % 2, y % 2], axis=1),
+                           (va, va, vb, vb))
 
 
 def pivoted_cholesky(maj: MajoranaHamiltonian, tol: float = CHOLESKY_TOL):
@@ -137,17 +137,15 @@ def cholesky_sf(maj: MajoranaHamiltonian,
     """
     factors, delta = pivoted_cholesky(maj, tol)
     one_body = diagonalize_one_body(maj)
-    fragments = one_body.fragments()
     constant = _base_constant(maj)
-    weights = []
+    weights, norms = [], []
     for w in factors:
         d = float(np.trace(w))
         norm = 2.0 * float(np.abs(w).sum())
         weight = norm * norm / 8.0
         weights.append(weight)
         constant += d * d + weight
-        fragments.append(Fragment(weight, "sf-poly",
-                                  ChebyshevSquare(w, norm)))
+        norms.append(norm)
     lam = one_body.lambda_contribution + sum(weights)
     metadata = _truncation_metadata(maj, delta)
     metadata.update({
@@ -158,7 +156,9 @@ def cholesky_sf(maj: MajoranaHamiltonian,
     return LcuDecomposition(
         method="sf",
         n_orbitals=maj.n_orbitals,
-        fragments=fragments,
+        blocks=(one_body.block(), PolyBlock(
+            weights, np.reshape(factors, (-1, maj.n_orbitals, maj.n_orbitals)),
+            norms)),
         one_norm=float(lam),
         constant=constant,
         metadata=metadata,
@@ -179,7 +179,7 @@ def double_factorize(maj: MajoranaHamiltonian,
     """
     factors, delta = pivoted_cholesky(maj, tol)
     one_body = diagonalize_one_body(maj)
-    fragments = one_body.fragments()
+    blocks = [one_body.block()]
     constant = _base_constant(maj)
     lam2 = 0.0
     weights = []
@@ -196,7 +196,7 @@ def double_factorize(maj: MajoranaHamiltonian,
         weights.append(m1 * m1 / 2.0)
         constant += d * d + 0.5 * m2
         lam2 += m1 * m1 - 0.5 * m2
-        fragments += _pair_fragments(uk, np.outer(mu, mu))
+        blocks.append(_pair_block(uk, np.outer(mu, mu)))
     metadata = _truncation_metadata(maj, delta)
     metadata.update({
         "n_factors": len(factors),
@@ -207,7 +207,7 @@ def double_factorize(maj: MajoranaHamiltonian,
     return LcuDecomposition(
         method="df",
         n_orbitals=maj.n_orbitals,
-        fragments=fragments,
+        blocks=tuple(blocks),
         one_norm=float(one_body.lambda_contribution + lam2),
         constant=constant,
         metadata=metadata,
@@ -385,7 +385,7 @@ def csa_lcu(maj: MajoranaHamiltonian, result: CsaResult) -> LcuDecomposition:
     h = maj.h_tilde - 2.0 * np.einsum("ijkk->ij", maj.g)
     lam_eff = 0.5 * h
     constant = _base_constant(maj)
-    fragments = []
+    pairs = []
     lam2 = 0.0
     for frag in result.fragments:
         u, lam = frag.rotation, frag.coefficients
@@ -393,10 +393,9 @@ def csa_lcu(maj: MajoranaHamiltonian, result: CsaResult) -> LcuDecomposition:
         lam_eff = lam_eff + u @ np.diag(rowsum) @ u.T
         constant += float(lam.sum() + 0.5 * np.trace(lam))
         lam2 += float(np.abs(lam).sum() - 0.5 * np.abs(np.diag(lam)).sum())
-        fragments += _pair_fragments(u, lam)
+        pairs.append(_pair_block(u, lam))
     eigs, u0 = eigh(lam_eff)
     one_body = OneBodyFragment(rotation=u0, eigenvalues=eigs)
-    fragments = one_body.fragments() + fragments
     metadata = _truncation_metadata(maj, result.residual)
     metadata["n_fragments"] = len(result.fragments)
     metadata["one_body_lambda"] = one_body.lambda_contribution
@@ -406,7 +405,7 @@ def csa_lcu(maj: MajoranaHamiltonian, result: CsaResult) -> LcuDecomposition:
     return LcuDecomposition(
         method="csa",
         n_orbitals=n,
-        fragments=fragments,
+        blocks=(one_body.block(), *pairs),
         one_norm=float(one_body.lambda_contribution + lam2),
         constant=constant,
         metadata=metadata,

@@ -1,22 +1,44 @@
-"""Containers shared by every decomposition: fragments and their payloads.
+"""Containers shared by every decomposition: the fragment blocks an LCU is
+made of, and the fragment views built from them on demand.
 
 A fragment is one term u_k U_k of H = sum_k u_k U_k. The coefficient is the
-magnitude |u_k|; sign or phase information rides inside the payload so that
-verify can rebuild the exact operator.
+magnitude |u_k|; sign or phase information rides with the block so that
+verify can rebuild the exact operator. An LCU holds its fragments as a
+tuple of blocks, each a few stacked arrays with one row, or one run of
+rows, per fragment, and nothing on a run path builds a per-fragment
+object:
 
-Every rotated-reflection fragment, in the one-body, pair and quadruple
-streams of sf, df, csa and the L4 methods, comes from reflection_fragments.
-Row k of its stacked inputs is fragment k, in the caller's order: the signed
-weight w_k becomes the coefficient |w_k| and the product's sign sign(w_k)
-(callers drop zero weights), spins[k] holds the spins of its r reflections,
-and the 2r direction stacks come as v_1, w_1, ..., v_r, w_r. The stacks are
-made read-only and every v or w is a row view of its stack, so reflections
-share rows without copies.
+- PauliBlock: fragment k is weights[k] phases[k] P(x[k], z[k]), the weight
+  its coefficient and |phases[k]| = 1.
+- AcBlock: fragment k is group k, the next sizes[k] items of the item
+  masks x, z and signed coefficients coeffs, in group order; its
+  coefficient is norms[k], the Euclidean length of those coefficients.
+- ReflectionBlock: products of r = 1 or 2 rotated reflections, in the one-
+  body, pair and quadruple streams of sf, df, csa and the L4 methods. Row
+  k is fragment k, in the caller's order: the signed weight w_k becomes
+  the coefficient |w_k| and the product's sign sign(w_k) (callers drop
+  zero weights), spins[k] holds the spins of its r reflections, and the 2r
+  direction stacks come as v_1, w_1, ..., v_r, w_r. The arrays are made
+  read-only, on views, so the caller's arrays stay writable.
+- PolyBlock: the few squared-polynomial fragments of sf: fragment k is
+  weights[k] times the ChebyshevSquare of w_matrices[k] and norms[k].
+
+Every block's arrays are read-only. LcuDecomposition.fragments is a
+read-only sequence over the blocks: its length is the sum of the block
+sizes, and indexing or iteration builds the Fragment view of a row, whose
+arrays are row views of the block's. Views are for inspection and for
+verify.fragment_pauli_sum, the per-fragment reference.
 """
 
+import bisect
+import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .majorana import PauliWord
 
 
 @dataclass
@@ -42,7 +64,7 @@ class Reflection:
 
 @dataclass
 class ReflectionProduct:
-    """sign times an ordered product of reflections (one or two in practice)."""
+    """sign times an ordered product of reflections (one or two)."""
     reflections: tuple
     sign: float = 1.0
 
@@ -78,35 +100,162 @@ class Fragment:
     unitary: object
 
 
+def _read_only(array, dtype=None) -> np.ndarray:
+    """A read-only view of array, leaving array itself writable."""
+    view = np.asarray(array, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(eq=False)
+class PauliBlock:
+    """Pauli fragments: weights (K,), masks x, z (K,) and unit phases (K,)."""
+    n_qubits: int
+    weights: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    phases: np.ndarray
+    kind = "pauli"
+
+    def __post_init__(self):
+        self.weights = _read_only(self.weights, float)
+        self.x, self.z = _read_only(self.x, np.uint64), _read_only(self.z, np.uint64)
+        self.phases = _read_only(self.phases, complex)
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+    def fragment(self, k: int) -> Fragment:
+        word = PauliWord(self.n_qubits, int(self.x[k]), int(self.z[k]))
+        return Fragment(float(self.weights[k]), self.kind,
+                        PauliTerm(word, complex(self.phases[k])))
+
+
+@dataclass(eq=False)
+class AcBlock:
+    """Anticommuting groups: item masks x, z and signed coeffs in group
+    order, group sizes (G,) and norms (G,)."""
+    n_qubits: int
+    x: np.ndarray
+    z: np.ndarray
+    coeffs: np.ndarray
+    sizes: np.ndarray
+    norms: np.ndarray
+    kind = "ac-group"
+
+    def __post_init__(self):
+        self.x, self.z = _read_only(self.x, np.uint64), _read_only(self.z, np.uint64)
+        self.coeffs = _read_only(self.coeffs, float)
+        self.sizes = _read_only(self.sizes, np.int64)
+        self.norms = _read_only(self.norms, float)
+        self._starts = np.concatenate([[0], np.cumsum(self.sizes)]).tolist()
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def fragment(self, k: int) -> Fragment:
+        start, stop = self._starts[k], self._starts[k + 1]
+        words = tuple(PauliWord(self.n_qubits, x, z) for x, z in zip(
+            self.x[start:stop].tolist(), self.z[start:stop].tolist()))
+        norm = float(self.norms[k])
+        return Fragment(norm, self.kind,
+                        AcGroup(words, self.coeffs[start:stop], norm))
+
+
+@dataclass(eq=False)
+class ReflectionBlock:
+    """Products of r reflections: signed weights (K,), spins (K, r) and the
+    2r direction stacks (K, N) v_1, w_1, ..., v_r, w_r; the contract is in
+    the module docstring."""
+    weights: np.ndarray
+    spins: np.ndarray
+    directions: tuple
+    kind = "reflection-product"
+
+    def __post_init__(self):
+        self.weights = _read_only(self.weights, float)
+        self.spins = _read_only(self.spins, np.int64)
+        self.directions = tuple(_read_only(stack, float)
+                                for stack in self.directions)
+        if len(self.directions) not in (2, 4) or (
+                self.spins.shape[1] != len(self.directions) // 2):
+            raise ValueError("need products of one or two reflections")
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+    def fragment(self, k: int) -> Fragment:
+        v, w = self.directions[::2], self.directions[1::2]
+        reflections = tuple(Reflection(v[j][k], w[j][k], sigma)
+                            for j, sigma in enumerate(self.spins[k].tolist()))
+        weight = self.weights[k]
+        return Fragment(float(abs(weight)), self.kind,
+                        ReflectionProduct(reflections, float(np.sign(weight))))
+
+
+@dataclass(eq=False)
+class PolyBlock:
+    """Squared-polynomial fragments: weights (F,), the symmetric matrices
+    (F, N, N) and the norms (F,) of their ChebyshevSquares."""
+    weights: np.ndarray
+    w_matrices: np.ndarray
+    norms: np.ndarray
+    kind = "sf-poly"
+
+    def __post_init__(self):
+        self.weights = _read_only(self.weights, float)
+        self.w_matrices = _read_only(self.w_matrices, float)
+        self.norms = _read_only(self.norms, float)
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+    def fragment(self, k: int) -> Fragment:
+        return Fragment(float(self.weights[k]), self.kind,
+                        ChebyshevSquare(self.w_matrices[k], float(self.norms[k])))
+
+
+class Fragments(Sequence):
+    """Read-only sequence of the Fragment views of a tuple of blocks, in
+    block order; len() reads the block sizes and builds no view."""
+
+    def __init__(self, blocks):
+        self._blocks = tuple(blocks)
+        self._starts = list(itertools.accumulate(
+            (len(b) for b in self._blocks), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("fragment index out of range")
+        b = bisect.bisect_right(self._starts, k) - 1
+        return self._blocks[b].fragment(k - self._starts[b])
+
+
 @dataclass
 class LcuDecomposition:
+    """sum_k u_k U_k + constant, the fragments held as blocks (see the
+    module docstring); fragments is their read-only sequence of views."""
     method: str
     n_orbitals: int
-    fragments: list
+    blocks: tuple
     one_norm: float
     constant: float = 0.0
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def fragments(self) -> Fragments:
+        return Fragments(self.blocks)
 
     def coefficient_sum(self) -> float:
         return float(sum(f.coefficient for f in self.fragments))
 
     def __len__(self) -> int:
         return len(self.fragments)
-
-
-def reflection_fragments(weights, spins, directions) -> list:
-    """One fragment per row of weights (K,), spins (K, r) and the 2r
-    direction stacks (K, N) v_1, w_1, ..., v_r, w_r; the contract is in the
-    module docstring."""
-    rows = []
-    for stack in directions:
-        stack = np.asarray(stack, dtype=float).view()
-        stack.flags.writeable = False
-        rows.append(list(stack))
-    reflections = zip(*([Reflection(*args) for args in zip(v, w, sigma)]
-                        for v, w, sigma in zip(rows[::2], rows[1::2],
-                                               np.asarray(spins).T.tolist())))
-    signs = np.sign(weights).tolist()
-    return [Fragment(c, "reflection-product", ReflectionProduct(product, sign))
-            for c, sign, product in zip(np.abs(weights).tolist(), signs,
-                                        reflections)]

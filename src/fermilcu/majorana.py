@@ -338,17 +338,15 @@ def _x_groups(op: PauliSum):
     return x, z, coeffs, list(zip(starts, np.r_[starts[1:], x.size]))
 
 
-def _csr_from_groups(rows_of, entries, groups, dim: int, dtype):
+def _csr_from_groups(counts, entries, groups, dim: int, dtype):
     """CSR matrix from each X group's (rows, cols, values), which
-    entries(start, stop) returns with distinct rows. A first pass counts
-    the entries of every row from rows_of(start, stop), the same rows that
-    entries returns, and a second writes them in place, so the matrix is
-    written once, group by group."""
+    entries(start, stop) returns with distinct rows; counts holds the
+    number of entries of every row over all groups, so the matrix is
+    written once, in place, group by group."""
     from scipy.sparse import csr_matrix
 
     indptr = np.zeros(dim + 1, dtype=np.int64)
-    for lo, hi in groups:
-        indptr[1 + rows_of(lo, hi)] += 1
+    indptr[1:] = counts
     np.cumsum(indptr, out=indptr)
     index_type = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
     indptr = indptr.astype(index_type)
@@ -391,8 +389,10 @@ def sparse_matrix(op: PauliSum):
         rows = np.flatnonzero(np.abs(v) > PRUNE_TOL)
         return rows, rows ^ int(x[lo]), v[rows]
 
-    return _csr_from_groups(lambda lo, hi: entries(lo, hi)[0], entries,
-                            groups, dim, coeffs.dtype)
+    counts = np.zeros(dim, dtype=np.int64)
+    for lo, hi in groups:
+        counts[entries(lo, hi)[0]] += 1
+    return _csr_from_groups(counts, entries, groups, dim, coeffs.dtype)
 
 
 def _spin_strings(masks, spin: int, n_orbitals: int):
@@ -421,10 +421,14 @@ def sector_matrix(op: PauliSum, sectors):
     _row_block over the strings whose count its flips keep, computed once;
     the 2^nq-row matrix is never formed. Of that grid only the central
     cells, the rows in the given sectors, are written. Which cells those
-    are follows from the strings alone, so the first pass of
-    _csr_from_groups counts them without the values; the second writes
-    every central cell, those at or below PRUNE_TOL as 0, and
-    eliminate_zeros drops them, as sparse_matrix drops them.
+    are follows from the string classes alone: row (a, b) holds one cell
+    of every group whose alpha flips keep the count of a and whose beta
+    flips keep the count of b. With P counting the groups of each pair of
+    alpha and beta flip masks, and K_a, K_b the strings each mask keeps,
+    the row counts are K_a^T P K_b, and each group's grid is built once,
+    for its values. Every central cell is written, those at or below
+    PRUNE_TOL as 0, and eliminate_zeros drops them, as sparse_matrix drops
+    them.
     """
     n = op.n_qubits // 2
     strings = np.arange(1 << n, dtype=np.uint64)
@@ -437,29 +441,33 @@ def sector_matrix(op: PauliSum, sectors):
             alpha.size * beta.size).reshape(alpha.size, beta.size)
         offsets.append(offsets[-1] + alpha.size * beta.size)
     if not len(op):
-        return _csr_from_groups(None, None, [], offsets[-1], float), offsets
+        return _csr_from_groups(0, None, [], offsets[-1], float), offsets
     x, z, coeffs, groups = _x_groups(op)
     x_a, x_b = _spin_strings(x, 0, n), _spin_strings(x, 1, n)
     z_a, z_b = _spin_strings(z, 0, n), _spin_strings(z, 1, n)
+    # P and K_a, K_b of the docstring; float products of counts are exact
+    (flips_a, class_a), (flips_b, class_b) = (
+        np.unique(flips[[lo for lo, _ in groups]], return_inverse=True)
+        for flips in (x_a, x_b))
+    pairs = np.zeros((flips_a.size, flips_b.size))
+    np.add.at(pairs, (class_a, class_b), 1.0)
+    keep_a, keep_b = ((counts[strings ^ flips[:, None]] == counts).astype(float)
+                      for flips in (flips_a, flips_b))
+    row_counts = np.zeros(offsets[-1], dtype=np.int64)
+    central = position >= 0
+    row_counts[position[central]] = (keep_a.T @ pairs @ keep_b)[central]
 
-    def grid(lo):
+    def entries(lo, hi):
         rows_a = strings[counts[strings ^ x_a[lo]] == counts]
         rows_b = strings[counts[strings ^ x_b[lo]] == counts]
         rows = position[np.ix_(rows_a, rows_b)]
-        return rows_a, rows_b, rows, rows >= 0
-
-    def rows_of(lo, hi):
-        _, _, rows, central = grid(lo)
-        return rows[central]
-
-    def entries(lo, hi):
-        rows_a, rows_b, rows, central = grid(lo)
+        kept = rows >= 0
         v = _row_block(z_a[lo:hi], z_b[lo:hi], coeffs[lo:hi], rows_a, rows_b)
         v[np.abs(v) <= PRUNE_TOL] = 0
         cols = position[np.ix_(rows_a ^ x_a[lo], rows_b ^ x_b[lo])]
-        return rows[central], cols[central], v[central]
+        return rows[kept], cols[kept], v[kept]
 
-    matrix = _csr_from_groups(rows_of, entries, groups, offsets[-1],
+    matrix = _csr_from_groups(row_counts, entries, groups, offsets[-1],
                               coeffs.dtype)
     matrix.eliminate_zeros()
     return matrix, offsets

@@ -11,7 +11,7 @@ and return it as one record, QuarticFactors: the weights omega, four N x W
 stacks of direction vectors in entry order, the method label, the scheme's
 own metadata and the residual of the fit. l4_lcu reads the arrays directly:
 each weight above WEIGHT_TOL becomes four products of two reflections, one
-per spin pair, through lcu.reflection_fragments (whose contract the lcu
+per spin pair, rows of one lcu.ReflectionBlock (whose contract the lcu
 module docstring states), so weights enter the 1-norm as 4 sum|omega|.
 
 l4-cp4 searches for the smallest rank that meets the tolerance, doubling
@@ -27,7 +27,7 @@ from scipy.linalg import khatri_rao
 from scipy.linalg.lapack import dposv
 
 from .fermionic_lcu import OneBodyFragment
-from .lcu import LcuDecomposition, reflection_fragments
+from .lcu import LcuDecomposition, ReflectionBlock
 from .qubit_lcu import _running_sum
 
 WEIGHT_TOL = 1e-12
@@ -317,9 +317,10 @@ def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
 
 def l4_lcu(factors: QuarticFactors, one_body: OneBodyFragment,
            constant: float = 0.0) -> LcuDecomposition:
-    """Fragments: per weight above WEIGHT_TOL, four spin pairs of double
-    reflections, in entry order; the columns at those weights must be unit
-    to 1e-8. The record's metadata is reported after the common keys.
+    """Blocks: the one-body reflections, then per weight above WEIGHT_TOL
+    four spin pairs of double reflections, in entry order; the columns at
+    those weights must be unit to 1e-8. The record's metadata is reported
+    after the common keys.
     """
     kept = np.abs(factors.weights) > WEIGHT_TOL
     omega = factors.weights[kept]
@@ -327,8 +328,8 @@ def l4_lcu(factors: QuarticFactors, one_body: OneBodyFragment,
     if np.abs(np.linalg.norm(vecs, axis=1) - 1.0).max(initial=0.0) > 1e-8:
         raise ValueError("direction vectors must be unit")
     spins = np.tile([[0, 0], [0, 1], [1, 0], [1, 1]], (omega.size, 1))
-    fragments = one_body.fragments() + reflection_fragments(
-        omega.repeat(4), spins, [v.T.repeat(4, axis=0) for v in vecs])
+    quads = ReflectionBlock(omega.repeat(4), spins,
+                            [v.T.repeat(4, axis=0) for v in vecs])
     metadata = {"n_weights": omega.size,
                 "one_body_lambda": one_body.lambda_contribution,
                 "loss": float(factors.loss),
@@ -337,7 +338,7 @@ def l4_lcu(factors: QuarticFactors, one_body: OneBodyFragment,
     return LcuDecomposition(
         method=factors.method,
         n_orbitals=one_body.rotation.shape[0],
-        fragments=fragments,
+        blocks=(one_body.block(), quads),
         one_norm=float(one_body.lambda_contribution
                        + _running_sum(4.0 * np.abs(omega))),
         constant=constant,

@@ -22,11 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lcu import AcGroup, Fragment, LcuDecomposition, PauliTerm
+from .lcu import AcBlock, LcuDecomposition, PauliBlock
 from .majorana import (
     MajoranaHamiltonian,
     PauliSum,
-    PauliWord,
     anticommutation_rows,
     build_majorana,
     pack_bits,
@@ -69,9 +68,7 @@ def sparse_pauli_lcu(maj: MajoranaHamiltonian, threshold: float = 1e-5) -> LcuDe
     # every coefficient is purely real or purely imaginary, so its unit
     # phase is exact from the signs; c / |c| can miss a unit by an ulp
     phase = np.sign(c[kept].real) + 1j * np.sign(c[kept].imag)
-    fragments = [Fragment(w, "pauli", PauliTerm(PauliWord(2 * n, xm, zm), ph))
-                 for w, xm, zm, ph in zip(weight[kept].tolist(), x[kept].tolist(),
-                                          z[kept].tolist(), phase.tolist())]
+    block = PauliBlock(2 * n, weight[kept], x[kept], z[kept], phase)
     if abs(constant.imag) > 1e-9:
         raise AssertionError("constant failed to come out real")
     dropped = _running_sum(weight[drop])
@@ -79,7 +76,7 @@ def sparse_pauli_lcu(maj: MajoranaHamiltonian, threshold: float = 1e-5) -> LcuDe
     return LcuDecomposition(
         method="pauli",
         n_orbitals=n,
-        fragments=fragments,
+        blocks=(block,),
         one_norm=one_norm,
         constant=float(constant.real),
         metadata={
@@ -87,7 +84,7 @@ def sparse_pauli_lcu(maj: MajoranaHamiltonian, threshold: float = 1e-5) -> LcuDe
             "dropped_weight": dropped,
             "truncation_bound": dropped,
             "identity_weight": identity_weight,
-            "n_fragments": len(fragments),
+            "n_fragments": len(block),
         },
     )
 
@@ -210,27 +207,21 @@ def _sorted_insertion(coeffs, items):
 
 
 def _groups_to_lcu(x, z, coeffs, groups, n_qubits, constant, metadata):
-    x, z = x.tolist(), z.tolist()
-    fragments = []
-    total = 0.0
-    for members in groups:
-        d = coeffs[members]
-        a_n = float(np.linalg.norm(d))
-        group = AcGroup(
-            words=tuple(PauliWord(n_qubits, x[q], z[q]) for q in members),
-            coeffs=d,
-            norm=a_n,
-        )
-        fragments.append(Fragment(a_n, "ac-group", group))
-        total += a_n
+    """One AC block of the groups: the items in group order, and per group
+    its size and np.linalg.norm of its coefficients; λ sums the norms left
+    to right."""
+    sizes = [len(members) for members in groups]
+    order = np.concatenate(groups) if groups else np.zeros(0, dtype=np.int64)
+    norms = np.array([np.linalg.norm(coeffs[members]) for members in groups])
     metadata = dict(metadata)
     metadata["n_groups"] = len(groups)
-    metadata["group_sizes"] = [len(g) for g in groups]
+    metadata["group_sizes"] = sizes
     return LcuDecomposition(
         method="ac",
         n_orbitals=n_qubits // 2,
-        fragments=fragments,
-        one_norm=total,
+        blocks=(AcBlock(n_qubits, x[order], z[order], coeffs[order], sizes,
+                        norms),),
+        one_norm=_running_sum(norms),
         constant=constant,
         metadata=metadata,
     )

@@ -13,14 +13,18 @@ scale, so each extreme is within residual^2 / gap of an eigenvalue
 (`_lanczos_extremes`). The run needs nothing of the block but its product
 with a vector.
 
-Reconstruction expands each Pauli, AC and squared-polynomial fragment on its
-own, but sums the reflection products first: a reflection (v, w, sigma) is
-sum_ij v_i w_j Q_ij,sigma, so the products of one spin pair (sigma, tau) add
-up, by linearity, to one weight matrix on the ordered Q_ij,sigma Q_kl,tau,
-expanded once. `fragment_pauli_sum` stays the per-fragment reference.
-Partial sums keep every term; only the final `PauliSum` of a fragment or of
-the reconstruction difference drops sums below PRUNE_TOL, so residue that
-cancels across fragments is not lost on the way.
+Reconstruction reads the LCU's blocks (see the lcu module docstring), not
+per-fragment objects. A Pauli or AC block is one term set, its words with
+their coefficients times phases or normalized group coefficients; each
+squared polynomial is expanded on its own. Reflection products are summed
+first: a reflection (v, w, sigma) is sum_ij v_i w_j Q_ij,sigma, so the
+products of one spin tuple add up, by linearity, to one weight matrix on
+the Q_ij,sigma (one reflection) or the ordered Q_ij,sigma Q_kl,tau (two),
+taken from the block's stacks and expanded once. `fragment_pauli_sum` of
+a fragment view stays the per-fragment reference. Partial sums keep every
+term; only the final `PauliSum` of a fragment or of the reconstruction
+difference drops sums below PRUNE_TOL, so residue that cancels across
+fragments is not lost on the way.
 """
 
 import logging
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lcu import ChebyshevSquare, Fragment, LcuDecomposition
+from .lcu import Fragment, LcuDecomposition
 # dense_matrix and sparse_matrix are not called here; perfbench's checks
 # and trace points read them, with pauli_sum_of_hamiltonian, from this module
 from .majorana import (  # noqa: F401
@@ -220,10 +224,11 @@ def _product_terms(a, b):
     return combine_terms(x.ravel(), z.ravel(), c.ravel())
 
 
-def _chebyshev_terms(cs: ChebyshevSquare, n_orbitals: int):
+def _chebyshev_terms(w_matrix, norm: float, n_orbitals: int):
+    """Terms of the ChebyshevSquare of w_matrix and norm."""
     qx, qz, qc = reflection_table(n_orbitals)
-    keep = np.broadcast_to((cs.w_matrix != 0.0)[:, :, None], qc.shape)
-    c = 0.5 * cs.w_matrix[:, :, None] * qc / (cs.norm / 2.0)
+    keep = np.broadcast_to((w_matrix != 0.0)[:, :, None], qc.shape)
+    c = 0.5 * w_matrix[:, :, None] * qc / (norm / 2.0)
     layer = (qx[keep], qz[keep], c[keep])
     x, z, c = _product_terms(layer, layer)
     zero = np.zeros(1, dtype=np.uint64)
@@ -252,7 +257,7 @@ def _fragment_terms(fragment: Fragment, n_orbitals: int):
             total = s if total is None else _product_terms(total, s)
         return total[0], total[1], unit.sign * total[2]
     if fragment.kind == "sf-poly":
-        return _chebyshev_terms(unit, n_orbitals)
+        return _chebyshev_terms(unit.w_matrix, unit.norm, n_orbitals)
     raise ValueError(f"unknown fragment kind {fragment.kind!r}")
 
 
@@ -279,22 +284,22 @@ def _running_sum(parts):
     return combine_terms(*map(np.concatenate, zip(total, *buffered)))
 
 
-def _reflection_weights(products, n_orbitals: int):
+def _reflection_weights(blocks, n_orbitals: int):
     """Spin-resolved weights (one, two) for expand_reflections of
-    sum_k u_k s_k R_k over products R_k of one or two reflections. The
-    fragments of one spin tuple sum in one matrix product over their stacked
-    outer(v, w) rows, weighted by coefficient times sign u_k s_k."""
+    sum_k w_k R_k over the rows of reflection blocks, w_k the signed
+    weights. The rows of one spin tuple, in block and row order, sum in one
+    matrix product over their stacked outer(v, w) rows."""
     nn = n_orbitals * n_orbitals
     one = np.zeros((nn, 2))
     two = np.zeros((nn, 2, nn, 2))
     groups = {}
-    for frag in products:
-        unit = frag.unitary
-        groups.setdefault(tuple(r.sigma for r in unit.reflections), []).append(
-            (frag.coefficient * unit.sign,
-             *(vector for r in unit.reflections for vector in (r.v, r.w))))
-    for spins, rows in groups.items():
-        weight, *vectors = (np.array(column) for column in zip(*rows))
+    for block in blocks:
+        for spins in np.unique(block.spins, axis=0):
+            rows = (block.spins == spins).all(axis=1)
+            groups.setdefault(tuple(spins.tolist()), []).append(
+                [block.weights[rows]] + [d[rows] for d in block.directions])
+    for spins, parts in groups.items():
+        weight, *vectors = (np.concatenate(column) for column in zip(*parts))
         outer = [(v[:, :, None] * w[:, None, :]).reshape(weight.size, nn)
                  for v, w in zip(vectors[::2], vectors[1::2])]
         if len(spins) == 1:
@@ -304,21 +309,26 @@ def _reflection_weights(products, n_orbitals: int):
     return one.ravel(), two.reshape(2 * nn, 2 * nn)
 
 
-def _fragment_parts(fragments, n_orbitals: int):
-    """(x, z, coeffs) term sets that sum to sum_k u_k U_k: Pauli, AC and
-    squared-polynomial fragments one at a time, in their order, then the
-    products of one or two reflections, summed per spin tuple and expanded
-    once."""
-    products = []
-    for frag in fragments:
-        if (frag.kind == "reflection-product"
-                and len(frag.unitary.reflections) in (1, 2)):
-            products.append(frag)
-            continue
-        x, z, c = _fragment_terms(frag, n_orbitals)
-        yield x, z, frag.coefficient * c
-    if products:
-        weights = _reflection_weights(products, n_orbitals)
+def _fragment_parts(blocks, n_orbitals: int):
+    """(x, z, coeffs) term sets that sum to sum_k u_k U_k: one set per Pauli
+    or AC block and one per squared polynomial, in block order, then the
+    reflection blocks' products, summed per spin tuple and expanded once."""
+    reflections = []
+    for block in blocks:
+        if block.kind == "pauli":
+            yield block.x, block.z, block.weights * block.phases
+        elif block.kind == "ac-group":
+            norms = block.norms.repeat(block.sizes)
+            yield block.x, block.z, norms * (block.coeffs / norms)
+        elif block.kind == "sf-poly":
+            for weight, w_matrix, norm in zip(block.weights, block.w_matrices,
+                                              block.norms):
+                x, z, c = _chebyshev_terms(w_matrix, norm, n_orbitals)
+                yield x, z, weight * c
+        else:
+            reflections.append(block)
+    if reflections:
+        weights = _reflection_weights(reflections, n_orbitals)
         for terms in expand_reflections(n_orbitals, *weights):
             yield tuple(a.ravel() for a in terms)
 
@@ -328,16 +338,16 @@ def verify_reconstruction(lcu: LcuDecomposition, maj) -> float:
     1-norm of the Pauli-coefficient difference, which upper-bounds its
     operator norm, at every size.
 
-    Reflection-product fragments are summed per spin pair before they are
-    expanded (by linearity; see the module docstring); the other fragments
-    are expanded one by one.
+    Reads the blocks: reflection products are summed per spin tuple before
+    they are expanded (by linearity; see the module docstring), and each
+    Pauli or AC block is one term set.
     """
     n = maj.n_orbitals
     target = pauli_sum_of_hamiltonian(maj)
     identity = np.zeros(1, dtype=np.uint64)
 
     def parts():
-        yield from _fragment_parts(lcu.fragments, n)
+        yield from _fragment_parts(lcu.blocks, n)
         yield identity, identity, np.array([lcu.constant], dtype=complex)
         yield target.x, target.z, -target.coeffs
 

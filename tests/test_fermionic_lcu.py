@@ -16,7 +16,7 @@ from fermilcu.fermionic_lcu import (
     pivoted_cholesky,
 )
 from fermilcu.integrals import load_fixture
-from fermilcu.lcu import reflection_fragments
+from fermilcu.lcu import Fragments, ReflectionBlock
 from fermilcu.majorana import MajoranaHamiltonian
 from fermilcu.qubit_lcu import rotation_from_angles
 from fermilcu.report import decompose_method
@@ -212,7 +212,7 @@ class TestReflectionAssembly:
         weights = np.array([0.5, -0.25, 2.0])
         spins = np.array([[0, 1], [1, 1], [1, 0]])
         stacks = [rng.normal(size=(3, 4)) for _ in range(4)]
-        frags = reflection_fragments(weights, spins, stacks)
+        frags = list(Fragments([ReflectionBlock(weights, spins, stacks)]))
         assert [f.coefficient for f in frags] == [0.5, 0.25, 2.0]
         assert [f.unitary.sign for f in frags] == [1.0, -1.0, 1.0]
         for k, frag in enumerate(frags):

@@ -24,7 +24,14 @@ from reference import (
 )
 from fermilcu.fermionic_lcu import _csa_cost
 from fermilcu.integrals import load_fixture
-from fermilcu.lcu import Fragment, PauliTerm, Reflection, ReflectionProduct
+from fermilcu.lcu import (
+    AcBlock,
+    Fragments,
+    LcuDecomposition,
+    PauliBlock,
+    PolyBlock,
+    ReflectionBlock,
+)
 from fermilcu.majorana import (
     PRUNE_TOL,
     MajoranaHamiltonian,
@@ -521,22 +528,50 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
+def _random_reflection_block(n, size, rng):
+    """size products of r = 1 or 2 random reflections, mixed spins and
+    signs."""
+    r = int(rng.integers(1, 3))
+    weights = rng.uniform(0.1, 2.0, size) * rng.choice((-1.0, 1.0), size)
+    stacks = [np.array([_unit(rng, n) for _ in range(size)]).reshape(size, n)
+              for _ in range(2 * r)]
+    return ReflectionBlock(weights, rng.integers(2, size=(size, r)), stacks)
+
+
+def _random_pauli_block(n, size, rng):
+    x, z = rng.integers(1 << (2 * n), size=(2, size)).astype(np.uint64)
+    return PauliBlock(2 * n, rng.uniform(0.1, 2.0, size), x, z,
+                      rng.choice((-1.0, 1.0, 1j, -1j), size))
+
+
+def _random_ac_block(n, size, rng):
+    """size groups of one to three random words; each norm is the length
+    of its group's coefficients."""
+    sizes = rng.integers(1, 4, size)
+    coeffs = rng.uniform(0.1, 2.0, sizes.sum()) * rng.choice((-1.0, 1.0), sizes.sum())
+    x, z = rng.integers(1 << (2 * n), size=(2, sizes.sum())).astype(np.uint64)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    norms = [np.linalg.norm(coeffs[a:b]) for a, b in zip(starts, starts[1:])]
+    return AcBlock(2 * n, x, z, coeffs, sizes, norms)
+
+
+def _random_poly_block(n, size, rng):
+    w = rng.normal(size=(size, n, n))
+    w = w + w.transpose(0, 2, 1)
+    norms = 2.0 * np.abs(w).sum(axis=(1, 2))
+    return PolyBlock(norms * norms / 8.0, w, norms)
+
+
 def random_reflection_lcu(n, count, paulis, rng):
-    """Products of one or two random reflections, mixed spins and signs,
-    with a few Pauli fragments among them."""
-    fragments = []
-    for _ in range(count):
-        refls = tuple(Reflection(_unit(rng, n), _unit(rng, n), int(rng.integers(2)))
-                      for _ in range(int(rng.integers(1, 3))))
-        sign = float(rng.choice((-1.0, 1.0)))
-        fragments.append(Fragment(float(rng.uniform(0.1, 2.0)), "reflection-product",
-                                  ReflectionProduct(refls, sign)))
-    for _ in range(paulis):
-        word = PauliWord(2 * n, *(int(m) for m in rng.integers(1 << (2 * n), size=2)))
-        fragments.append(Fragment(float(rng.uniform(0.1, 2.0)), "pauli",
-                                  PauliTerm(word, complex(rng.choice((-1.0, 1.0))))))
-    rng.shuffle(fragments)
-    return fragments
+    """Reflection blocks holding count products of one or two random
+    reflections, mixed spins and signs, and a Pauli block of paulis
+    fragments among them, in random block order."""
+    sizes = np.diff(np.unique(np.concatenate([[0, count], rng.integers(count, size=2)])))
+    blocks = [_random_reflection_block(n, int(size), rng) for size in sizes]
+    if paulis:
+        blocks.append(_random_pauli_block(n, paulis, rng))
+    rng.shuffle(blocks)
+    return blocks
 
 
 class TestGroupedReconstruction:
@@ -544,11 +579,11 @@ class TestGroupedReconstruction:
     @given(st.integers(2, 4), st.integers(1, 12), st.integers(0, 3),
            st.integers(0, 2 ** 32 - 1))
     def test_grouped_sum_equals_per_fragment_sum(self, n, count, paulis, seed):
-        fragments = random_reflection_lcu(n, count, paulis, np.random.default_rng(seed))
+        blocks = random_reflection_lcu(n, count, paulis, np.random.default_rng(seed))
         grouped = PauliSum.from_arrays(
-            2 * n, *_running_sum(_fragment_parts(fragments, n)))
+            2 * n, *_running_sum(_fragment_parts(blocks, n)))
         parts = [(grouped.x, grouped.z, grouped.coeffs)]
-        for frag in fragments:
+        for frag in Fragments(blocks):
             ps = fragment_pauli_sum(frag, n)
             parts.append((ps.x, ps.z, -frag.coefficient * ps.coeffs))
         difference = PauliSum.from_arrays(2 * n, *map(np.concatenate, zip(*parts)))
@@ -574,6 +609,72 @@ class TestGroupedReconstruction:
             2 * n, *_running_sum(per_fragment())).coeffs).sum())
         allowed = 64 * np.finfo(float).eps * (lcu.one_norm + abs(lcu.constant))
         assert abs(verify_reconstruction(lcu, maj) - reference) <= allowed
+
+
+_BLOCK_MAKERS = (_random_pauli_block, _random_ac_block,
+                 _random_reflection_block, _random_poly_block)
+
+
+class TestFragmentViews:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=5),
+           st.integers(0, 2 ** 32 - 1))
+    def test_views_agree_with_blocks(self, n, kinds, seed):
+        # blocks of every kind, empty ones included, in random order
+        rng = np.random.default_rng(seed)
+        blocks = tuple(_BLOCK_MAKERS[kind](n, size, rng) for kind, size in kinds)
+        lcu = LcuDecomposition("mixed", n, blocks, one_norm=0.0)
+        views = list(lcu.fragments)
+        assert len(lcu.fragments) == len(views) == sum(len(b) for b in blocks)
+        for k in range(-len(views), len(views)):
+            assert _same_view(lcu.fragments[k], views[k])
+        for bounds in ((None, None), (1, -1), (-3, None), (None, None, -2),
+                       (len(views), None)):
+            window = lcu.fragments[slice(*bounds)]
+            assert len(window) == len(views[slice(*bounds)])
+            assert all(map(_same_view, window, views[slice(*bounds)]))
+        with pytest.raises(IndexError):
+            lcu.fragments[len(views)]
+        for view in views:
+            for array in _view_arrays(view):
+                assert not array.flags.writeable
+        blockwise = _running_sum(_fragment_parts(blocks, n))
+        parts = [blockwise]
+        for view in views:
+            x, z, c = _fragment_terms(view, n)
+            parts.append((x, z, -view.coefficient * c))
+        difference = PauliSum.from_arrays(2 * n, *map(np.concatenate, zip(*parts)))
+        assert np.all(np.abs(difference.coeffs) <= 1e-12)
+
+
+def _view_arrays(view):
+    unit = view.unitary
+    if view.kind == "ac-group":
+        return [unit.coeffs]
+    if view.kind == "reflection-product":
+        return [a for r in unit.reflections for a in (r.v, r.w)]
+    if view.kind == "sf-poly":
+        return [unit.w_matrix]
+    return []
+
+
+def _same_view(a, b):
+    """Two views of one fragment: equal coefficient, kind and payload."""
+    if (a.coefficient, a.kind) != (b.coefficient, b.kind):
+        return False
+    ua, ub = a.unitary, b.unitary
+    if a.kind == "pauli":
+        return (ua.word, ua.phase) == (ub.word, ub.phase)
+    if a.kind == "ac-group":
+        return (ua.words == ub.words and ua.norm == ub.norm
+                and np.array_equal(ua.coeffs, ub.coeffs))
+    if a.kind == "sf-poly":
+        return ua.norm == ub.norm and np.array_equal(ua.w_matrix, ub.w_matrix)
+    return ua.sign == ub.sign and all(
+        ra.sigma == rb.sigma and np.array_equal(ra.v, rb.v)
+        and np.array_equal(ra.w, rb.w)
+        for ra, rb in zip(ua.reflections, ub.reflections, strict=True))
 
 
 def spin_free_hamiltonian(n, seed, two_body_scale) -> MajoranaHamiltonian:

@@ -184,7 +184,7 @@ def test_sorted_insertion_rejects_non_hermitian():
 ])
 def test_sorted_insertion_without_items(words, coeffs, constant):
     lcu = sorted_insertion_ac(pauli_sum(2, words, coeffs))
-    assert lcu.fragments == [] and lcu.one_norm == 0.0
+    assert len(lcu.fragments) == 0 and lcu.one_norm == 0.0
     assert lcu.constant == constant
     assert lcu.metadata["n_groups"] == 0 and lcu.metadata["n_items"] == 0
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fermilcu.integrals import load_fixture
+from fermilcu.lcu import Fragment
 from fermilcu.majorana import build_majorana, pauli_sum_of_hamiltonian
 from fermilcu.qubit_lcu import sorted_insertion_ac
 from fermilcu.report import (
@@ -30,7 +31,14 @@ from fermilcu.report import (
     verification_payload,
 )
 from fermilcu.resources import sparse_costs, sparse_term_count
-from fermilcu.verify import spectral_range
+from fermilcu.verify import (
+    reconstruction_tolerance,
+    spectral_range,
+    verify_reconstruction,
+)
+
+# fragments per method on chain_h10; ac's 734 groups hold 9,934 words
+CHAIN_H10_FRAGMENTS = {"pauli": 19804, "ac": 734, "df": 3630, "l4-mps": 7620}
 
 
 class TestFitLoglog:
@@ -245,6 +253,28 @@ class TestDecomposeMetadata:
         assert lcu.metadata["evaluations"] > 0
         assert lcu.metadata["residual"] ** 2 == pytest.approx(
             lcu.metadata["residual_sq"], rel=1e-9, abs=1e-30)
+
+
+class TestBlocksOnRunPath:
+    @pytest.mark.parametrize("method", ("pauli", "ac", "df", "l4-mps"))
+    def test_run_builds_no_fragment_object(self, method, monkeypatch):
+        # decomposition, fragment count, costing and reconstruction read the
+        # blocks; a Fragment is built only as a view on request
+        built = []
+        init = Fragment.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Fragment, "__init__", counting)
+        maj, lcu = decompose_method(load_fixture("chain_h10"), method)
+        assert len(lcu.fragments) == CHAIN_H10_FRAGMENTS[method]
+        costs_for(lcu, maj)
+        assert verify_reconstruction(lcu, maj) <= reconstruction_tolerance(lcu)
+        assert not built
+        lcu.fragments[-1]
+        assert len(built) == 1
 
 
 class TestRunPipeline:

@@ -16,7 +16,15 @@ from fermilcu.fermionic_lcu import (
     diagonalize_one_body,
     double_factorize,
 )
-from fermilcu.lcu import AcGroup, Fragment, LcuDecomposition, PauliTerm, Reflection, ReflectionProduct
+from fermilcu.lcu import (
+    AcGroup,
+    Fragment,
+    LcuDecomposition,
+    PauliTerm,
+    Reflection,
+    ReflectionBlock,
+    ReflectionProduct,
+)
 from fermilcu.majorana import (
     MajoranaHamiltonian,
     PauliWord,
@@ -105,23 +113,35 @@ def rotated(v, angle):
 
 
 def with_fault(lcu, fault, angle=0.0):
-    """lcu with one fault in its largest product of two reflections."""
-    k = max((k for k, f in enumerate(lcu.fragments)
-             if f.kind == "reflection-product" and len(f.unitary.reflections) == 2),
-            key=lambda k: lcu.fragments[k].coefficient)
+    """lcu with one fault in the row of largest |weight| among its blocks of
+    two-reflection products, the first such row in block order."""
+    b, k = max(((b, k) for b, block in enumerate(lcu.blocks)
+                if block.kind == "reflection-product" and block.spins.shape[1] == 2
+                for k in range(len(block))),
+               key=lambda bk: abs(lcu.blocks[bk[0]].weights[bk[1]]))
+    block = lcu.blocks[b]
+    weights, spins, (v, *stacks) = (block.weights.copy(), block.spins.copy(),
+                                    [d.copy() for d in block.directions])
     if fault == "drop":
-        return replace(lcu, fragments=lcu.fragments[:k] + lcu.fragments[k + 1:])
-    frag = lcu.fragments[k]
-    first, second = frag.unitary.reflections
-    if fault == "sign":
-        unit = replace(frag.unitary, sign=-frag.unitary.sign)
+        keep = np.arange(len(block)) != k
+        weights, spins, v, stacks = (weights[keep], spins[keep], v[keep],
+                                     [d[keep] for d in stacks])
+    elif fault == "sign":
+        weights[k] = -weights[k]
     elif fault == "spin":
-        unit = replace(frag.unitary, reflections=(replace(first, sigma=1 - first.sigma), second))
+        spins[k, 0] = 1 - spins[k, 0]
     else:
-        unit = replace(frag.unitary, reflections=(replace(first, v=rotated(first.v, angle)), second))
-    fragments = list(lcu.fragments)
-    fragments[k] = replace(frag, unitary=unit)
-    return replace(lcu, fragments=fragments)
+        v[k] = rotated(v[k], angle)
+    faulty = ReflectionBlock(weights, spins, (v, *stacks))
+    return replace(lcu, blocks=lcu.blocks[:b] + (faulty,) + lcu.blocks[b + 1:])
+
+
+def with_weight_shift(lcu, shift):
+    """A Pauli LCU with shift added to the weight of its first fragment."""
+    (block,) = lcu.blocks
+    weights = block.weights.copy()
+    weights[0] += shift
+    return replace(lcu, blocks=(replace(block, weights=weights),))
 
 
 def sample_word():
@@ -433,11 +453,8 @@ class TestReconstruction:
 
     def test_corrupted_coefficient_detected(self):
         maj = hamiltonian("h2")
-        base = sparse_pauli_lcu(maj)
-        frags = list(base.fragments)
-        f0 = frags[0]
-        frags[0] = Fragment(f0.coefficient + 0.01, f0.kind, f0.unitary)
-        dev = verify_reconstruction(replace(base, fragments=frags), maj)
+        dev = verify_reconstruction(
+            with_weight_shift(sparse_pauli_lcu(maj), 0.01), maj)
         assert dev == pytest.approx(0.01, rel=1e-6)
 
     @pytest.mark.parametrize("method", ("df", "l4-svd"))
@@ -473,7 +490,7 @@ class TestNormBound:
         assert verify_norm_bound(h2_lcu(method), sr)
 
     def test_zero_hamiltonian(self):
-        lcu = LcuDecomposition(method="pauli", n_orbitals=1, fragments=[],
+        lcu = LcuDecomposition(method="pauli", n_orbitals=1, blocks=(),
                                one_norm=0.0)
         assert verify_norm_bound(lcu, SpectralRange(0.0, 0.0))
 
@@ -486,17 +503,17 @@ class TestNormBound:
 
 class TestReconstructionTolerance:
     def test_floor(self):
-        lcu = LcuDecomposition(method="pauli", n_orbitals=1, fragments=[],
+        lcu = LcuDecomposition(method="pauli", n_orbitals=1, blocks=(),
                                one_norm=0.0)
         assert reconstruction_tolerance(lcu) == 1e-6
 
     def test_truncation_lifts_floor(self):
-        lcu = LcuDecomposition(method="df", n_orbitals=1, fragments=[],
+        lcu = LcuDecomposition(method="df", n_orbitals=1, blocks=(),
                                one_norm=0.0, metadata={"truncation_bound": 5e-3})
         assert reconstruction_tolerance(lcu) == 5e-3
 
     def test_rounding_allowance_scales_with_lambda_and_constant(self):
-        lcu = LcuDecomposition(method="df", n_orbitals=1, fragments=[],
+        lcu = LcuDecomposition(method="df", n_orbitals=1, blocks=(),
                                one_norm=60.0, constant=-40.0,
                                metadata={"truncation_bound": 5e-3})
         eps = np.finfo(float).eps
@@ -508,7 +525,5 @@ class TestReconstructionTolerance:
         maj = hamiltonian("h2o")
         lcu = sparse_pauli_lcu(maj)
         assert verify_reconstruction(lcu, maj) <= reconstruction_tolerance(lcu)
-        first = lcu.fragments[0]
-        shrunk = replace(first, coefficient=first.coefficient - 1e-9)
-        worse = replace(lcu, fragments=[shrunk] + lcu.fragments[1:])
+        worse = with_weight_shift(lcu, -1e-9)
         assert verify_reconstruction(worse, maj) > reconstruction_tolerance(worse)
