@@ -4,8 +4,8 @@ anticommutation rows, sort keys and sorted insertion against word-by-word
 references, angle chains and their reconstructions, rotation
 parameterization round trips, bit-exact rotation and ALS kernels,
 localization, tensor factorizations, the spectral norm bound, grouped
-reconstruction against the per-fragment reference, and cost-row
-monotonicity."""
+reconstruction against the per-fragment reference, fragment views against
+their blocks, and cost-row monotonicity."""
 
 import numpy as np
 import pytest
