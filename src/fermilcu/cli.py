@@ -14,7 +14,6 @@ import sys
 from .majorana import build_majorana
 from .report import (
     CHAIN_FIXTURES,
-    METHOD_TABLE,
     METHODS,
     OPTION_KEYS,
     VERIFY_MAX_ORBITALS,
@@ -108,13 +107,8 @@ def cmd_spectrum(args) -> int:
 def cmd_fit(args) -> int:
     chains = ([c.strip() for c in args.chains.split(",") if c.strip()]
               if args.chains else CHAIN_FIXTURES)
-    options = _decomp_options(args)
-    if args.method.startswith("oo-"):
-        entry = METHOD_TABLE[args.method.removeprefix("oo-")]
-        options.setdefault("oo_budget", entry.chain_oo_budget)
-        options.setdefault("oo_restarts", entry.chain_oo_restarts)
     fit, rows = fit_chain_scaling(args.method, args.quantity, chains,
-                                  **options)
+                                  **_decomp_options(args))
     if args.output == "csv":
         sys.stdout.write(series_to_csv(rows))
     else:

@@ -27,7 +27,7 @@ Every block's arrays are read-only. LcuDecomposition.fragments is a
 read-only sequence over the blocks: its length is the sum of the block
 sizes, and indexing or iteration builds the Fragment view of a row, whose
 arrays are row views of the block's. Views are for inspection and for
-verify.fragment_pauli_sum, the per-fragment reference.
+fragment_pauli_sum in tests/reference.py, the per-fragment reference.
 """
 
 import bisect

@@ -17,8 +17,9 @@ k = |x1&z1| + |x2&z2| - |x3&z3| + 2|z1&x2| (Aaronson and Gottesman, PRA 70,
 Sums of words have one form, the array form: packed uint64 X and Z masks and
 complex coefficients in parallel arrays. `word_products` multiplies word
 arrays elementwise (with broadcasting), `expand_reflections` lists the Q and
-ordered QQ terms of any spin-resolved weights (`reflection_terms`: the
-Hamiltonian's), and `combine_terms` sums like terms by sorting their masks.
+ordered QQ terms of any spin-resolved weights (`hamiltonian_weights`: the
+Hamiltonian's, which `reflection_terms` expands), and `combine_terms` sums
+like terms by sorting their masks.
 `sparse_matrix` assembles the matrix of a sum one X mask at a time, and
 `sector_matrix` the blocks of chosen (n_alpha, n_beta) sectors with the
 same row-vector kernel restricted to those sectors' states, without the
@@ -263,14 +264,21 @@ def expand_reflections(n_orbitals: int, one, two):
             (x, z, two * qc[:, None] * qc[None, :] * phase))
 
 
+def hamiltonian_weights(maj: MajoranaHamiltonian):
+    """Spin-resolved weights (one, two) of H - h0 for expand_reflections:
+    h_tilde_ij / 2 on every Q_ij,sigma and g_ijkl / 4 on every ordered
+    Q_ij,sigma Q_kl,tau."""
+    n = maj.n_orbitals
+    h_q = np.repeat(maj.h_tilde.ravel(), 2)
+    g_qq = np.repeat(np.repeat(maj.g.reshape(n * n, n * n), 2, axis=0), 2, axis=1)
+    return 0.5 * h_q, 0.25 * g_qq
+
+
 def reflection_terms(maj: MajoranaHamiltonian):
     """Terms of H = h0 + (1/2) sum h_tilde_ij Q_ij,sigma
     + (1/4) sum g_ijkl Q_ij,sigma Q_kl,tau before like terms combine, as
     expand_reflections lists them."""
-    n = maj.n_orbitals
-    h_q = np.repeat(maj.h_tilde.ravel(), 2)
-    g_qq = np.repeat(np.repeat(maj.g.reshape(n * n, n * n), 2, axis=0), 2, axis=1)
-    return expand_reflections(n, 0.5 * h_q, 0.25 * g_qq)
+    return expand_reflections(maj.n_orbitals, *hamiltonian_weights(maj))
 
 
 def pauli_sum_of_hamiltonian(maj: MajoranaHamiltonian) -> PauliSum:

@@ -209,13 +209,20 @@ def _sorted_insertion(coeffs, items):
 def _groups_to_lcu(x, z, coeffs, groups, n_qubits, constant, metadata):
     """One AC block of the groups: the items in group order, and per group
     its size and np.linalg.norm of its coefficients; λ sums the norms left
+    to right. The items in no group, those sorted insertion leaves out at
+    or below COEFF_TOL, are the truncation: their |coefficients| summed left
     to right."""
     sizes = [len(members) for members in groups]
     order = np.concatenate(groups) if groups else np.zeros(0, dtype=np.int64)
     norms = np.array([np.linalg.norm(coeffs[members]) for members in groups])
+    unplaced = np.ones(coeffs.size, dtype=bool)
+    unplaced[order] = False
+    dropped = _running_sum(np.abs(coeffs[unplaced]))
     metadata = dict(metadata)
     metadata["n_groups"] = len(groups)
     metadata["group_sizes"] = sizes
+    metadata["dropped_weight"] = dropped
+    metadata["truncation_bound"] = dropped
     return LcuDecomposition(
         method="ac",
         n_orbitals=n_qubits // 2,

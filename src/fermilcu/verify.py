@@ -13,18 +13,23 @@ scale, so each extreme is within residual^2 / gap of an eigenvalue
 (`_lanczos_extremes`). The run needs nothing of the block but its product
 with a vector.
 
-Reconstruction reads the LCU's blocks (see the lcu module docstring), not
-per-fragment objects. A Pauli or AC block is one term set, its words with
-their coefficients times phases or normalized group coefficients; each
-squared polynomial is expanded on its own. Reflection products are summed
-first: a reflection (v, w, sigma) is sum_ij v_i w_j Q_ij,sigma, so the
-products of one spin tuple add up, by linearity, to one weight matrix on
-the Q_ij,sigma (one reflection) or the ordered Q_ij,sigma Q_kl,tau (two),
-taken from the block's stacks and expanded once. `fragment_pauli_sum` of
-a fragment view stays the per-fragment reference. Partial sums keep every
-term; only the final `PauliSum` of a fragment or of the reconstruction
-difference drops sums below PRUNE_TOL, so residue that cancels across
-fragments is not lost on the way.
+Reconstruction reads the LCU's blocks (see the lcu module docstring) and
+expands the difference LCU - H once. Reflection products and squared
+polynomials are weights on the Q_ij,sigma and the ordered
+Q_ij,sigma Q_kl,tau, the form the Hamiltonian's tensors take
+(majorana.hamiltonian_weights). A reflection (v, w, sigma) is
+sum_ij v_i w_j Q_ij,sigma, so the products of one spin tuple add up, by
+linearity, to one weight matrix taken from the block's stacks; the
+ChebyshevSquare of W and norm is (2 / norm^2) sum W_ij W_kl
+Q_ij,sigma Q_kl,tau over all four spin pairs, less the identity. These
+weights are added to the Hamiltonian's, negated, and expanded once
+(expand_reflections). The words of the Pauli blocks, with coefficients
+times phases, and of the AC blocks, with their signed item coefficients,
+join them with the identity weight constant - h0, and one `PauliSum`
+combines the whole; only that final sum drops sums below PRUNE_TOL, so
+residue that cancels across fragments is not lost on the way. The
+per-fragment expansion that the tests compare against is in
+tests/reference.py.
 """
 
 import logging
@@ -32,22 +37,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lcu import Fragment, LcuDecomposition
+from .lcu import LcuDecomposition
 # dense_matrix and sparse_matrix are not called here; perfbench's checks
-# and trace points read them, with pauli_sum_of_hamiltonian, from this module
+# and trace points read them from this module
 from .majorana import (  # noqa: F401
     PauliSum,
-    combine_terms,
     dense_matrix,
     expand_reflections,
+    hamiltonian_weights,
     pauli_sum_of_hamiltonian,
-    reflection_table,
     sector_matrix,
     sparse_matrix,
-    word_products,
 )
 
-BUFFER_TERMS = 1 << 18
 DENSE_STATES = 400
 ROUNDING_ULPS = 64
 # Lanczos: Ritz residual bound relative to the larger extreme, steps
@@ -209,149 +211,57 @@ def spectral_range(maj) -> SpectralRange:
     return SpectralRange(min(lows), max(highs))
 
 
-def _reflection_terms(refl, n_orbitals: int):
-    qx, qz, qc = (a[:, :, refl.sigma] for a in reflection_table(n_orbitals))
-    c = np.outer(refl.v, refl.w)
-    keep = c != 0.0
-    return qx[keep], qz[keep], c[keep] * qc[keep]
-
-
-def _product_terms(a, b):
-    """All pairwise products of two term sets, like terms combined."""
-    x, z, phase = word_products(a[0][:, None], a[1][:, None],
-                                b[0][None, :], b[1][None, :])
-    c = a[2][:, None] * b[2][None, :] * phase
-    return combine_terms(x.ravel(), z.ravel(), c.ravel())
-
-
-def _chebyshev_terms(w_matrix, norm: float, n_orbitals: int):
-    """Terms of the ChebyshevSquare of w_matrix and norm."""
-    qx, qz, qc = reflection_table(n_orbitals)
-    keep = np.broadcast_to((w_matrix != 0.0)[:, :, None], qc.shape)
-    c = 0.5 * w_matrix[:, :, None] * qc / (norm / 2.0)
-    layer = (qx[keep], qz[keep], c[keep])
-    x, z, c = _product_terms(layer, layer)
-    zero = np.zeros(1, dtype=np.uint64)
-    return (np.concatenate([x, zero]), np.concatenate([z, zero]),
-            np.concatenate([2.0 * c, [-1.0]]))
-
-
-def _word_terms(words, coeffs):
-    return (np.array([w.x_mask for w in words], dtype=np.uint64),
-            np.array([w.z_mask for w in words], dtype=np.uint64),
-            np.asarray(coeffs, dtype=complex))
-
-
-def _fragment_terms(fragment: Fragment, n_orbitals: int):
-    """(x, z, coeffs) of the fragment unitary, coefficient excluded; a word
-    may repeat."""
-    unit = fragment.unitary
-    if fragment.kind == "pauli":
-        return _word_terms([unit.word], [unit.phase])
-    if fragment.kind == "ac-group":
-        return _word_terms(unit.words, np.asarray(unit.coeffs) / unit.norm)
-    if fragment.kind == "reflection-product":
-        total = None
-        for refl in unit.reflections:
-            s = _reflection_terms(refl, n_orbitals)
-            total = s if total is None else _product_terms(total, s)
-        return total[0], total[1], unit.sign * total[2]
-    if fragment.kind == "sf-poly":
-        return _chebyshev_terms(unit.w_matrix, unit.norm, n_orbitals)
-    raise ValueError(f"unknown fragment kind {fragment.kind!r}")
-
-
-def fragment_pauli_sum(fragment: Fragment, n_orbitals: int) -> PauliSum:
-    """The fragment unitary as a combination of Pauli words (coefficient
-    excluded)."""
-    return PauliSum.from_arrays(2 * n_orbitals,
-                                *_fragment_terms(fragment, n_orbitals))
-
-
-def _running_sum(parts):
-    """Combined sum of a stream of (x, z, coeffs) term sets. Parts gather in
-    a buffer of about BUFFER_TERMS terms that is merged into the running
-    total when full, so memory follows the number of distinct words."""
-    total = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64),
-             np.zeros(0, dtype=complex))
-    buffered, size = [], 0
-    for part in parts:
-        buffered.append(part)
-        size += part[0].size
-        if size >= BUFFER_TERMS:
-            total = combine_terms(*map(np.concatenate, zip(total, *buffered)))
-            buffered, size = [], 0
-    return combine_terms(*map(np.concatenate, zip(total, *buffered)))
-
-
-def _reflection_weights(blocks, n_orbitals: int):
-    """Spin-resolved weights (one, two) for expand_reflections of
-    sum_k w_k R_k over the rows of reflection blocks, w_k the signed
-    weights. The rows of one spin tuple, in block and row order, sum in one
-    matrix product over their stacked outer(v, w) rows."""
-    nn = n_orbitals * n_orbitals
-    one = np.zeros((nn, 2))
-    two = np.zeros((nn, 2, nn, 2))
-    groups = {}
-    for block in blocks:
-        for spins in np.unique(block.spins, axis=0):
-            rows = (block.spins == spins).all(axis=1)
-            groups.setdefault(tuple(spins.tolist()), []).append(
-                [block.weights[rows]] + [d[rows] for d in block.directions])
-    for spins, parts in groups.items():
+def _difference_terms(lcu: LcuDecomposition, maj):
+    """(x, z, coeffs) of sum_k u_k U_k + constant - H, words repeating: the
+    Pauli and AC blocks' words, the one expansion of the Q and QQ weights of
+    the other blocks less the Hamiltonian's, and the identity (see the
+    module docstring)."""
+    n = maj.n_orbitals
+    nn = n * n
+    one, two = hamiltonian_weights(maj)
+    one, two = -one.reshape(nn, 2), -two.reshape(nn, 2, nn, 2)
+    identity = lcu.constant - maj.h0
+    terms, reflections = [], {}
+    for block in lcu.blocks:
+        if block.kind == "pauli":
+            terms.append((block.x, block.z, block.weights * block.phases))
+        elif block.kind == "ac-group":
+            terms.append((block.x, block.z, block.coeffs))
+        elif block.kind == "sf-poly":
+            # weight * ChebyshevSquare(W, norm): (2 weight / norm^2) W (x) W
+            # on all four spin pairs, less weight on the identity
+            w = block.w_matrices.reshape(len(block), nn)
+            scale = 2.0 * block.weights / block.norms ** 2
+            two += (w.T @ (scale[:, None] * w))[:, None, :, None]
+            identity -= block.weights.sum()
+        else:
+            for spins in np.unique(block.spins, axis=0):
+                rows = (block.spins == spins).all(axis=1)
+                reflections.setdefault(tuple(spins.tolist()), []).append(
+                    [block.weights[rows]] + [d[rows] for d in block.directions])
+    # the rows of one spin tuple, in block and row order, sum in one matrix
+    # product over their stacked outer(v, w) rows
+    for spins, parts in reflections.items():
         weight, *vectors = (np.concatenate(column) for column in zip(*parts))
         outer = [(v[:, :, None] * w[:, None, :]).reshape(weight.size, nn)
                  for v, w in zip(vectors[::2], vectors[1::2])]
         if len(spins) == 1:
-            one[:, spins[0]] = weight @ outer[0]
+            one[:, spins[0]] += weight @ outer[0]
         else:
-            two[:, spins[0], :, spins[1]] = outer[0].T @ (weight[:, None] * outer[1])
-    return one.ravel(), two.reshape(2 * nn, 2 * nn)
-
-
-def _fragment_parts(blocks, n_orbitals: int):
-    """(x, z, coeffs) term sets that sum to sum_k u_k U_k: one set per Pauli
-    or AC block and one per squared polynomial, in block order, then the
-    reflection blocks' products, summed per spin tuple and expanded once."""
-    reflections = []
-    for block in blocks:
-        if block.kind == "pauli":
-            yield block.x, block.z, block.weights * block.phases
-        elif block.kind == "ac-group":
-            norms = block.norms.repeat(block.sizes)
-            yield block.x, block.z, norms * (block.coeffs / norms)
-        elif block.kind == "sf-poly":
-            for weight, w_matrix, norm in zip(block.weights, block.w_matrices,
-                                              block.norms):
-                x, z, c = _chebyshev_terms(w_matrix, norm, n_orbitals)
-                yield x, z, weight * c
-        else:
-            reflections.append(block)
-    if reflections:
-        weights = _reflection_weights(reflections, n_orbitals)
-        for terms in expand_reflections(n_orbitals, *weights):
-            yield tuple(a.ravel() for a in terms)
+            two[:, spins[0], :, spins[1]] += outer[0].T @ (weight[:, None] * outer[1])
+    for x, z, c in expand_reflections(n, one.ravel(), two.reshape(2 * nn, 2 * nn)):
+        terms.append((x.ravel(), z.ravel(), c.ravel()))
+    zero = np.zeros(1, dtype=np.uint64)
+    terms.append((zero, zero, np.array([identity], dtype=complex)))
+    return tuple(map(np.concatenate, zip(*terms)))
 
 
 def verify_reconstruction(lcu: LcuDecomposition, maj) -> float:
     """Deviation of sum_k u_k U_k + constant from the full Hamiltonian: the
     1-norm of the Pauli-coefficient difference, which upper-bounds its
-    operator norm, at every size.
-
-    Reads the blocks: reflection products are summed per spin tuple before
-    they are expanded (by linearity; see the module docstring), and each
-    Pauli or AC block is one term set.
-    """
-    n = maj.n_orbitals
-    target = pauli_sum_of_hamiltonian(maj)
-    identity = np.zeros(1, dtype=np.uint64)
-
-    def parts():
-        yield from _fragment_parts(lcu.blocks, n)
-        yield identity, identity, np.array([lcu.constant], dtype=complex)
-        yield target.x, target.z, -target.coeffs
-
-    diff = PauliSum.from_arrays(2 * n, *_running_sum(parts()))
+    operator norm, at every size. The difference is expanded once from the
+    blocks and the Hamiltonian's tensors (_difference_terms)."""
+    diff = PauliSum.from_arrays(2 * maj.n_orbitals, *_difference_terms(lcu, maj))
     return float(np.abs(diff.coeffs).sum())
 
 

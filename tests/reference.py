@@ -4,8 +4,11 @@ inputs with; no run of the package calls them.
 - `word_from_letters` and `jordan_wigner_majorana` spell Pauli words from
   letters and single Majoranas; tests check the word algebra and the Q
   words of `majorana.reflection_table` against them.
-- `fragment_matrix` renders one fragment dense and applies its defining
-  check: unitary, or Hermitian with spectrum in [-1, 1] for sf-poly.
+- `fragment_pauli_sum` expands one fragment view on its own, word by word
+  (`_fragment_terms`), the per-fragment reference for the single expansion
+  of `verify.verify_reconstruction`; `fragment_matrix` renders it dense and
+  applies its defining check: unitary, or Hermitian with spectrum in
+  [-1, 1] for sf-poly.
 - `ac_naive_matrix` (arcsine phases, `naive_ac_phases`) and
   `ac_givens_matrix` (a Givens chain, `givens_chain_angles`, inverted by
   `reconstruct_chain`) render an AC group as the two circuits its cost
@@ -25,13 +28,17 @@ import numpy as np
 
 from fermilcu.majorana import (
     MajoranaHamiltonian,
+    PauliSum,
     PauliWord,
+    combine_terms,
     dense_matrix,
     pauli_sum_of_hamiltonian,
+    reflection_table,
     sparse_matrix,
+    word_products,
 )
 from fermilcu.qubit_lcu import rotate_two_body
-from fermilcu.verify import SpectralRange, fragment_pauli_sum
+from fermilcu.verify import SpectralRange
 
 UNITARY_TOL = 1e-9
 DENSE_QUBITS = 8  # fragment_matrix renders at most a 256 x 256 matrix
@@ -74,6 +81,65 @@ def jordan_wigner_majorana(j: int, sigma: int, m: int, n_orbitals: int) -> Pauli
     if m == 1:
         z |= 1 << p
     return PauliWord(2 * n_orbitals, x, z)
+
+
+def _reflection_terms(refl, n_orbitals: int):
+    qx, qz, qc = (a[:, :, refl.sigma] for a in reflection_table(n_orbitals))
+    c = np.outer(refl.v, refl.w)
+    keep = c != 0.0
+    return qx[keep], qz[keep], c[keep] * qc[keep]
+
+
+def _product_terms(a, b):
+    """All pairwise products of two term sets, like terms combined."""
+    x, z, phase = word_products(a[0][:, None], a[1][:, None],
+                                b[0][None, :], b[1][None, :])
+    c = a[2][:, None] * b[2][None, :] * phase
+    return combine_terms(x.ravel(), z.ravel(), c.ravel())
+
+
+def _chebyshev_terms(w_matrix, norm: float, n_orbitals: int):
+    """Terms of the ChebyshevSquare of w_matrix and norm."""
+    qx, qz, qc = reflection_table(n_orbitals)
+    keep = np.broadcast_to((w_matrix != 0.0)[:, :, None], qc.shape)
+    c = 0.5 * w_matrix[:, :, None] * qc / (norm / 2.0)
+    layer = (qx[keep], qz[keep], c[keep])
+    x, z, c = _product_terms(layer, layer)
+    zero = np.zeros(1, dtype=np.uint64)
+    return (np.concatenate([x, zero]), np.concatenate([z, zero]),
+            np.concatenate([2.0 * c, [-1.0]]))
+
+
+def _word_terms(words, coeffs):
+    return (np.array([w.x_mask for w in words], dtype=np.uint64),
+            np.array([w.z_mask for w in words], dtype=np.uint64),
+            np.asarray(coeffs, dtype=complex))
+
+
+def _fragment_terms(fragment, n_orbitals: int):
+    """(x, z, coeffs) of the fragment unitary, coefficient excluded; a word
+    may repeat."""
+    unit = fragment.unitary
+    if fragment.kind == "pauli":
+        return _word_terms([unit.word], [unit.phase])
+    if fragment.kind == "ac-group":
+        return _word_terms(unit.words, np.asarray(unit.coeffs) / unit.norm)
+    if fragment.kind == "reflection-product":
+        total = None
+        for refl in unit.reflections:
+            s = _reflection_terms(refl, n_orbitals)
+            total = s if total is None else _product_terms(total, s)
+        return total[0], total[1], unit.sign * total[2]
+    if fragment.kind == "sf-poly":
+        return _chebyshev_terms(unit.w_matrix, unit.norm, n_orbitals)
+    raise ValueError(f"unknown fragment kind {fragment.kind!r}")
+
+
+def fragment_pauli_sum(fragment, n_orbitals: int) -> PauliSum:
+    """The fragment unitary as a combination of Pauli words (coefficient
+    excluded)."""
+    return PauliSum.from_arrays(2 * n_orbitals,
+                                *_fragment_terms(fragment, n_orbitals))
 
 
 def _fragment_orbitals(fragment) -> int:

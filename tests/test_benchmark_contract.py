@@ -62,6 +62,7 @@ def test_trace_hooks_read_real_results(trace_points, monkeypatch):
         maj, lcu = report.decompose_method(mol, method, oo_budget=20,
                                            oo_restarts=1)
     verify.verify_reconstruction(lcu, maj)
+    verify.spectral_range(maj)
     assert sorted(calls) == sorted(attr for _, attr, _ in hooked)
     for _, attr, on_result in hooked:
         result, args = calls[attr]

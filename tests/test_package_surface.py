@@ -20,7 +20,6 @@ BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 # public names that tests use and no run does, each kept for a reason
 COST_ROW = "circuit cost row kept for the sf and csa cost models"
 ALLOWED = {
-    "fragment_pauli_sum": "per-fragment reference of the grouped expansion",
     "sorted_insertion_ac": "qubit-level grouping compared with ac_lcu",
     "uniform_row": COST_ROW, "cswap_row": COST_ROW,
     "givens_row": COST_ROW, "prep_v_row": COST_ROW,

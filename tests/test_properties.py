@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import pauli_sum, random_two_body
 from reference import (
+    _fragment_terms,
+    fragment_pauli_sum,
     full_space_range,
     givens_chain_angles,
     naive_ac_phases,
@@ -74,11 +76,8 @@ from fermilcu.resources import (
 from fermilcu.report import METHODS, decompose_method
 from fermilcu.verify import (
     DENSE_STATES,
+    _difference_terms,
     _extremes,
-    _fragment_parts,
-    _fragment_terms,
-    _running_sum,
-    fragment_pauli_sum,
     spectral_range,
     verify_norm_bound,
     verify_reconstruction,
@@ -574,14 +573,21 @@ def random_reflection_lcu(n, count, paulis, rng):
     return blocks
 
 
+def _blocks_terms(blocks, n):
+    """(x, z, coeffs) of the blocks' sum_k u_k U_k, as reconstruction expands
+    it: the difference from the zero Hamiltonian."""
+    zero = MajoranaHamiltonian(n, 0.0, np.zeros((n, n)), np.zeros((n,) * 4))
+    return _difference_terms(LcuDecomposition("mixed", n, tuple(blocks), 0.0),
+                             zero)
+
+
 class TestGroupedReconstruction:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 4), st.integers(1, 12), st.integers(0, 3),
            st.integers(0, 2 ** 32 - 1))
     def test_grouped_sum_equals_per_fragment_sum(self, n, count, paulis, seed):
         blocks = random_reflection_lcu(n, count, paulis, np.random.default_rng(seed))
-        grouped = PauliSum.from_arrays(
-            2 * n, *_running_sum(_fragment_parts(blocks, n)))
+        grouped = PauliSum.from_arrays(2 * n, *_blocks_terms(blocks, n))
         parts = [(grouped.x, grouped.z, grouped.coeffs)]
         for frag in Fragments(blocks):
             ps = fragment_pauli_sum(frag, n)
@@ -606,7 +612,7 @@ class TestGroupedReconstruction:
             yield target.x, target.z, -target.coeffs
 
         reference = float(np.abs(PauliSum.from_arrays(
-            2 * n, *_running_sum(per_fragment())).coeffs).sum())
+            2 * n, *map(np.concatenate, zip(*per_fragment()))).coeffs).sum())
         allowed = 64 * np.finfo(float).eps * (lcu.one_norm + abs(lcu.constant))
         assert abs(verify_reconstruction(lcu, maj) - reference) <= allowed
 
@@ -639,7 +645,7 @@ class TestFragmentViews:
         for view in views:
             for array in _view_arrays(view):
                 assert not array.flags.writeable
-        blockwise = _running_sum(_fragment_parts(blocks, n))
+        blockwise = _blocks_terms(blocks, n)
         parts = [blockwise]
         for view in views:
             x, z, c = _fragment_terms(view, n)

@@ -29,6 +29,7 @@ from fermilcu.qubit_lcu import (
     sorted_insertion_ac,
     sparse_pauli_lcu,
 )
+from fermilcu.verify import ROUNDING_ULPS, verify_reconstruction
 
 # columns: pauli λ, ac tensor λ, ac qubit λ, tensor groups, qubit groups,
 #          spin-separated two-body norm, pauli constant, pauli fragments
@@ -204,6 +205,18 @@ def test_ac_frozen(name):
     assert lam_t <= lam_p + 1e-9
     not_identity = (pauli.x | pauli.z) != 0
     assert lam_q <= np.abs(pauli.coeffs[not_identity]).sum() + 1e-9
+
+
+@pytest.mark.parametrize("name", ["h2o", "chain_h10"])
+def test_ac_deviation_within_reported_truncation(name):
+    # items at or below COEFF_TOL join no group: their weight is the
+    # truncation, and the deviation from H is at most that plus rounding
+    maj = hamiltonian(name)
+    lcu = ac_lcu(maj)
+    bound = lcu.metadata["truncation_bound"]
+    assert bound == lcu.metadata["dropped_weight"] > 0.0
+    rounding = ROUNDING_ULPS * np.finfo(float).eps * (lcu.one_norm + abs(lcu.constant))
+    assert verify_reconstruction(lcu, maj) <= bound + rounding
 
 
 @pytest.mark.parametrize("name", ["h2", "lih"])

@@ -442,6 +442,30 @@ class TestChainScaling:
         with pytest.raises(ValueError):
             fit_chain_scaling("pauli", "runtime", chains=self.SHORT)
 
+    @pytest.mark.parametrize("method", ("oo-pauli", "oo-ac"))
+    def test_oo_fit_defaults_to_chain_options(self, method, monkeypatch):
+        # the method table's chain budget and restarts apply to a fit called
+        # from Python, not only through the CLI; explicit options still win
+        from fermilcu import report
+
+        base = method.removeprefix("oo-")
+        monkeypatch.setitem(METHOD_TABLE, base, dataclasses.replace(
+            METHOD_TABLE[base], chain_oo_budget=6, chain_oo_restarts=1))
+        calls = []
+        optimize = report.orbital_optimize
+
+        def recording(mol, **options):
+            calls.append((options["budget"], options["restarts"]))
+            return optimize(mol, **options)
+
+        monkeypatch.setattr(report, "orbital_optimize", recording)
+        fit_chain_scaling(method, "lambda", chains=self.SHORT)
+        assert calls == [(6, 1), (6, 1)]
+        calls.clear()
+        fit_chain_scaling(method, "lambda", chains=self.SHORT, oo_budget=4,
+                          oo_restarts=2)
+        assert calls == [(4, 2), (4, 2)]
+
     def test_series_csv_header(self):
         rows = chain_series("pauli", chains=self.SHORT)
         lines = series_to_csv(rows).splitlines()

@@ -9,6 +9,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from fermilcu import verify
 from fermilcu.fermionic_lcu import (
     cholesky_sf,
     csa_decompose,
@@ -16,6 +17,7 @@ from fermilcu.fermionic_lcu import (
     diagonalize_one_body,
     double_factorize,
 )
+from fermilcu.integrals import load_fixture
 from fermilcu.lcu import (
     AcGroup,
     Fragment,
@@ -33,12 +35,12 @@ from fermilcu.majorana import (
 )
 from fermilcu.mtd_l4 import cp4_als, l4_lcu, mps_factorize, svd_chain_factorize
 from fermilcu.qubit_lcu import ac_lcu, sorted_insertion_ac, sparse_pauli_lcu
+from fermilcu.report import METHODS as ALL_METHODS, decompose_method
 from fermilcu.verify import (
     DENSE_STATES,
     SpectralRange,
     _extremes,
     _project_out,
-    fragment_pauli_sum,
     reconstruction_tolerance,
     spectral_range,
     verify_norm_bound,
@@ -51,6 +53,7 @@ from reference import (
     ac_naive_matrix,
     cycle_laplacian,
     fragment_matrix,
+    fragment_pauli_sum,
     full_space_eigsh_range,
     full_space_range,
 )
@@ -444,6 +447,30 @@ class TestReconstruction:
         lcu = h2_lcu(method)
         dev = verify_reconstruction(lcu, hamiltonian("h2"))
         assert dev <= reconstruction_tolerance(lcu)
+
+    @pytest.mark.parametrize("name", ("h2", "lih"))
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_one_expansion_and_no_hamiltonian_sum(self, name, method,
+                                                  monkeypatch):
+        # reconstruction expands LCU - H from the tensors at most once and
+        # never builds the Hamiltonian's own Pauli sum
+        maj, lcu = decompose_method(load_fixture(name), method, oo_budget=20,
+                                    oo_restarts=1)
+
+        def refuse(*args):
+            raise AssertionError("reconstruction built H's Pauli sum")
+
+        calls = []
+        expand = verify.expand_reflections
+
+        def counting(*args):
+            calls.append(args)
+            return expand(*args)
+
+        monkeypatch.setattr(verify, "pauli_sum_of_hamiltonian", refuse)
+        monkeypatch.setattr(verify, "expand_reflections", counting)
+        assert verify_reconstruction(lcu, maj) <= reconstruction_tolerance(lcu)
+        assert len(calls) <= 1
 
     def test_pauli_exact(self):
         assert verify_reconstruction(h2_lcu("pauli"), hamiltonian("h2")) < 1e-10
