@@ -9,8 +9,10 @@ Every shipped fixture runs every method, the oo-* methods with an
 orbital-optimization budget of 200 evaluations and 1 restart, at one BLAS
 thread. A row holds lambda and the constant as float.hex, the fragment
 count, the cost report of a costed method, the verification payload with
-its deviation also as float.hex, and a SHA-256 over every block's kind and
-arrays. The spectral range is taken once per fixture.
+its deviation also as float.hex, a SHA-256 over every block's kind and
+arrays, the rows stored over all reflection blocks (reflection_rows) and
+the bytes of every block array (block_bytes). The spectral range is taken
+once per fixture.
 """
 import os
 
@@ -44,20 +46,25 @@ from fermilcu.verify import spectral_range  # noqa: E402
 OO_OPTIONS = {"oo_budget": 200, "oo_restarts": 1}
 
 
+def field_values(block):
+    """A block's field values in field order, tuples of arrays unpacked."""
+    for item in dataclasses.fields(block):
+        value = getattr(block, item.name)
+        yield from value if isinstance(value, tuple) else (value,)
+
+
 def block_hash(blocks) -> str:
     """SHA-256 over each block's kind and its fields: arrays by dtype,
     shape and bytes, other values by repr."""
     digest = hashlib.sha256()
     for block in blocks:
         digest.update(block.kind.encode())
-        for item in dataclasses.fields(block):
-            value = getattr(block, item.name)
-            for array in value if isinstance(value, tuple) else (value,):
-                if isinstance(array, np.ndarray):
-                    digest.update(f"{array.dtype}{array.shape}".encode())
-                    digest.update(np.ascontiguousarray(array).tobytes())
-                else:
-                    digest.update(repr(array).encode())
+        for array in field_values(block):
+            if isinstance(array, np.ndarray):
+                digest.update(f"{array.dtype}{array.shape}".encode())
+                digest.update(np.ascontiguousarray(array).tobytes())
+            else:
+                digest.update(repr(array).encode())
     return digest.hexdigest()
 
 
@@ -72,6 +79,11 @@ def row(name, method, mol, spectrum) -> dict:
         "fragments": len(lcu.fragments),
         "costs": None,
         "blocks": block_hash(lcu.blocks),
+        "reflection_rows": sum(block.weights.size for block in lcu.blocks
+                               if block.kind == "reflection-product"),
+        "block_bytes": sum(value.nbytes for block in lcu.blocks
+                           for value in field_values(block)
+                           if isinstance(value, np.ndarray)),
     }
     if method in COSTED_METHODS:
         out["costs"] = dataclasses.asdict(costs_for(lcu, maj))

@@ -17,6 +17,7 @@ from .qubit_lcu import _BudgetSpent, rotate_two_body
 PSD_FLOOR = -1e-8
 CHOLESKY_TOL = 1e-6
 EIGENVALUE_FLOOR = 1e-8
+SPIN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass
@@ -30,13 +31,11 @@ class OneBodyFragment:
         return 2.0 * float(np.abs(self.eigenvalues).sum())
 
     def block(self) -> ReflectionBlock:
-        """One reflection per spin of each rotated column whose eigenvalue
-        is at least 1e-14 in magnitude, with v = w that column."""
+        """One row per rotated column whose eigenvalue is at least 1e-14 in
+        magnitude, with v = w that column, under the pattern of both spins."""
         keep = np.abs(self.eigenvalues) >= 1e-14
-        rows = self.rotation.T[keep].repeat(2, axis=0)
-        return ReflectionBlock(self.eigenvalues[keep].repeat(2),
-                               np.tile([[0], [1]], (keep.sum(), 1)),
-                               (rows, rows))
+        rows = self.rotation.T[keep]
+        return ReflectionBlock(self.eigenvalues[keep], ((0,), (1,)), (rows, rows))
 
 
 @dataclass
@@ -59,20 +58,20 @@ def diagonalize_one_body(maj: MajoranaHamiltonian) -> OneBodyFragment:
     return OneBodyFragment(rotation=u, eigenvalues=lam)
 
 
-def _pair_block(u, lam):
-    """Rotated reflection pairs of sum_ab lam_ab n_a n_b in the frame u.
-
-    One row per unordered pair x < y of the (orbital, spin) labels
-    x = 2 a + s, in row-major order, with weight lam_ab / 2; DF passes the
-    rank-one lam = mu mu^T.
-    """
-    x, y = np.triu_indices(2 * lam.shape[0], 1)
-    weights = 0.5 * lam[x // 2, y // 2]
-    keep = np.abs(weights) >= 1e-14
-    x, y = x[keep], y[keep]
-    va, vb = u.T[x // 2], u.T[y // 2]
-    return ReflectionBlock(weights[keep], np.stack([x % 2, y % 2], axis=1),
-                           (va, va, vb, vb))
+def _pair_blocks(u, lam):
+    """Rotated reflection pairs of sum_ab lam_ab n_a n_b in the frame u: two
+    blocks of weight lam_ab / 2 per row, the pairs a < b in row-major order
+    under the four spin pairs and the pairs a = a under (0, 1) alone, one
+    fragment per pair x < y of the labels x = 2 a + s. DF passes the
+    rank-one lam = mu mu^T."""
+    blocks = []
+    for (a, b), pattern in ((np.triu_indices(lam.shape[0], 1), SPIN_PAIRS),
+                            (np.diag_indices(lam.shape[0]), ((0, 1),))):
+        weights = 0.5 * lam[a, b]
+        keep = np.abs(weights) >= 1e-14
+        va, vb = u.T[a[keep]], u.T[b[keep]]
+        blocks.append(ReflectionBlock(weights[keep], pattern, (va, va, vb, vb)))
+    return blocks
 
 
 def pivoted_cholesky(maj: MajoranaHamiltonian, tol: float = CHOLESKY_TOL):
@@ -196,7 +195,7 @@ def double_factorize(maj: MajoranaHamiltonian,
         weights.append(m1 * m1 / 2.0)
         constant += d * d + 0.5 * m2
         lam2 += m1 * m1 - 0.5 * m2
-        blocks.append(_pair_block(uk, np.outer(mu, mu)))
+        blocks.extend(_pair_blocks(uk, np.outer(mu, mu)))
     metadata = _truncation_metadata(maj, delta)
     metadata.update({
         "n_factors": len(factors),
@@ -393,7 +392,7 @@ def csa_lcu(maj: MajoranaHamiltonian, result: CsaResult) -> LcuDecomposition:
         lam_eff = lam_eff + u @ np.diag(rowsum) @ u.T
         constant += float(lam.sum() + 0.5 * np.trace(lam))
         lam2 += float(np.abs(lam).sum() - 0.5 * np.abs(np.diag(lam)).sum())
-        pairs.append(_pair_block(u, lam))
+        pairs.extend(_pair_blocks(u, lam))
     eigs, u0 = eigh(lam_eff)
     one_body = OneBodyFragment(rotation=u0, eigenvalues=eigs)
     metadata = _truncation_metadata(maj, result.residual)

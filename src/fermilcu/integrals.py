@@ -48,8 +48,8 @@ class MolecularIntegrals:
         n = self.n_orbitals
         if h.shape != (n, n) or g.shape != (n, n, n, n):
             raise ValueError("tensor shapes inconsistent with n_orbitals")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(g))):
-            raise ValueError("non-finite tensor entries")
+        if not all(np.isfinite(x).all() for x in (self.core_energy, h, g)):
+            raise ValueError("non-finite core energy or tensor entries")
         if np.abs(h - h.T).max() > SYMMETRY_TOL:
             raise ValueError("one_body not symmetric")
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):

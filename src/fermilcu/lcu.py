@@ -14,12 +14,12 @@ object:
   masks x, z and signed coefficients coeffs, in group order; its
   coefficient is norms[k], the Euclidean length of those coefficients.
 - ReflectionBlock: products of r = 1 or 2 rotated reflections, in the one-
-  body, pair and quadruple streams of sf, df, csa and the L4 methods. Row
-  k is fragment k, in the caller's order: the signed weight w_k becomes
-  the coefficient |w_k| and the product's sign sign(w_k) (callers drop
-  zero weights), spins[k] holds the spins of its r reflections, and the 2r
-  direction stacks come as v_1, w_1, ..., v_r, w_r. The arrays are made
-  read-only, on views, so the caller's arrays stay writable.
+  body, pair and quadruple streams of sf, df, csa and the L4 methods. A
+  row is a signed weight w (callers drop zero weights) and 2r direction
+  stacks v_1, w_1, ..., v_r, w_r, in the caller's order; every row shares
+  the spin pattern spins (M, r). Fragment k, of coefficient |w| and sign
+  sign(w), is row k // M, its reflections taking the spins of pattern row
+  k % M. The arrays are read-only views; the caller's stay writable.
 - PolyBlock: the few squared-polynomial fragments of sf: fragment k is
   weights[k] times the ChebyshevSquare of w_matrices[k] and norms[k].
 
@@ -164,9 +164,9 @@ class AcBlock:
 
 @dataclass(eq=False)
 class ReflectionBlock:
-    """Products of r reflections: signed weights (K,), spins (K, r) and the
-    2r direction stacks (K, N) v_1, w_1, ..., v_r, w_r; the contract is in
-    the module docstring."""
+    """Products of r reflections: signed weights (K,), the spin pattern
+    (M, r) of every row and the 2r direction stacks (K, N) v_1, w_1, ...,
+    v_r, w_r; the contract is in the module docstring."""
     weights: np.ndarray
     spins: np.ndarray
     directions: tuple
@@ -177,18 +177,19 @@ class ReflectionBlock:
         self.spins = _read_only(self.spins, np.int64)
         self.directions = tuple(_read_only(stack, float)
                                 for stack in self.directions)
-        if len(self.directions) not in (2, 4) or (
-                self.spins.shape[1] != len(self.directions) // 2):
+        if len(self.directions) not in (2, 4) or self.spins.shape[1:] != (
+                len(self.directions) // 2,):
             raise ValueError("need products of one or two reflections")
 
     def __len__(self) -> int:
-        return self.weights.size
+        return self.weights.size * len(self.spins)
 
     def fragment(self, k: int) -> Fragment:
+        row, entry = divmod(k, len(self.spins))
         v, w = self.directions[::2], self.directions[1::2]
-        reflections = tuple(Reflection(v[j][k], w[j][k], sigma)
-                            for j, sigma in enumerate(self.spins[k].tolist()))
-        weight = self.weights[k]
+        reflections = tuple(Reflection(v[j][row], w[j][row], sigma)
+                            for j, sigma in enumerate(self.spins[entry].tolist()))
+        weight = self.weights[row]
         return Fragment(float(abs(weight)), self.kind,
                         ReflectionProduct(reflections, float(np.sign(weight))))
 

@@ -10,9 +10,9 @@ t = g/4 in one form,
 and return it as one record, QuarticFactors: the weights omega, four N x W
 stacks of direction vectors in entry order, the method label, the scheme's
 own metadata and the residual of the fit. l4_lcu reads the arrays directly:
-each weight above WEIGHT_TOL becomes four products of two reflections, one
-per spin pair, rows of one lcu.ReflectionBlock (whose contract the lcu
-module docstring states), so weights enter the 1-norm as 4 sum|omega|.
+each weight above WEIGHT_TOL is stored once, as one row of a two-reflection
+lcu.ReflectionBlock under the pattern of the four spin pairs (see the lcu
+module docstring), so weights enter the 1-norm as 4 sum|omega|.
 
 l4-cp4 searches for the smallest rank that meets the tolerance, doubling
 and then bisecting, and warm-starts each trial rank from the factors of an
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import khatri_rao
 from scipy.linalg.lapack import dposv
 
-from .fermionic_lcu import OneBodyFragment
+from .fermionic_lcu import SPIN_PAIRS, OneBodyFragment
 from .lcu import LcuDecomposition, ReflectionBlock
 from .qubit_lcu import _running_sum
 
@@ -317,19 +317,17 @@ def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
 
 def l4_lcu(factors: QuarticFactors, one_body: OneBodyFragment,
            constant: float = 0.0) -> LcuDecomposition:
-    """Blocks: the one-body reflections, then per weight above WEIGHT_TOL
-    four spin pairs of double reflections, in entry order; the columns at
-    those weights must be unit to 1e-8. The record's metadata is reported
-    after the common keys.
+    """Blocks: the one-body reflections, then one row of double reflections
+    per weight above WEIGHT_TOL, in entry order, under the pattern of the
+    four spin pairs; the columns at those weights must be unit to 1e-8.
+    The record's metadata is reported after the common keys.
     """
     kept = np.abs(factors.weights) > WEIGHT_TOL
     omega = factors.weights[kept]
     vecs = [v[:, kept] for v in factors.vectors]
     if np.abs(np.linalg.norm(vecs, axis=1) - 1.0).max(initial=0.0) > 1e-8:
         raise ValueError("direction vectors must be unit")
-    spins = np.tile([[0, 0], [0, 1], [1, 0], [1, 1]], (omega.size, 1))
-    quads = ReflectionBlock(omega.repeat(4), spins,
-                            [v.T.repeat(4, axis=0) for v in vecs])
+    quads = ReflectionBlock(omega, SPIN_PAIRS, [v.T for v in vecs])
     metadata = {"n_weights": omega.size,
                 "one_body_lambda": one_body.lambda_contribution,
                 "loss": float(factors.loss),

@@ -438,9 +438,8 @@ def run_pipeline(config: dict, base_dir: str = ".") -> PipelineResult:
     output_paths = ()
     stem = config.get("output")
     if stem:
-        stem_path = pathlib.Path(base_dir) / stem
-        json_path = stem_path.with_suffix(".json")
-        csv_path = stem_path.with_suffix(".csv")
+        json_path = pathlib.Path(base_dir) / f"{stem}.json"
+        csv_path = pathlib.Path(base_dir) / f"{stem}.csv"
         json_path.write_text(json_text)
         csv_path.write_text(csv_text)
         output_paths = (json_path, csv_path)

@@ -18,8 +18,8 @@ expands the difference LCU - H once. Reflection products and squared
 polynomials are weights on the Q_ij,sigma and the ordered
 Q_ij,sigma Q_kl,tau, the form the Hamiltonian's tensors take
 (majorana.hamiltonian_weights). A reflection (v, w, sigma) is
-sum_ij v_i w_j Q_ij,sigma, so the products of one spin tuple add up, by
-linearity, to one weight matrix taken from the block's stacks; the
+sum_ij v_i w_j Q_ij,sigma, so the rows of one spin pattern add up, by
+linearity, to one weight matrix, added at each spin tuple of it; the
 ChebyshevSquare of W and norm is (2 / norm^2) sum W_ij W_kl
 Q_ij,sigma Q_kl,tau over all four spin pairs, less the identity. These
 weights are added to the Hamiltonian's, negated, and expanded once
@@ -235,20 +235,22 @@ def _difference_terms(lcu: LcuDecomposition, maj):
             two += (w.T @ (scale[:, None] * w))[:, None, :, None]
             identity -= block.weights.sum()
         else:
-            for spins in np.unique(block.spins, axis=0):
-                rows = (block.spins == spins).all(axis=1)
-                reflections.setdefault(tuple(spins.tolist()), []).append(
-                    [block.weights[rows]] + [d[rows] for d in block.directions])
-    # the rows of one spin tuple, in block and row order, sum in one matrix
-    # product over their stacked outer(v, w) rows
-    for spins, parts in reflections.items():
+            pattern = tuple(map(tuple, block.spins.tolist()))
+            reflections.setdefault(pattern, []).append((block.weights, *block.directions))
+    # one matrix product per spin pattern over its rows, in block and row
+    # order, added at each spin tuple of the pattern
+    for pattern, parts in reflections.items():
         weight, *vectors = (np.concatenate(column) for column in zip(*parts))
         outer = [(v[:, :, None] * w[:, None, :]).reshape(weight.size, nn)
                  for v, w in zip(vectors[::2], vectors[1::2])]
-        if len(spins) == 1:
-            one[:, spins[0]] += weight @ outer[0]
+        if len(outer) == 1:
+            product = weight @ outer[0]
+            for (s,) in pattern:
+                one[:, s] += product
         else:
-            two[:, spins[0], :, spins[1]] += outer[0].T @ (weight[:, None] * outer[1])
+            product = outer[0].T @ (weight[:, None] * outer[1])
+            for s, t in pattern:
+                two[:, s, :, t] += product
     for x, z, c in expand_reflections(n, one.ravel(), two.reshape(2 * nn, 2 * nn)):
         terms.append((x.ravel(), z.ravel(), c.ravel()))
     zero = np.zeros(1, dtype=np.uint64)

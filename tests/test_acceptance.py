@@ -186,6 +186,24 @@ def test_reconstruction_oracle(method, name):
         f"{method} {name}: deviation {deviation:.3e} > {allowed:.3e}")
 
 
+# fragments of the chain_h10 reflection-block methods; perfbench reads the
+# count, so storing spatial rows once must keep it
+CHAIN_H10_FRAGMENTS = {"df": 3630, "csa": 1920, "l4-svd": 3740, "l4-mps": 7620}
+
+
+@pytest.mark.parametrize("method", sorted(CHAIN_H10_FRAGMENTS))
+def test_reflection_rows_stored_once(method):
+    # each spatial product is one row, whatever its spin pattern: no two
+    # rows of a block share their weight and every direction stack
+    maj, lcu = decomposition(method, "chain_h10")
+    assert len(lcu.fragments) == CHAIN_H10_FRAGMENTS[method]
+    blocks = [b for b in lcu.blocks if b.kind == "reflection-product"]
+    assert blocks
+    for block in blocks:
+        rows = np.column_stack([block.weights, *block.directions])
+        assert len(np.unique(rows, axis=0)) == len(rows)
+
+
 def test_cost_formula_examples():
     # every row at three hand-computed argument sets, matched exactly
     cases = [

@@ -49,6 +49,16 @@ class TestDecompose:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_non_finite_core_energy_is_exit_2(self, capsys, tmp_path):
+        # a nan core would print "constant": NaN, which is not JSON
+        path = tmp_path / "nan_core.fcidump"
+        path.write_text("&FCI NORB=1,NELEC=2,MS2=0,\n&END\n"
+                        "0.15 1 1 1 1\n-2.0 1 1 0 0\nnan 0 0 0 0\n")
+        code, out, err = run_cli(capsys, "decompose", "--input", str(path),
+                                 "--method", "pauli")
+        assert code == 2 and out == ""
+        assert "non-finite" in err
+
     def test_unknown_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "--input", "h2", "--method", "qrom"])

@@ -18,10 +18,11 @@ from fermilcu.fermionic_lcu import (
 from fermilcu.integrals import load_fixture
 from fermilcu.lcu import Fragments, ReflectionBlock
 from fermilcu.majorana import MajoranaHamiltonian
+from fermilcu.mtd_l4 import l4_lcu
 from fermilcu.qubit_lcu import rotation_from_angles
 from fermilcu.report import decompose_method
 
-from conftest import hamiltonian
+from conftest import cp4_fit, hamiltonian
 
 # measured on this implementation; integer counts exact, floats to 1e-8
 FROZEN = {
@@ -39,6 +40,17 @@ H2_CSA_LAMBDA = 1.7269553911
 # csa lambda of the finite-difference fit (default fragments and seed); the
 # exact-gradient fit must not give it up
 CSA_LAMBDA_CEILING = {"h2": 1.7269553910963644, "lih": 10.518048093003292}
+
+
+def factorized_lcu(method, name):
+    """The fixture's LCU by a factorized method; csa fits two fragments and
+    l4-cp4 reads the shared cp4_fit, since only the sums are checked."""
+    maj = hamiltonian(name)
+    if method == "csa":
+        return csa_lcu(maj, csa_decompose(maj, 2))
+    if method == "l4-cp4":
+        return l4_lcu(cp4_fit(name), diagonalize_one_body(maj), constant=maj.h0)
+    return decompose_method(load_fixture(name), method)[1]
 
 
 def two_body_from_matrix(w: np.ndarray) -> np.ndarray:
@@ -200,27 +212,32 @@ class TestDoubleFactorize:
                             sf.metadata["fragment_weights"]):
             assert wdf <= wsf + 1e-9
 
-    def test_pair_coefficients_recombine(self, h2):
-        # fragment sum equals the advertised 1-norm
-        lcu = double_factorize(h2)
-        assert lcu.coefficient_sum() == pytest.approx(lcu.one_norm, abs=1e-12)
+    def test_pair_coefficients_recombine(self):
+        # the fragment views' coefficients, each spatial row counted once per
+        # entry of its spin pattern, sum to the advertised 1-norm
+        for name in ("lih", "h2o"):
+            for method in ("sf", "df", "csa", "l4-svd", "l4-mps", "l4-cp4"):
+                lcu = factorized_lcu(method, name)
+                assert lcu.coefficient_sum() == pytest.approx(
+                    lcu.one_norm, abs=1e-12), f"{method} {name}"
 
 
 class TestReflectionAssembly:
     def test_rows_become_fragments_in_order(self):
+        # fragment k is row k // 2 under pattern entry k % 2
         rng = np.random.default_rng(3)
         weights = np.array([0.5, -0.25, 2.0])
-        spins = np.array([[0, 1], [1, 1], [1, 0]])
+        spins = np.array([[0, 1], [1, 1]])
         stacks = [rng.normal(size=(3, 4)) for _ in range(4)]
         frags = list(Fragments([ReflectionBlock(weights, spins, stacks)]))
-        assert [f.coefficient for f in frags] == [0.5, 0.25, 2.0]
-        assert [f.unitary.sign for f in frags] == [1.0, -1.0, 1.0]
+        assert [f.coefficient for f in frags] == [0.5, 0.5, 0.25, 0.25, 2.0, 2.0]
+        assert [f.unitary.sign for f in frags] == [1.0, 1.0, -1.0, -1.0, 1.0, 1.0]
         for k, frag in enumerate(frags):
             assert frag.kind == "reflection-product"
             (r1, r2) = frag.unitary.reflections
-            assert (r1.sigma, r2.sigma) == tuple(spins[k])
+            assert (r1.sigma, r2.sigma) == tuple(spins[k % 2])
             for vector, stack in zip((r1.v, r1.w, r2.v, r2.w), stacks):
-                assert np.array_equal(vector, stack[k])
+                assert np.array_equal(vector, stack[k // 2])
                 assert not vector.flags.writeable
         # the caller's arrays stay writable
         assert all(stack.flags.writeable for stack in stacks)

@@ -92,6 +92,25 @@ def test_parse_requires_header_fields():
         parse_fcidump("&FCI NELEC=2,\n&END\n")
 
 
+# one orbital: the two-body, one-body and core records, in that order
+ONE_ORBITAL_RECORDS = ("0.15 1 1 1 1", "-2.0 1 1 0 0", "3.25 0 0 0 0")
+
+
+def one_orbital_fcidump(record, value):
+    """One-orbital FCIDUMP text with the value of one record replaced."""
+    records = list(ONE_ORBITAL_RECORDS)
+    records[record] = f"{value} " + records[record].split(maxsplit=1)[1]
+    return "&FCI NORB=1,NELEC=2,MS2=0,\n&END\n" + "\n".join(records) + "\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("record", [0, 1, 2], ids=["two-body", "one-body", "core"])
+def test_non_finite_record_rejected(record, value):
+    raw = parse_fcidump(one_orbital_fcidump(record, value))
+    with pytest.raises(ValueError, match="non-finite"):
+        to_paper_convention(raw)
+
+
 def test_fortran_exponent_accepted():
     raw = parse_fcidump(
         "&FCI NORB=1,NELEC=2,MS2=0,\n&END\n"

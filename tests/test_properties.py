@@ -7,6 +7,8 @@ localization, tensor factorizations, the spectral norm bound, grouped
 reconstruction against the per-fragment reference, fragment views against
 their blocks, and cost-row monotonicity."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -528,13 +530,16 @@ def _unit(rng, n):
 
 
 def _random_reflection_block(n, size, rng):
-    """size products of r = 1 or 2 random reflections, mixed spins and
-    signs."""
+    """size rows of products of r = 1 or 2 random reflections, mixed signs,
+    under a random pattern: one to 2^r distinct spin tuples in random
+    order."""
     r = int(rng.integers(1, 3))
     weights = rng.uniform(0.1, 2.0, size) * rng.choice((-1.0, 1.0), size)
     stacks = [np.array([_unit(rng, n) for _ in range(size)]).reshape(size, n)
               for _ in range(2 * r)]
-    return ReflectionBlock(weights, rng.integers(2, size=(size, r)), stacks)
+    tuples = np.array(list(itertools.product((0, 1), repeat=r)))
+    pattern = rng.permutation(tuples)[:rng.integers(1, len(tuples) + 1)]
+    return ReflectionBlock(weights, pattern, stacks)
 
 
 def _random_pauli_block(n, size, rng):
@@ -562,8 +567,8 @@ def _random_poly_block(n, size, rng):
 
 
 def random_reflection_lcu(n, count, paulis, rng):
-    """Reflection blocks holding count products of one or two random
-    reflections, mixed spins and signs, and a Pauli block of paulis
+    """Reflection blocks holding count rows of products of one or two random
+    reflections, mixed spin patterns and signs, and a Pauli block of paulis
     fragments among them, in random block order."""
     sizes = np.diff(np.unique(np.concatenate([[0, count], rng.integers(count, size=2)])))
     blocks = [_random_reflection_block(n, int(size), rng) for size in sizes]

@@ -360,13 +360,16 @@ class TestRunPipeline:
             assert cells[CSV_COLUMNS.index("verified")] == "true"
 
     def test_output_stem_writes_both_forms(self, tmp_path):
-        config = dict(self.CONFIG, methods=["pauli"], output="report")
-        result = run_pipeline(config, base_dir=tmp_path)
-        json_path = tmp_path / "report.json"
-        csv_path = tmp_path / "report.csv"
-        assert result.output_paths == (json_path, csv_path)
-        assert json_path.read_text() == result.json_text
-        assert csv_path.read_text() == result.csv_text
+        # the suffixes go after the whole stem, dots and all
+        (tmp_path / "runs").mkdir()
+        for stem in ("report", "runs/h2o.v2"):
+            config = dict(self.CONFIG, methods=["pauli"], output=stem)
+            result = run_pipeline(config, base_dir=tmp_path)
+            json_path = tmp_path / f"{stem}.json"
+            csv_path = tmp_path / f"{stem}.csv"
+            assert result.output_paths == (json_path, csv_path)
+            assert json_path.read_text() == result.json_text
+            assert csv_path.read_text() == result.csv_text
 
     def test_empty_methods_is_a_clean_noop(self):
         result = run_pipeline({"files": ["h2"], "methods": []})

@@ -116,27 +116,32 @@ def rotated(v, angle):
 
 
 def with_fault(lcu, fault, angle=0.0):
-    """lcu with one fault in the row of largest |weight| among its blocks of
-    two-reflection products, the first such row in block order."""
+    """lcu with one fault in one fragment: the first spin tuple of the row of
+    largest |weight| among its blocks of two-reflection products, the first
+    such row in block order. The row leaves its block: its other spin
+    tuples form a block of their own, and the faulted one (dropped, with
+    its sign or first spin flipped, or with v turned by angle) another."""
     b, k = max(((b, k) for b, block in enumerate(lcu.blocks)
                 if block.kind == "reflection-product" and block.spins.shape[1] == 2
-                for k in range(len(block))),
+                for k in range(block.weights.size)),
                key=lambda bk: abs(lcu.blocks[bk[0]].weights[bk[1]]))
     block = lcu.blocks[b]
-    weights, spins, (v, *stacks) = (block.weights.copy(), block.spins.copy(),
-                                    [d.copy() for d in block.directions])
-    if fault == "drop":
-        keep = np.arange(len(block)) != k
-        weights, spins, v, stacks = (weights[keep], spins[keep], v[keep],
-                                     [d[keep] for d in stacks])
-    elif fault == "sign":
-        weights[k] = -weights[k]
+    row = np.arange(block.weights.size) == k
+    split = [ReflectionBlock(block.weights[~row], block.spins,
+                             [d[~row] for d in block.directions]),
+             ReflectionBlock(block.weights[row], block.spins[1:],
+                             [d[row] for d in block.directions])]
+    weight, spins = block.weights[row], block.spins[:1].copy()
+    v, *stacks = (d[row] for d in block.directions)
+    if fault == "sign":
+        weight = -weight
     elif fault == "spin":
-        spins[k, 0] = 1 - spins[k, 0]
-    else:
-        v[k] = rotated(v[k], angle)
-    faulty = ReflectionBlock(weights, spins, (v, *stacks))
-    return replace(lcu, blocks=lcu.blocks[:b] + (faulty,) + lcu.blocks[b + 1:])
+        spins[0, 0] = 1 - spins[0, 0]
+    elif fault == "rotate":
+        v[0] = rotated(v[0], angle)
+    if fault != "drop":
+        split.append(ReflectionBlock(weight, spins, (v, *stacks)))
+    return replace(lcu, blocks=lcu.blocks[:b] + tuple(split) + lcu.blocks[b + 1:])
 
 
 def with_weight_shift(lcu, shift):
