@@ -411,6 +411,10 @@ def run_pipeline(config: dict, base_dir: str = ".") -> PipelineResult:
                 "lambda": float(lcu.one_norm),
                 "constant": float(lcu.constant),
             }
+            # the optimizer-backed rows (oo-*, csa) report their search
+            if "evaluations" in lcu.metadata:
+                row["evaluations"] = lcu.metadata["evaluations"]
+                row["converged"] = lcu.metadata["converged"]
             if method in COSTED_METHODS:
                 report = costs_for(lcu, maj,
                                    eps_coeff=config.get("eps_coeff"),

@@ -3,15 +3,18 @@ Hamiltonian, and the spectral lower bound on the 1-norm.
 
 The spectral range is taken on one sector per electron count, the one
 with S_z = 0 or -1/2, and is exact there because a MajoranaHamiltonian is
-spin-free (`spectral_range`); the 2^2N-state matrix is never built. A
-sector block above DENSE_STATES states gives both of its extremes from one
-Krylov space: one Lanczos run (Lanczos, J. Res. Natl. Bur. Stand. 45, 255,
-1950) with full reorthogonalization (Parlett, The Symmetric Eigenvalue
-Problem, SIAM 1998, ch. 13) from a seeded Gaussian start, stopped once
-both extremal Ritz residuals are at most LANCZOS_TOL of the spectral
-scale, so each extreme is within residual^2 / gap of an eigenvalue
-(`_lanczos_extremes`). The run needs nothing of the block but its product
-with a vector.
+spin-free (`spectral_range`); the 2^2N-state matrix is never built. The
+sectors are solved smallest first, and the Gershgorin discs of each block
+(`_disc_bounds`) bound its spectrum, so a block end is solved only if its
+bound lies beyond the best extreme found so far, and a block neither of
+whose bounds does is skipped. A sector block above DENSE_STATES states
+gives the ends it is asked for from one Krylov space: one Lanczos run
+(Lanczos, J. Res. Natl. Bur. Stand. 45, 255, 1950) from a seeded Gaussian
+start, kept semi-orthogonal by partial reorthogonalization (Simon, Math.
+Comp. 42, 115, 1984), stopped once the extremal Ritz residuals asked for
+are at most LANCZOS_TOL of the spectral scale, so each extreme is within
+residual^2 / gap of an eigenvalue (`_lanczos_extremes`). The run needs
+nothing of the block but its product with a vector.
 
 Reconstruction reads the LCU's blocks (see the lcu module docstring) and
 expands the difference LCU - H once. Reflection products and squared
@@ -58,6 +61,8 @@ LANCZOS_TOL = 1e-8
 LANCZOS_CHECK = 10
 LANCZOS_CHUNK = 64
 LANCZOS_SEED = 20240709
+# rows per Gershgorin row-sum chunk
+DISC_ROWS = 256
 
 log = logging.getLogger(__name__)
 
@@ -85,64 +90,115 @@ def _project_out(w, basis):
     return w, last
 
 
-def _lanczos_extremes(matvec, dim: int, dtype=float) -> tuple:
-    """(lowest, highest, steps): both extremal eigenvalues of a Hermitian
-    dim x dim operator, given only its product with a vector, from one
-    Krylov space.
+def _lanczos_extremes(matvec, dim: int, dtype=float,
+                      ends=(True, True)) -> tuple:
+    """(lowest, highest, steps, reorthogonalizations): the extremal
+    eigenvalues of a Hermitian dim x dim operator that ends asks for, None
+    for an end it does not, given only the operator's product with a
+    vector, from one Krylov space.
 
     The start is a Gaussian vector of a fixed seed, so no symmetry of the
     operator keeps an extreme out of the Krylov space, and a run repeats
-    bit for bit. Each new vector is orthogonalized against the whole basis
-    twice (_project_out), so no Ritz value repeats. Every LANCZOS_CHECK
-    steps, the run stops once the residuals beta_m |y_m| of both extremal
-    Ritz pairs are at most LANCZOS_TOL times the larger extreme's
-    magnitude; each Ritz value is then within its residual of an
-    eigenvalue, and within residual^2 / gap, gap being its distance to the
-    rest of the spectrum. On breakdown before dim steps (the new residual
-    falls to dim * eps times |A q|: the basis spans an invariant
-    subspace), the run goes on from a fresh seeded vector orthogonalized
-    against the basis, with a zero off-diagonal entry. At dim steps the
-    tridiagonal holds the whole spectrum. The basis grows LANCZOS_CHUNK
-    rows at a time, not preallocated.
+    bit for bit. Each new vector is orthogonalized against the last two
+    only, while Simon's omega recurrence (Simon, Math. Comp. 42, 115, 1984)
+    estimates its overlaps with the rest of the basis from the tridiagonal
+    entries, eps |A| standing in for rounding. Once an estimate exceeds
+    sqrt(eps), the vector, and the next one, is projected out of the whole
+    basis (_project_out): the basis stays semi-orthogonal, max |Q^T Q - I|
+    <= sqrt(eps), so the tridiagonal is the operator's projection on the
+    Krylov space to working precision and no extreme gains a spurious
+    copy. Every LANCZOS_CHECK steps, the run stops once the residual
+    beta_m |y_m| of each extremal Ritz pair asked for is at most
+    LANCZOS_TOL times the larger extreme's magnitude; each Ritz value is
+    then within its residual of an eigenvalue, and within residual^2 / gap,
+    gap being its distance to the rest of the spectrum. On breakdown before
+    dim steps (the new residual falls to dim * eps times |A q|: the basis
+    spans an invariant subspace), the run goes on from a fresh seeded
+    vector projected out of the basis, with a zero off-diagonal entry. At
+    dim steps the tridiagonal holds the whole spectrum. The basis grows
+    LANCZOS_CHUNK rows at a time, not preallocated. reorthogonalizations
+    counts the vectors projected out of the whole basis, breakdowns
+    included.
     """
     from scipy.linalg import eigh_tridiagonal
 
     rng = np.random.default_rng(LANCZOS_SEED)
     eps = np.finfo(float).eps
-    chunks, alpha, beta = [], [], []
+    chunks, alpha, beta = [], np.empty(dim), np.empty(dim)
+    # at step m, with j = m - 1 counting from 0, omega[k] estimates
+    # q_j . q_k for k <= j (1 at k = j) and before[k] q_{j-1} . q_k; norm
+    # is the largest |A q| so far
+    omega, before, norm = np.zeros(dim + 1), np.zeros(dim + 1), 0.0
+    omega[0] = 1.0
+    again, reorthogonalizations = False, 0
     q = rng.standard_normal(dim).astype(dtype)
     q /= np.linalg.norm(q)
     for m in range(1, dim + 1):
-        at = (m - 1) % LANCZOS_CHUNK
+        j = m - 1
+        at = j % LANCZOS_CHUNK
         if not at:
-            chunks.append(np.empty((min(LANCZOS_CHUNK, dim - m + 1), dim),
+            chunks.append(np.empty((min(LANCZOS_CHUNK, dim - j), dim),
                                    dtype=dtype))
         chunks[-1][at] = q
         basis = chunks[:-1] + [chunks[-1][:at + 1]]
         w = matvec(q)
         scale = np.linalg.norm(w)
-        w, a = _project_out(w, basis)
-        alpha.append(a)
+        norm = max(norm, scale)
+        if j:
+            w -= beta[j - 1] * previous
+        alpha[j] = np.vdot(q, w).real
+        w -= alpha[j] * q
         b = np.linalg.norm(w)
+        if b > dim * eps * scale:
+            # q_{j+1} . q_k for k < j, from beta_j q_{j+1} = A q_j -
+            # alpha_j q_j - beta_{j-1} q_{j-1}, the same recurrence for each
+            # q_k, and A symmetric; rounding adds eps |A| pessimistically
+            estimate = (beta[:j] * omega[1:m]
+                        + (alpha[:j] - alpha[j]) * omega[:j])
+            if j:
+                estimate[1:] += beta[:j - 1] * omega[:j - 1]
+                estimate -= beta[j - 1] * before[:j]
+            estimate += np.copysign(eps * norm, estimate)
+            estimate /= b
+            if again or np.abs(estimate).max(initial=0.0) > np.sqrt(eps):
+                w, last = _project_out(w, basis)
+                alpha[j] += last
+                b = np.linalg.norm(w)
+                estimate[:] = eps
+                again = not again
+                reorthogonalizations += 1
+            before, omega = omega, before
+            omega[:j], omega[j], omega[m] = estimate, eps * norm / b, 1.0
         if m == dim or not m % LANCZOS_CHECK:
             (low, y_low), (high, y_high) = (
-                eigh_tridiagonal(alpha, beta, select="i", select_range=(k, k))
-                for k in (0, m - 1))
+                eigh_tridiagonal(alpha[:m], beta[:j], select="i",
+                                 select_range=(k, k))
+                for k in (0, j))
             tol = LANCZOS_TOL * max(abs(low[0]), abs(high[0]))
-            if m == dim or (b * abs(y_low[-1, 0]) <= tol
-                            and b * abs(y_high[-1, 0]) <= tol):
-                return float(low[0]), float(high[0]), m
+            if m == dim or all(b * abs(y[-1, 0]) <= tol for wanted, y in
+                               zip(ends, (y_low, y_high)) if wanted):
+                return (float(low[0]) if ends[0] else None,
+                        float(high[0]) if ends[1] else None,
+                        m, reorthogonalizations)
         if b <= dim * eps * scale:
             w, _ = _project_out(rng.standard_normal(dim).astype(dtype), basis)
-            b = 0.0
-        beta.append(b)
-        q = w / np.linalg.norm(w)
+            b = np.linalg.norm(w)
+            beta[j] = 0.0
+            before, omega = omega, before
+            omega[:m], omega[m] = eps, 1.0
+            again = False
+            reorthogonalizations += 1
+        else:
+            beta[j] = b
+        previous = q
+        q = w / b
 
 
-def _extremes(block) -> tuple:
-    """(lowest, highest, Lanczos steps) of a Hermitian sparse block: dense
-    up to DENSE_STATES states (0 steps), else both ends from one Lanczos
-    run (_lanczos_extremes) on the block's matrix-vector product.
+def _solve(block, ends) -> tuple:
+    """(lowest, highest, Lanczos steps, reorthogonalizations) of a
+    Hermitian sparse block: dense up to DENSE_STATES states, both ends
+    exact and no steps, else the ends asked for from one Lanczos run
+    (_lanczos_extremes) on the block's matrix-vector product.
 
     Measured at one BLAS thread on the fixtures' sector blocks, the
     Lanczos run is 1-8 ms faster from about 260 states (225: dense
@@ -152,8 +208,41 @@ def _extremes(block) -> tuple:
     dim = block.shape[0]
     if dim <= DENSE_STATES:
         eigs = np.linalg.eigvalsh(block.toarray())
-        return float(eigs[0]), float(eigs[-1]), 0
-    return _lanczos_extremes(block.dot, dim, block.dtype)
+        return float(eigs[0]), float(eigs[-1]), 0, 0
+    return _lanczos_extremes(block.dot, dim, block.dtype, ends)
+
+
+def _extremes(block, ends=(True, True)) -> tuple:
+    """(lowest, highest, Lanczos steps) of a Hermitian sparse block
+    (_solve), both ends by default; after a Lanczos run, an end that ends
+    does not ask for is None."""
+    return _solve(block, ends)[:3]
+
+
+def _disc_bounds(matrix, offsets) -> tuple:
+    """(lower, upper): per diagonal block of a block-diagonal Hermitian CSR
+    matrix, block k spanning rows offsets[k] to offsets[k+1], the bounds
+    min_i (d_i - r_i) and max_i (d_i + r_i) of its Gershgorin discs, d_i
+    the real diagonal entry of row i and r_i the sum of the row's
+    |off-diagonal| entries (Gershgorin, Izv. Akad. Nauk SSSR 6, 749, 1931):
+    every eigenvalue of the block lies in one of its discs. The row sums
+    are taken DISC_ROWS rows at a time, so no temporary holds a block's
+    stored entries, and a row with none has the disc [0, 0]."""
+    centre = matrix.diagonal().real
+    radius = np.zeros(centre.size)
+    indptr = matrix.indptr
+    for r in range(0, centre.size, DISC_ROWS):
+        stop = min(r + DISC_ROWS, centre.size)
+        starts, stops = indptr[r:stop], indptr[r + 1:stop + 1]
+        # reduceat would give an empty row the next row's first entry
+        stored = stops > starts
+        if stored.any():
+            radius[r:stop][stored] = np.add.reduceat(
+                np.abs(matrix.data[starts[0]:stops[-1]]),
+                starts[stored] - starts[0])
+    radius -= np.abs(centre)
+    return (np.minimum.reduceat(centre - radius, offsets[:-1]),
+            np.maximum.reduceat(centre + radius, offsets[:-1]))
 
 
 def spectral_range(maj) -> SpectralRange:
@@ -169,12 +258,18 @@ def spectral_range(maj) -> SpectralRange:
     sectors (floor(n_e/2), ceil(n_e/2)), n_e = 0..2N, are therefore the
     extremes of the whole 2^2N Fock space, whose matrix is never built.
 
-    Each block is read, without a copy, from sector_matrix's
-    block-diagonal matrix and solved on its own (_extremes): dense up to
-    DENSE_STATES states, else both ends from one Lanczos run. One DEBUG
-    record per sector, on the fermilcu.verify logger, gives (n_alpha,
-    n_beta), the states, the stored entries, the path and the Lanczos
-    steps.
+    The sectors are solved smallest first, each block read, without a
+    copy, from sector_matrix's block-diagonal matrix. A block's Gershgorin
+    discs bound its spectrum (_disc_bounds), so an end of a block is
+    solved only if its disc bound lies beyond the best extreme found so
+    far, and a block neither of whose bounds does is skipped: both
+    extremes still come from the blocks that hold them. A solved block
+    gives its ends from _solve: dense up to DENSE_STATES states, else from
+    one Lanczos run that converges only the ends asked for. One DEBUG
+    record per sector, in solving order on the fermilcu.verify logger,
+    gives (n_alpha, n_beta), the states, the stored entries, the disc
+    bounds, the path (pruned, dense, or lanczos for low, high or both
+    ends), the Lanczos steps and the reorthogonalizations.
     """
     n = maj.n_orbitals
     if 2 * n > 24:
@@ -190,25 +285,36 @@ def spectral_range(maj) -> SpectralRange:
     from scipy.sparse import csr_matrix
 
     matrix, offsets = sector_matrix(op, sectors)
-
-    def extremes(sector, a, b):
-        # A block's rows hold only its own columns. Shifted to the block in
-        # place, the matrix's arrays serve as the block's without a copy,
-        # which the CSR constructor would make of a small view.
+    lower, upper = _disc_bounds(matrix, offsets)
+    low, high = np.inf, -np.inf
+    for k in np.argsort(np.diff(offsets), kind="stable"):
+        a, b = offsets[k], offsets[k + 1]
         lo, hi = matrix.indptr[a], matrix.indptr[b]
-        matrix.indices[lo:hi] -= a
-        block = csr_matrix((b - a, b - a), dtype=matrix.dtype)
-        block.data, block.indices = matrix.data[lo:hi], matrix.indices[lo:hi]
-        block.indptr = matrix.indptr[a:b + 1] - lo
-        low, high, steps = _extremes(block)
-        log.debug("sector %s: %d states, %d entries, %s, %d Lanczos steps",
-                  sector, b - a, block.nnz, "lanczos" if steps else "dense",
-                  steps)
-        return low, high
-
-    lows, highs = zip(*(extremes(*item)
-                        for item in zip(sectors, offsets, offsets[1:])))
-    return SpectralRange(min(lows), max(highs))
+        ends = (lower[k] < low, upper[k] > high)
+        steps = reorthogonalizations = 0
+        if not any(ends):
+            path = "pruned"
+        else:
+            # A block's rows hold only its own columns. Shifted to the block
+            # in place, the matrix's arrays serve as the block's without a
+            # copy, which the CSR constructor would make of a small view.
+            matrix.indices[lo:hi] -= a
+            block = csr_matrix((b - a, b - a), dtype=matrix.dtype)
+            block.data, block.indices = matrix.data[lo:hi], matrix.indices[lo:hi]
+            block.indptr = matrix.indptr[a:b + 1] - lo
+            block_low, block_high, steps, reorthogonalizations = _solve(
+                block, ends)
+            if block_low is not None:
+                low = min(low, block_low)
+            if block_high is not None:
+                high = max(high, block_high)
+            side = "both" if all(ends) else "low" if ends[0] else "high"
+            path = f"lanczos for {side}" if steps else "dense"
+        log.debug("sector %s: %d states, %d entries, discs [%.10g, %.10g], "
+                  "%s, %d Lanczos steps, %d reorthogonalizations", sectors[k],
+                  b - a, hi - lo, lower[k], upper[k], path, steps,
+                  reorthogonalizations)
+    return SpectralRange(float(low), float(high))
 
 
 def _difference_terms(lcu: LcuDecomposition, maj):

@@ -337,6 +337,19 @@ class TestRunPipeline:
         assert row["verified"] is True
         assert result.exit_code == 0
 
+    def test_optimizer_rows_report_evaluations_and_convergence(self):
+        result = run_pipeline({"files": ["h2"], "methods": ["oo-pauli", "csa"],
+                               "oo_budget": 20})
+        document = json.loads(result.json_text)
+        mol = load_fixture("h2")
+        for row, method, options in zip(document["rows"], ["oo-pauli", "csa"],
+                                        [{"oo_budget": 20}, {}]):
+            _, lcu = decompose_method(mol, method, **options)
+            assert row["method"] == method
+            assert row["evaluations"] == lcu.metadata["evaluations"] > 0
+            assert row["converged"] is lcu.metadata["converged"]
+        assert "evaluations" not in result.csv_text.splitlines()[0]
+
     def test_chain_h10_rows_verified_without_spectral_range(self,
                                                             monkeypatch):
         import fermilcu.report as report

@@ -39,7 +39,9 @@ from fermilcu.report import METHODS as ALL_METHODS, decompose_method
 from fermilcu.verify import (
     DENSE_STATES,
     SpectralRange,
+    _disc_bounds,
     _extremes,
+    _lanczos_extremes,
     _project_out,
     reconstruction_tolerance,
     spectral_range,
@@ -56,6 +58,7 @@ from reference import (
     fragment_pauli_sum,
     full_space_eigsh_range,
     full_space_range,
+    random_sparse_symmetric,
 )
 
 # measured on this implementation
@@ -239,24 +242,96 @@ class TestSpectralRange:
         maj = hamiltonian("beh2")
         sectors = [(n_e // 2, n_e - n_e // 2) for n_e in range(15)]
         matrix, offsets = sector_matrix(pauli_sum_of_hamiltonian(maj), sectors)
+        # solved, and logged, smallest first; equal sizes by electron count
+        order = sorted(range(len(sectors)),
+                       key=lambda k: offsets[k + 1] - offsets[k])
         with caplog.at_level(logging.DEBUG, logger="fermilcu"):
             spectral_range(maj)
         records = [r for r in caplog.records if r.name.startswith("fermilcu")]
         assert len(records) == len(sectors)
         entries = 0
-        for record, sector, a, b in zip(records, sectors, offsets,
-                                        offsets[1:]):
+        for record, k in zip(records, order):
+            sector, a, b = sectors[k], offsets[k], offsets[k + 1]
             assert record.levelno == logging.DEBUG
             found = re.fullmatch(
                 r"sector \((\d+), (\d+)\): (\d+) states, (\d+) entries, "
-                r"(dense|lanczos), (\d+) Lanczos steps", record.getMessage())
-            n_alpha, n_beta, states, stored, path, steps = found.groups()
+                r"discs \[(\S+), (\S+)\], "
+                r"(pruned|dense|lanczos for (?:low|high|both)), "
+                r"(\d+) Lanczos steps, (\d+) reorthogonalizations",
+                record.getMessage())
+            n_alpha, n_beta, states, stored, low, high, path, steps, _ = (
+                found.groups())
             assert (int(n_alpha), int(n_beta), int(states)) == (*sector, b - a)
+            assert float(low) <= float(high)
             lanczos = b - a > DENSE_STATES
-            assert path == ("lanczos" if lanczos else "dense")
-            assert (int(steps) > 0) == lanczos
+            if path != "pruned":
+                assert path.startswith("lanczos") == lanczos
+            assert (int(steps) > 0) == path.startswith("lanczos")
             entries += int(stored)
         assert entries == matrix.nnz
+
+    @pytest.mark.parametrize("name, least_pruned", [
+        ("lih", 1), ("beh2", 1), ("h2o", 1), ("chain_h06", 0)])
+    def test_pruned_sectors_hold_no_extreme(self, name, least_pruned, caplog):
+        # every sector's whole spectrum, pruned sectors included, lies in
+        # [e_min, e_max], and some sector's reaches each end
+        maj = hamiltonian(name)
+        n = maj.n_orbitals
+        sectors = [(n_e // 2, n_e - n_e // 2) for n_e in range(2 * n + 1)]
+        matrix, offsets = sector_matrix(pauli_sum_of_hamiltonian(maj), sectors)
+        with caplog.at_level(logging.DEBUG, logger="fermilcu"):
+            sr = spectral_range(maj)
+        pruned = sum(", pruned, " in r.getMessage() for r in caplog.records)
+        assert pruned >= least_pruned
+        scale = max(abs(sr.e_min), abs(sr.e_max))
+        eigs = [np.linalg.eigvalsh(matrix[a:b, a:b].toarray())
+                for a, b in zip(offsets, offsets[1:])]
+        assert min(e[0] for e in eigs) == pytest.approx(sr.e_min,
+                                                        abs=1e-12 * scale)
+        assert max(e[-1] for e in eigs) == pytest.approx(sr.e_max,
+                                                         abs=1e-12 * scale)
+        for e in eigs:
+            assert e[0] >= sr.e_min - 1e-12 * scale
+            assert e[-1] <= sr.e_max + 1e-12 * scale
+
+    def test_disc_bounds_match_dense_rows(self):
+        # beh2's blocks span several DISC_ROWS chunks
+        sectors = [(n_e // 2, n_e - n_e // 2) for n_e in range(15)]
+        matrix, offsets = sector_matrix(
+            pauli_sum_of_hamiltonian(hamiltonian("beh2")), sectors)
+        lower, upper = _disc_bounds(matrix, offsets)
+        for k, (a, b) in enumerate(zip(offsets, offsets[1:])):
+            dense = matrix[a:b, a:b].toarray()
+            centre = np.diag(dense).real
+            radius = np.abs(dense).sum(axis=1) - np.abs(centre)
+            eigs = np.linalg.eigvalsh(dense)
+            assert lower[k] == pytest.approx((centre - radius).min(), abs=1e-12)
+            assert upper[k] == pytest.approx((centre + radius).max(), abs=1e-12)
+            assert lower[k] <= eigs[0] + 1e-12 and eigs[-1] <= upper[k] + 1e-12
+
+    def test_empty_row_has_the_zero_disc(self):
+        # odd_ground_hamiltonian is 0 on the one-electron state, whose row
+        # stores no entry; the rows around it hold 1
+        op = pauli_sum_of_hamiltonian(odd_ground_hamiltonian())
+        matrix, offsets = sector_matrix(op, [(0, 0), (0, 1), (1, 1)])
+        assert np.diff(matrix.indptr).tolist() == [1, 0, 1]
+        lower, upper = _disc_bounds(matrix, offsets)
+        assert lower == pytest.approx([1.0, 0.0, 1.0], abs=1e-12)
+        assert upper == pytest.approx([1.0, 0.0, 1.0], abs=1e-12)
+
+
+def lanczos_basis_overlap(block, ends=(True, True)) -> float:
+    """max |Q^T Q - I| over the basis of one Lanczos run on the block, Q
+    read from the vectors the run multiplies."""
+    basis = []
+
+    def matvec(q):
+        basis.append(q.copy())
+        return block @ q
+
+    _lanczos_extremes(matvec, block.shape[0], block.dtype, ends)
+    q = np.array(basis)
+    return float(np.abs(q.conj() @ q.T - np.eye(len(basis))).max())
 
 
 class TestLanczosExtremes:
@@ -295,6 +370,37 @@ class TestLanczosExtremes:
         low, high, _ = _extremes(diags(spectrum).tocsr())
         assert low == pytest.approx(spectrum.min(), abs=1e-10)
         assert high == pytest.approx(spectrum.max(), abs=1e-10)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_sided_run_stops_once_its_end_converges(self, sign):
+        from scipy.sparse import diags
+
+        spectrum = sign * np.r_[-10.0, np.linspace(-1.0, 1.0, 498), 1.0 + 1e-4]
+        block = diags(spectrum).tocsr()
+        *_, both = _extremes(block)
+        for ends, end, value in (((True, False), 0, spectrum.min()),
+                                 ((False, True), 1, spectrum.max())):
+            found = _extremes(block, ends)
+            assert found[end] == pytest.approx(value, abs=1e-10)
+            assert found[1 - end] is None
+            assert 0 < found[2] <= both
+
+    @pytest.mark.parametrize("name", ["beh2", "h2o"])
+    def test_fixture_basis_stays_semi_orthogonal(self, name):
+        n = hamiltonian(name).n_orbitals
+        sectors = [(n_e // 2, n_e - n_e // 2) for n_e in range(2 * n + 1)]
+        matrix, offsets = sector_matrix(
+            pauli_sum_of_hamiltonian(hamiltonian(name)), sectors)
+        for a, b in zip(offsets, offsets[1:]):
+            if b - a > DENSE_STATES:
+                overlap = lanczos_basis_overlap(matrix[a:b, a:b])
+                assert overlap <= np.sqrt(np.finfo(float).eps)
+
+    @pytest.mark.parametrize("dim, density, seed", [
+        (401, 0.003, 1), (430, 0.02, 2), (464, 0.1, 3), (600, 0.02, 4)])
+    def test_random_basis_stays_semi_orthogonal(self, dim, density, seed):
+        block = random_sparse_symmetric(dim, density, seed)
+        assert lanczos_basis_overlap(block) <= np.sqrt(np.finfo(float).eps)
 
     def test_complex_hermitian_block_matches_dense_spectrum(self):
         from scipy.sparse import csr_matrix
