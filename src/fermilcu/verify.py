@@ -124,6 +124,7 @@ def _lanczos_extremes(matvec, dim: int, dtype=float,
 
     rng = np.random.default_rng(LANCZOS_SEED)
     eps = np.finfo(float).eps
+    threshold = np.sqrt(eps)
     chunks, alpha, beta = [], np.empty(dim), np.empty(dim)
     # at step m, with j = m - 1 counting from 0, omega[k] estimates
     # q_j . q_k for k <= j (1 at k = j) and before[k] q_{j-1} . q_k; norm
@@ -160,7 +161,7 @@ def _lanczos_extremes(matvec, dim: int, dtype=float,
                 estimate -= beta[j - 1] * before[:j]
             estimate += np.copysign(eps * norm, estimate)
             estimate /= b
-            if again or np.abs(estimate).max(initial=0.0) > np.sqrt(eps):
+            if again or np.abs(estimate).max(initial=0.0) > threshold:
                 w, last = _project_out(w, basis)
                 alpha[j] += last
                 b = np.linalg.norm(w)
