@@ -4,21 +4,30 @@ orbital optimization of either 1-norm.
 Both LCUs take their Q and QQ items from the array kernel of `majorana`.
 Grouping is sorted insertion (Crawford et al., Quantum 5, 385, 2021): by
 descending |coefficient|, ties by `word_sort_keys` then item index, each item
-joins the first group it anticommutes with throughout. A group keeps a packed
-mask of the items that anticommute with all its members; joining ANDs in the
-item's packed anticommutation row. AC groups are priced from their sizes
-(resources.ac_costs), so no circuit angles are computed here.
+joins the first group it anticommutes with throughout. AC groups are priced
+from their sizes (resources.ac_costs), so no circuit angles are computed here.
 
-Anticommutation rows are stored factored. The symplectic product is bilinear
-over GF(2), so the row of a product word Q_a Q_b is the XOR of the rows of
-Q_a and Q_b. The tensor-level structure keeps one packed row per Q word
-against every item, plus a zero row, and each item names its two factor rows:
-(a, b) for a pair, (a, zero row) for a Q word. Sorted insertion expands the
-rows of a block of items at a time as they are placed.
+The groups are built group-major. Group g is the greedy scan, in rank order,
+over the items no earlier group took: whether an item joins group g depends
+only on the earlier members of g, and a new group starts at the lowest-ranked
+item still unplaced, so placing the items one at a time in rank order gives
+the same groups, in the same order, with the same members in the same order.
+A scan is a loop over Python-int bitsets of the items: the candidate mask
+starts as the unplaced items, its lowest-ranked item joins, and the mask is
+ANDed with that item's anticommutation row, each item being placed once.
+
+Anticommutation rows are factored. The symplectic product is bilinear over
+GF(2), so the row of a product word Q_a Q_b is the XOR of the rows of Q_a
+and Q_b. The tensor-level structure keeps the parity matrix of the Q words
+against each other, plus a zero factor, and each item names its two factors:
+(a, b) for a pair, (a, zero factor) for a Q word. Each call gathers, per
+factor, its row over the items in rank order from that matrix.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -28,7 +37,6 @@ from .majorana import (
     PauliSum,
     anticommutation_rows,
     build_majorana,
-    pack_bits,
     reflection_table,
     reflection_terms,
     word_products,
@@ -36,8 +44,6 @@ from .majorana import (
 )
 
 COEFF_TOL = 1e-12
-# items whose anticommutation rows sorted insertion expands at once
-INSERTION_BLOCK = 128
 LOCALIZE_SWEEPS = 8
 LOCALIZE_TOL = 1e-10
 ANGLE_SWEEPS = 40
@@ -103,9 +109,9 @@ def _tensor_item_structure(n: int):
     two conjugate orderings of the pair; pairs whose phases are imaginary
     cancel exactly and are dropped here once and for all. Item k is the
     product of factors fa[k] and fb[k], indices into the Q words followed by
-    the identity: "qx" and "qz" hold the factor masks and "rows" the factor
-    anticommutation rows against every item, each with a zero entry last.
-    The cached arrays are read-only.
+    the identity: "qx" and "qz" hold the factor masks and "parity" the
+    anticommutation parity of every factor pair, each with a zero factor
+    last. The cached arrays are read-only.
     """
     qx, qz, qc = (a.ravel() for a in reflection_table(n))
     if np.any(qc.imag):
@@ -123,11 +129,10 @@ def _tensor_item_structure(n: int):
     # factor anticommutes with nothing
     parity = (np.bitwise_count((qx[:, None] & qz) ^ (qz[:, None] & qx))
               & 1).astype(bool)
-    rows = pack_bits(parity[:, fa] ^ parity[:, fb])
     struct = {
         "qx": qx,
         "qz": qz,
-        "rows": rows,
+        "parity": parity,
         "fa": fa,
         "fb": fb,
         "weight": 0.5 * np.concatenate([qc.real, real[merged]]),
@@ -157,64 +162,91 @@ def _item_words(struct):
 
 
 def _word_items(x, z, n_qubits: int):
-    """Sorted-insertion items of explicit words: each word's full kernel row
-    is its only factor, so the items have no second factor (fb is None) and
-    the kernel rows are kept as the one copy."""
-    return {
-        "rows": anticommutation_rows(x, z),
-        "fa": np.arange(x.size),
-        "fb": None,
-        "key": word_sort_keys(x, z, n_qubits),
-    }
+    """Sorted-insertion items of explicit words: their masks and sort keys.
+    Each grouping packs the words' anticommutation rows in rank order."""
+    return {"x": x, "z": z, "key": word_sort_keys(x, z, n_qubits)}
+
+
+def _factor_rows(parity, fa, fb):
+    """Per factor f, the Python-int bitset of parity[f, fa] ^ parity[f, fb]:
+    bit b is set when f anticommutes with the item whose factors are fa[b]
+    and fb[b]. Sixteen factors are gathered at a time, so each boolean
+    temporary holds 16 bytes per item."""
+    rows = []
+    for lo in range(0, parity.shape[0], 16):
+        block = parity[lo:lo + 16]
+        bits = block.take(fa, axis=1)
+        bits ^= block.take(fb, axis=1)
+        rows.extend(int.from_bytes(row, "little") for row in
+                    np.packbits(bits, axis=1, bitorder="little"))
+    return rows
 
 
 def _sorted_insertion(coeffs, items):
     """Greedy grouping: descending |coefficient|, ties by items["key"] then
     index; each item joins the first group it fully anticommutes with.
+    Items at or below COEFF_TOL join no group.
 
-    Bit q of a group's mask is set while item q anticommutes with every
-    member, so placing q ANDs its row into the mask. Item q's row is
-    rows[fa[q]] ^ rows[fb[q]], or rows[fa[q]] when fb is None; the rows of
-    the ordered items are expanded INSERTION_BLOCK at a time, a block small
-    enough to stay in cache, so the loop reads one contiguous row each.
+    Built group-major (module docstring) on bitsets whose bit b stands for
+    the item of rank m - 1 - b, so the lowest-ranked item in a mask is its
+    highest set bit. An item's row has the bits of the items it
+    anticommutes with: for tensor items the XOR of its two factor rows, for
+    explicit words its row of anticommutation_rows over the words in that
+    bit order, read when the item is placed.
     """
-    rows, fa, fb = items["rows"], items["fa"], items["fb"]
     magnitude = np.abs(coeffs)
     order = np.lexsort((items["key"], -magnitude))
-    order = order[magnitude[order] > COEFF_TOL]
-    bit = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    # one row per group, so placing an item ANDs two contiguous rows; the
-    # row after the last group is all ones and stands for a new group
-    masks = np.empty((64, rows.shape[1]), dtype=np.uint64)
-    masks[0] = ~np.uint64(0)
+    order = order[magnitude[order] > COEFF_TOL][::-1]
+    if "parity" in items:
+        fa, fb = items["fa"][order], items["fb"][order]
+        factor = _factor_rows(items["parity"], fa, fb)
+        fa, fb = fa.tolist(), fb.tolist()
+
+        def row(b):
+            return factor[fa[b]] ^ factor[fb[b]]
+    else:
+        packed = anticommutation_rows(items["x"][order], items["z"][order])
+
+        def row(b):
+            return int.from_bytes(packed[b], "little")
+    item = order.tolist()
+    unplaced = (1 << len(item)) - 1
     groups = []
-    for start in range(0, order.size, INSERTION_BLOCK):
-        block = order[start:start + INSERTION_BLOCK]
-        block_rows = rows.take(fa[block], axis=0)
-        if fb is not None:
-            block_rows ^= rows.take(fb[block], axis=0)
-        for q, row in zip(block.tolist(), block_rows):
-            gi = int((masks[:len(groups) + 1, q >> 6] & bit[q & 63]).argmax())
-            masks[gi] &= row
-            if gi < len(groups):
-                groups[gi].append(q)
-                continue
-            groups.append([q])
-            if len(groups) == masks.shape[0]:
-                masks = np.concatenate([masks, np.empty_like(masks)])
-            masks[len(groups)] = ~np.uint64(0)
+    while unplaced:
+        mask = unplaced
+        members = []
+        while mask:
+            b = mask.bit_length() - 1
+            members.append(item[b])
+            unplaced ^= 1 << b
+            # an item commutes with itself, so its own bit clears too
+            mask &= row(b)
+        groups.append(members)
     return groups
+
+
+def _group_norms(coeffs, groups):
+    """Each group's coefficient norm, sqrt(d . d) as np.linalg.norm takes it,
+    and λ: the norms summed left to right. The coefficients are gathered in
+    group order once, and each dot product reads its group's slice."""
+    ordered = coeffs[list(chain.from_iterable(groups))]
+    norms = np.empty(len(groups))
+    start = 0
+    for k, members in enumerate(groups):
+        d = ordered[start:start + len(members)]
+        norms[k] = math.sqrt(d.dot(d))
+        start += len(members)
+    return norms, _running_sum(norms)
 
 
 def _groups_to_lcu(x, z, coeffs, groups, n_qubits, constant, metadata):
     """One AC block of the groups: the items in group order, and per group
-    its size and np.linalg.norm of its coefficients; λ sums the norms left
-    to right. The items in no group, those sorted insertion leaves out at
-    or below COEFF_TOL, are the truncation: their |coefficients| summed left
-    to right."""
+    its size and norm (_group_norms). The items in no group, those sorted
+    insertion leaves out at or below COEFF_TOL, are the truncation: their
+    |coefficients| summed left to right."""
     sizes = [len(members) for members in groups]
     order = np.concatenate(groups) if groups else np.zeros(0, dtype=np.int64)
-    norms = np.array([np.linalg.norm(coeffs[members]) for members in groups])
+    norms, one_norm = _group_norms(coeffs, groups)
     unplaced = np.ones(coeffs.size, dtype=bool)
     unplaced[order] = False
     dropped = _running_sum(np.abs(coeffs[unplaced]))
@@ -228,7 +260,7 @@ def _groups_to_lcu(x, z, coeffs, groups, n_qubits, constant, metadata):
         n_orbitals=n_qubits // 2,
         blocks=(AcBlock(n_qubits, x[order], z[order], coeffs[order], sizes,
                         norms),),
-        one_norm=_running_sum(norms),
+        one_norm=one_norm,
         constant=constant,
         metadata=metadata,
     )
@@ -498,9 +530,7 @@ def orbital_optimize(mol, objective: str = "pauli", budget: int = None,
 
         def one_norm(h_tilde, g):
             coeffs = _item_coeffs(struct, h_tilde, g)
-            groups = _sorted_insertion(coeffs, struct)
-            return float(sum(np.linalg.norm(coeffs[members])
-                             for members in groups))
+            return _group_norms(coeffs, _sorted_insertion(coeffs, struct))[1]
     else:
         raise ValueError("objective must be 'pauli' or 'ac'")
 

@@ -9,6 +9,11 @@ inputs with; no run of the package calls them.
   of `verify.verify_reconstruction`; `fragment_matrix` renders it dense and
   applies its defining check: unitary, or Hermitian with spectrum in
   [-1, 1] for sf-poly.
+- `item_major_sorted_insertion` places the items of sorted insertion one
+  at a time, each into the first group whose packed mask holds it, the
+  reference for the group-major `qubit_lcu._sorted_insertion`;
+  `factored_row_items` and `kernel_row_items` give it the item rows it reads:
+  tensor items as packed factor rows, explicit words as full kernel rows.
 - `ac_naive_matrix` (arcsine phases, `naive_ac_phases`) and
   `ac_givens_matrix` (a Givens chain, `givens_chain_angles`, inverted by
   `reconstruct_chain`) render an AC group as the two circuits its cost
@@ -30,20 +35,25 @@ from fermilcu.majorana import (
     MajoranaHamiltonian,
     PauliSum,
     PauliWord,
+    anticommutation_rows,
     combine_terms,
     dense_matrix,
+    pack_bits,
     pauli_sum_of_hamiltonian,
     reflection_table,
     sparse_matrix,
     word_products,
+    word_sort_keys,
 )
-from fermilcu.qubit_lcu import rotate_two_body
+from fermilcu.qubit_lcu import COEFF_TOL, rotate_two_body
 from fermilcu.verify import SpectralRange
 
 UNITARY_TOL = 1e-9
 DENSE_QUBITS = 8  # fragment_matrix renders at most a 256 x 256 matrix
 ANGLE_CLAMP = 1e-9
 EIGSH_SEED = 1950
+# items whose anticommutation rows sorted insertion expands at once
+INSERTION_BLOCK = 128
 
 
 def word_from_letters(letters) -> PauliWord:
@@ -231,6 +241,64 @@ def naive_ac_phases(coeffs) -> np.ndarray:
     partial = np.sqrt(np.cumsum(d * d))
     before = np.concatenate(([0.0], partial[:-1]))
     return 0.5 * np.arctan2(d, before)
+
+
+def factored_row_items(struct):
+    """Items of qubit_lcu._tensor_item_structure with their factor rows
+    packed against every item, a zero row last: item q's row is
+    rows[fa[q]] ^ rows[fb[q]]."""
+    parity, fa, fb = struct["parity"], struct["fa"], struct["fb"]
+    return {"rows": pack_bits(parity[:, fa] ^ parity[:, fb]), "fa": fa,
+            "fb": fb, "key": struct["key"]}
+
+
+def kernel_row_items(x, z, n_qubits: int):
+    """Items of explicit words: each word's full kernel row is its only
+    factor, so the items have no second factor (fb is None)."""
+    return {
+        "rows": anticommutation_rows(x, z),
+        "fa": np.arange(x.size),
+        "fb": None,
+        "key": word_sort_keys(x, z, n_qubits),
+    }
+
+
+def item_major_sorted_insertion(coeffs, items):
+    """Greedy grouping: descending |coefficient|, ties by items["key"] then
+    index; each item joins the first group it fully anticommutes with.
+
+    Bit q of a group's mask is set while item q anticommutes with every
+    member, so placing q ANDs its row into the mask. Item q's row is
+    rows[fa[q]] ^ rows[fb[q]], or rows[fa[q]] when fb is None; the rows of
+    the ordered items are expanded INSERTION_BLOCK at a time, a block small
+    enough to stay in cache, so the loop reads one contiguous row each.
+    """
+    rows, fa, fb = items["rows"], items["fa"], items["fb"]
+    magnitude = np.abs(coeffs)
+    order = np.lexsort((items["key"], -magnitude))
+    order = order[magnitude[order] > COEFF_TOL]
+    bit = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    # one row per group, so placing an item ANDs two contiguous rows; the
+    # row after the last group is all ones and stands for a new group
+    masks = np.empty((64, rows.shape[1]), dtype=np.uint64)
+    masks[0] = ~np.uint64(0)
+    groups = []
+    for start in range(0, order.size, INSERTION_BLOCK):
+        block = order[start:start + INSERTION_BLOCK]
+        block_rows = rows.take(fa[block], axis=0)
+        if fb is not None:
+            block_rows ^= rows.take(fb[block], axis=0)
+        for q, row in zip(block.tolist(), block_rows):
+            gi = int((masks[:len(groups) + 1, q >> 6] & bit[q & 63]).argmax())
+            masks[gi] &= row
+            if gi < len(groups):
+                groups[gi].append(q)
+                continue
+            groups.append([q])
+            if len(groups) == masks.shape[0]:
+                masks = np.concatenate([masks, np.empty_like(masks)])
+            masks[len(groups)] = ~np.uint64(0)
+    return groups
 
 
 def ac_naive_matrix(group) -> np.ndarray:

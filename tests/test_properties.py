@@ -1,7 +1,7 @@
 """Randomized invariants of the algebraic building blocks: array Pauli
 products and sparse assembly against Kronecker matrices, packed
 anticommutation rows, sort keys and sorted insertion against word-by-word
-references, angle chains and their reconstructions, rotation
+and item-major references, angle chains and their reconstructions, rotation
 parameterization round trips, bit-exact rotation and ALS kernels,
 localization, tensor factorizations, the spectral norm bound, grouped
 reconstruction against the per-fragment reference, fragment views against
@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 from conftest import pauli_sum, random_two_body
 from reference import (
     _fragment_terms,
+    factored_row_items,
     fragment_pauli_sum,
     full_space_range,
     givens_chain_angles,
+    item_major_sorted_insertion,
+    kernel_row_items,
     naive_ac_phases,
     random_sparse_symmetric,
     reconstruct_chain,
@@ -50,6 +53,7 @@ from fermilcu.majorana import (
 )
 from fermilcu.mtd_l4 import _als_residual, _als_sweep, cp4_als, mps_factorize, svd_chain_factorize
 from fermilcu.qubit_lcu import (
+    COEFF_TOL,
     _RotationChain,
     _item_coeffs,
     _item_words,
@@ -278,6 +282,38 @@ class TestGroupingKernels:
         coeffs = _item_coeffs(struct, h + h.T, g)
         kernel = _word_items(*_item_words(struct), 2 * n)
         assert _sorted_insertion(coeffs, struct) == _sorted_insertion(coeffs, kernel)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_group_major_matches_item_major_on_tensor_items(self, n, seed,
+                                                           rotate):
+        # entries from a short list tie often and vanish often; a random
+        # rotated frame makes most items nonzero and most magnitudes distinct
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, 1.0, -1.0, 0.5, -0.25, 1e-13])
+        h = rng.choice(values, size=(n, n))
+        h = h + h.T
+        g = rng.choice(values, size=(n, n, n, n))
+        if rotate:
+            u = rotation_from_angles(
+                rng.uniform(-np.pi, np.pi, size=len(rotation_pairs(n))), n)
+            h, g = u.T @ h @ u, rotate_two_body(g, u)
+        struct = _tensor_item_structure(n)
+        coeffs = _item_coeffs(struct, h, g)
+        assert _sorted_insertion(coeffs, struct) == item_major_sorted_insertion(
+            coeffs, factored_row_items(struct))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_word_lists(st.integers(65, 200), 10), st.integers(0, 2 ** 32 - 1))
+    def test_group_major_matches_item_major_on_words(self, case, seed):
+        # words may repeat or be the identity; coefficients tie, vanish or
+        # sit at or below COEFF_TOL
+        n, raw = case
+        x, z = _masks(raw)
+        values = np.array([0.0, 1e-13, -COEFF_TOL, 1.0, -1.0, 0.5, -0.25])
+        coeffs = np.random.default_rng(seed).choice(values, size=x.size)
+        assert _sorted_insertion(coeffs, _word_items(x, z, n)) == (
+            item_major_sorted_insertion(coeffs, kernel_row_items(x, z, n)))
 
 
 unit_vectors = st.lists(

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import hamiltonian, pauli_sum
 from reference import (
+    factored_row_items,
     givens_chain_angles,
+    item_major_sorted_insertion,
     naive_ac_phases,
     reconstruct_chain,
     rotate_hamiltonian,
@@ -15,9 +17,11 @@ from fermilcu.integrals import MolecularIntegrals, load_fixture
 from fermilcu.majorana import (
     anticommutation_rows,
     build_majorana,
+    pack_bits,
     pauli_sum_of_hamiltonian,
 )
 from fermilcu.qubit_lcu import (
+    _factor_rows,
     _item_coeffs,
     _item_words,
     _sorted_insertion,
@@ -70,23 +74,29 @@ def test_pauli_phases_are_exact_units(name):
 
 def test_item_structure_holds_packed_rows_only():
     # one packed row per item would hold 41.9 MB at chain_h10, an m x m
-    # boolean matrix 335 MB; the rows of the 200 Q words and a zero row
-    # hold 0.46 MB
+    # boolean matrix 335 MB; the parity matrix of the 200 Q words and a
+    # zero factor holds 40 KB, and each call packs its rows in rank order
     struct = _tensor_item_structure(10)
     m = struct["key"].size
     assert m == 18300
     assert all(a.ndim == 1 for a in struct.values() if a.shape[0] == m)
-    assert struct["rows"].shape == (201, 286)
-    assert sum(a.nbytes for a in struct.values()) < 2 ** 20
+    assert struct["parity"].shape == (201, 201)
+    assert struct["parity"].dtype == bool
+    assert sum(a.nbytes for a in struct.values()) < 2 ** 19
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_factored_rows_expand_to_kernel_rows(n):
     struct = _tensor_item_structure(n)
-    rows, fa, fb = struct["rows"], struct["fa"], struct["fb"]
-    assert not rows[-1].any()
+    parity, fa, fb = struct["parity"], struct["fa"], struct["fb"]
+    assert not parity[-1].any() and not parity[:, -1].any()
+    np.testing.assert_array_equal(parity, parity.T)
+    rows = pack_bits(parity[:, fa] ^ parity[:, fb])
     np.testing.assert_array_equal(rows[fa] ^ rows[fb],
                                   anticommutation_rows(*_item_words(struct)))
+    # the per-call bitsets, here over the items in index order
+    assert _factor_rows(parity, fa, fb) == [
+        int.from_bytes(row, "little") for row in rows]
 
 
 @pytest.mark.parametrize("name", ("h2", "lih", "beh2", "h2o", "chain_h08"))
@@ -103,20 +113,63 @@ def test_ac_groups_match_grouping_from_kernel_rows(name):
         np.testing.assert_array_equal(group.coeffs, coeffs[members])
 
 
+FIXTURES = ("h2", "lih", "beh2", "h2o", "chain_h02", "chain_h04", "chain_h06",
+            "chain_h08", "chain_h10")
+
+
+@pytest.mark.parametrize("rotated", (False, True), ids=("canonical", "rotated"))
+@pytest.mark.parametrize("name", FIXTURES)
+def test_group_major_groups_equal_item_major(name, rotated):
+    maj = hamiltonian(name)
+    if rotated:
+        n = maj.n_orbitals
+        rng = np.random.default_rng(23)
+        maj = rotate_hamiltonian(maj, rotation_from_angles(
+            rng.normal(scale=0.3, size=n * (n - 1) // 2), n))
+    struct = _tensor_item_structure(maj.n_orbitals)
+    coeffs = _item_coeffs(struct, maj.h_tilde, maj.g)
+    groups = _sorted_insertion(coeffs, struct)
+    assert groups == item_major_sorted_insertion(coeffs,
+                                                 factored_row_items(struct))
+    # a rotated frame leaves no item at zero
+    if rotated:
+        assert sum(map(len, groups)) == coeffs.size
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_ac_groups_are_anticommuting_sets(name):
+    maj = hamiltonian(name)
+    block, = ac_lcu(maj).blocks
+    n_qubits = 2 * maj.n_orbitals
+    start = 0
+    for size in block.sizes.tolist():
+        x = block.x[start:start + size]
+        z = block.z[start:start + size]
+        start += size
+        # n qubits hold at most 2n + 1 pairwise anticommuting words
+        assert 1 <= size <= 2 * n_qubits + 1
+        parity = np.bitwise_count((x[:, None] & z) ^ (z[:, None] & x)) & 1
+        np.testing.assert_array_equal(parity, 1 - np.eye(size, dtype=parity.dtype))
+    assert start == block.x.size
+
+
 def test_word_items_keep_one_copy_of_kernel_rows():
     # chain_h08's operator: 2,912 non-identity words, 1.07 MB of packed
-    # rows; the kernel alone peaks at about 1.17 times its output
+    # rows; the kernel alone peaks at about 1.17 times its output, and
+    # grouping reads each row from that one copy as its item is placed
     pauli = pauli_sum_of_hamiltonian(hamiltonian("chain_h08"))
     words = (pauli.x | pauli.z) != 0
-    x, z = pauli.x[words], pauli.z[words]
+    x, z, coeffs = pauli.x[words], pauli.z[words], pauli.coeffs.real[words]
+    kernel_bytes = anticommutation_rows(x, z).nbytes
+    items = _word_items(x, z, pauli.n_qubits)
     tracemalloc.start()
     try:
-        items = _word_items(x, z, pauli.n_qubits)
+        groups = _sorted_insertion(coeffs, items)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert x.size == 2912
-    assert peak < 1.3 * items["rows"].nbytes
+    assert x.size == 2912 and sum(map(len, groups)) == 2912
+    assert peak < 1.3 * kernel_bytes
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
