@@ -94,8 +94,12 @@ def parse_fcidump(text: str) -> RawIntegrals:
     """Parse FCIDUMP text into raw (ij|kl) / t_ij / constant records.
 
     Indices are 1-based in the file; a line with i=j=k=l=0 holds the scalar
-    constant and k=l=0 marks one-body entries. Unspecified entries are zero;
-    the stated permutational symmetry is applied on expansion.
+    constant and k=l=0 marks one-body entries. A line 'e i 0 0 0' gives
+    the energy of orbital i (Knowles and Handy, Comput. Phys. Commun. 54,
+    75, 1989), as Molpro writes it; it is not part of H and is skipped.
+    Other records mixing zero and nonzero indices are rejected. Unspecified
+    entries are zero; the stated permutational symmetry is applied on
+    expansion.
     """
     lines = text.splitlines()
     norb, nelec, start = _parse_header(lines)
@@ -121,7 +125,10 @@ def parse_fcidump(text: str) -> RawIntegrals:
         if i == j == k == l == 0:
             constant = value
         elif k == 0 and l == 0:
-            if i == 0 or j == 0:
+            if j == 0:
+                # orbital i's energy, not a term of H
+                continue
+            if i == 0:
                 raise FcidumpError(f"line {lineno}: one-body entry with zero index")
             t[i - 1, j - 1] = value
             t[j - 1, i - 1] = value

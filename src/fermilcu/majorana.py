@@ -36,10 +36,10 @@ one bit per word it anticommutes with (m^2/8 bytes for m words), and
 `word_sort_keys` maps a word to an integer ordered as its letter string.
 The symplectic product is bilinear over GF(2), so the row of a product word
 w1 w2 is the XOR of the rows of w1 and w2. The tensor-level AC grouping
-(`qubit_lcu._tensor_item_structure`) relies on this: it keeps only the
-anticommutation parity of the 2N^2 reflection words against each other, and
-each grouping packs, per reflection word, its row over the items in rank
-order, not one row per item. Sorted insertion then runs group-major, each
+(`qubit_lcu._tensor_item_structure`) relies on this: it keeps only the two
+Majoranas of each of the 2N^2 reflection words, and each grouping packs,
+per Majorana, the items in rank order that hold it, and per reflection word
+the XOR of its two Majoranas' rows, not one row per item. Sorted insertion then runs group-major, each
 group a greedy scan over the items no earlier group took; placing the items
 one at a time in rank order gives the same groups (`qubit_lcu`).
 """

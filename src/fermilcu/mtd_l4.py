@@ -282,8 +282,10 @@ def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
     from the factors' Gram matrices (_als_residual); only the returned
     factors are rebuilt as a tensor, for loss and loss_abs. Hitting max_rank
     without convergence returns the best factors flagged. metadata reports
-    the rank, converged, the ALS sweeps summed over every trial fit and the
-    trial ranks in the order they were fitted.
+    the rank, converged, the ALS sweeps summed over every trial fit, the
+    trial ranks in the order they were fitted, and aligned with them each
+    fit's g-scale squared residual, in Gram form, which fitted when below
+    tol (trial_residuals), and its sweeps (trial_sweeps).
     """
     _check_symmetric(g)
     n = g.shape[0]
@@ -312,7 +314,9 @@ def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
     weights, vecs = _apply_sign_convention(weights, list(vecs))
     return _record("l4-cp4", weights, vecs, g, rank=hi, converged=converged,
                    sweeps=sum(fit[3] for fit in tried.values()),
-                   trial_ranks=list(tried))
+                   trial_ranks=list(tried),
+                   trial_residuals=[16.0 * fit[2] for fit in tried.values()],
+                   trial_sweeps=[fit[3] for fit in tried.values()])
 
 
 def l4_lcu(factors: QuarticFactors, one_body: OneBodyFragment,

@@ -18,10 +18,12 @@ ANDed with that item's anticommutation row, each item being placed once.
 
 Anticommutation rows are factored. The symplectic product is bilinear over
 GF(2), so the row of a product word Q_a Q_b is the XOR of the rows of Q_a
-and Q_b. The tensor-level structure keeps the parity matrix of the Q words
-against each other, plus a zero factor, and each item names its two factors:
-(a, b) for a pair, (a, zero factor) for a Q word. Each call gathers, per
-factor, its row over the items in rank order from that matrix.
+and Q_b. Each item names its two factors: (a, b) for a pair, (a, zero
+factor) for a Q word. Each Q word is itself a product of two Majoranas, and
+two even Majorana monomials anticommute exactly when they share an odd
+number of Majoranas. So each call builds, per Majorana, the bitset of the
+items in rank order that hold it an odd number of times, 4N of them, and
+the row of the Q word gamma_p gamma_q is the XOR of the bitsets of p and q.
 """
 
 import math
@@ -109,9 +111,10 @@ def _tensor_item_structure(n: int):
     two conjugate orderings of the pair; pairs whose phases are imaginary
     cancel exactly and are dropped here once and for all. Item k is the
     product of factors fa[k] and fb[k], indices into the Q words followed by
-    the identity: "qx" and "qz" hold the factor masks and "parity" the
-    anticommutation parity of every factor pair, each with a zero factor
-    last. The cached arrays are read-only.
+    the identity: "qx" and "qz" hold the factor masks and "majoranas" the
+    two Majoranas of each factor, gamma_{p, m} numbered 2p + m on qubit p,
+    each with a zero factor last, whose Majoranas are both 4N and cancel.
+    The cached arrays are read-only.
     """
     qx, qz, qc = (a.ravel() for a in reflection_table(n))
     if np.any(qc.imag):
@@ -125,14 +128,14 @@ def _tensor_item_structure(n: int):
     fa = np.concatenate([np.arange(n_q), a[merged]]).astype(np.int32)
     fb = np.concatenate([np.full(n_q, n_q), b[merged]]).astype(np.int32)
     qx, qz = np.append(qx, np.uint64(0)), np.append(qz, np.uint64(0))
-    # parity of the symplectic product of every factor pair; the zero
-    # factor anticommutes with nothing
-    parity = (np.bitwise_count((qx[:, None] & qz) ^ (qz[:, None] & qx))
-              & 1).astype(bool)
+    # Q_ij,sigma = i gamma_{i sigma, 0} gamma_{j sigma, 1}, qubit p = 2i + sigma
+    i, j, sigma = np.unravel_index(np.arange(n_q), (n, n, 2))
+    majoranas = np.append(np.stack([4 * i + 2 * sigma, 4 * j + 2 * sigma + 1],
+                                   axis=1), [[4 * n, 4 * n]], axis=0)
     struct = {
         "qx": qx,
         "qz": qz,
-        "parity": parity,
+        "majoranas": majoranas.astype(np.int32),
         "fa": fa,
         "fb": fb,
         "weight": 0.5 * np.concatenate([qc.real, real[merged]]),
@@ -167,19 +170,20 @@ def _word_items(x, z, n_qubits: int):
     return {"x": x, "z": z, "key": word_sort_keys(x, z, n_qubits)}
 
 
-def _factor_rows(parity, fa, fb):
-    """Per factor f, the Python-int bitset of parity[f, fa] ^ parity[f, fb]:
+def _factor_rows(majoranas, fa, fb):
+    """Per factor f, the Python-int bitset of the items f anticommutes with:
     bit b is set when f anticommutes with the item whose factors are fa[b]
-    and fb[b]. Sixteen factors are gathered at a time, so each boolean
-    temporary holds 16 bytes per item."""
-    rows = []
-    for lo in range(0, parity.shape[0], 16):
-        block = parity[lo:lo + 16]
-        bits = block.take(fa, axis=1)
-        bits ^= block.take(fb, axis=1)
-        rows.extend(int.from_bytes(row, "little") for row in
-                    np.packbits(bits, axis=1, bitorder="little"))
-    return rows
+    and fb[b]. Bit b of Majorana p's bitset is set when p is among the
+    Majoranas of fa[b] and fb[b] an odd number of times, and a factor's row
+    is the XOR of its two Majoranas' bitsets (module docstring)."""
+    held = np.zeros((majoranas.max() + 1, fa.size), dtype=bool)
+    bit = np.arange(fa.size)
+    for factor in (fa, fb):
+        for column in majoranas[factor].T:
+            held[column, bit] ^= True
+    columns = [int.from_bytes(row, "little") for row in
+               np.packbits(held, axis=1, bitorder="little")]
+    return [columns[p] ^ columns[q] for p, q in majoranas.tolist()]
 
 
 def _sorted_insertion(coeffs, items):
@@ -197,9 +201,9 @@ def _sorted_insertion(coeffs, items):
     magnitude = np.abs(coeffs)
     order = np.lexsort((items["key"], -magnitude))
     order = order[magnitude[order] > COEFF_TOL][::-1]
-    if "parity" in items:
+    if "majoranas" in items:
         fa, fb = items["fa"][order], items["fb"][order]
-        factor = _factor_rows(items["parity"], fa, fb)
+        factor = _factor_rows(items["majoranas"], fa, fb)
         fa, fb = fa.tolist(), fb.tolist()
 
         def row(b):

@@ -9,6 +9,7 @@ the CLI's method choices, decompose_method and costs_for all read it.
 
 import functools
 import json
+import math
 import pathlib
 from dataclasses import dataclass
 
@@ -163,6 +164,26 @@ def _pricing(method: str):
     return entry.cost
 
 
+# decomposition options and the range each must lie in; None leaves an
+# option at its default
+OPTION_RANGES = {
+    "tol": ("a finite number > 0", lambda v: math.isfinite(v) and v > 0),
+    "sparse_threshold": ("a finite number >= 0",
+                         lambda v: math.isfinite(v) and v >= 0),
+    **{key: ("at least 1", lambda v: v >= 1)
+       for key in ("fragments", "max_rank", "oo_budget", "oo_restarts")},
+}
+
+
+def _check_options(options: dict):
+    """ValueError on a decomposition option outside its OPTION_RANGES, so
+    that, say, tol <= 0 never sends l4-cp4 doubling its rank up to N^4."""
+    for key, (allowed, holds) in OPTION_RANGES.items():
+        value = options.get(key)
+        if value is not None and not holds(value):
+            raise ValueError(f"option {key!r} must be {allowed}, not {value!r}")
+
+
 def decompose_method(mol: MolecularIntegrals, method: str, *,
                      sparse_threshold: float = 1e-5, tol: float = 1e-6,
                      fragments: int = None, max_rank: int = None,
@@ -176,6 +197,9 @@ def decompose_method(mol: MolecularIntegrals, method: str, *,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    _check_options({"sparse_threshold": sparse_threshold, "tol": tol,
+                   "fragments": fragments, "max_rank": max_rank,
+                   "oo_budget": oo_budget, "oo_restarts": oo_restarts})
     base = method.removeprefix("oo-")
     entry = METHOD_TABLE[base]
     if method != base:
@@ -348,8 +372,9 @@ CONFIG_KEYS = ("files", "methods", "overrides", "output") + REAL_KEYS \
 
 def _check_config(config: dict):
     """ValueError on any key or method name that run_pipeline would not
-    read, so a misspelling never falls back to a default silently, and on
-    a numeric key set to a value of another type."""
+    read, so a misspelling never falls back to a default silently, on
+    a numeric key set to a value of another type, and on a decomposition
+    option out of range (_check_options)."""
     overrides = config.get("overrides", {})
     for kind, names, known in (
             ("config key", list(config), CONFIG_KEYS),
@@ -366,6 +391,7 @@ def _check_config(config: dict):
                 if not isinstance(options.get(key, 0), kinds):
                     raise ValueError(f"config key {key!r} needs {noun}, "
                                      f"not {options[key]!r}")
+        _check_options(options)
 
 
 def _method_options(config: dict, method: str) -> dict:

@@ -3,18 +3,23 @@ Hamiltonian, and the spectral lower bound on the 1-norm.
 
 The spectral range is taken on one sector per electron count, the one
 with S_z = 0 or -1/2, and is exact there because a MajoranaHamiltonian is
-spin-free (`spectral_range`); the 2^2N-state matrix is never built. The
-sectors are solved smallest first, and the Gershgorin discs of each block
-(`_disc_bounds`) bound its spectrum, so a block end is solved only if its
-bound lies beyond the best extreme found so far, and a block neither of
-whose bounds does is skipped. A sector block above DENSE_STATES states
-gives the ends it is asked for from one Krylov space: one Lanczos run
-(Lanczos, J. Res. Natl. Bur. Stand. 45, 255, 1950) from a seeded Gaussian
-start, kept semi-orthogonal by partial reorthogonalization (Simon, Math.
-Comp. 42, 115, 1984), stopped once the extremal Ritz residuals asked for
-are at most LANCZOS_TOL of the spectral scale, so each extreme is within
-residual^2 / gap of an eigenvalue (`_lanczos_extremes`). The run needs
-nothing of the block but its product with a vector.
+spin-free (`spectral_range`); the 2^2N-state matrix is never built. Each
+end's candidate sectors are chosen before any is solved: the smallest
+diagonal entry is a Rayleigh quotient, so it bounds the lowest eigenvalue
+from above, and a sector whose Gershgorin discs (`_disc_bounds`) all lie
+above it cannot hold that eigenvalue; the largest bounds the highest, the
+same way mirrored. The candidates of at most DENSE_STATES states are joined,
+per end, into one block-diagonal matrix solved once (`_block_range`): dense
+if the union is that small too, else by one Lanczos run. A larger candidate
+is solved on its own, smallest first, for the ends whose disc bound still
+lies beyond the best extreme found so far. A Lanczos run (Lanczos, J. Res.
+Natl. Bur. Stand. 45, 255, 1950) gives the ends it is asked for from one
+Krylov space from a seeded Gaussian start, kept semi-orthogonal by partial
+reorthogonalization (Simon, Math. Comp. 42, 115, 1984), stopped once the
+extremal Ritz residuals asked for are at most LANCZOS_TOL of the spectral
+scale, so each extreme is within residual^2 / gap of an eigenvalue
+(`_lanczos_extremes`). The run needs nothing of the block but its product
+with a vector.
 
 Reconstruction reads the LCU's blocks (see the lcu module docstring) and
 expands the difference LCU - H once. Reflection products and squared
@@ -53,6 +58,11 @@ from .majorana import (  # noqa: F401
     sparse_matrix,
 )
 
+# States up to which a block, or a joint block of small candidate sectors,
+# is diagonalized densely, both ends exact. A sector above it is solved on
+# its own by Lanczos and never joined: joining those too took fewer steps
+# but longer, every step multiplying the whole union (one BLAS thread,
+# h2o 65 -> 83 ms, chain_h08 444 -> 523 ms)
 DENSE_STATES = 400
 ROUNDING_ULPS = 64
 # Lanczos: Ritz residual bound relative to the larger extreme, steps
@@ -246,6 +256,117 @@ def _disc_bounds(matrix, offsets) -> tuple:
             np.maximum.reduceat(centre + radius, offsets[:-1]))
 
 
+def _joint_block(matrix, offsets, members):
+    """The block-diagonal CSR matrix of the member blocks of a
+    block-diagonal CSR matrix, block k spanning rows offsets[k] to
+    offsets[k+1], in member order: copies of their rows' stored entries,
+    each block's columns renumbered with its rows, since a block's rows hold
+    only its own columns."""
+    from scipy.sparse import csr_matrix
+
+    data, indices, counts, start = [], [], [], 0
+    for k in members:
+        a, b = offsets[k], offsets[k + 1]
+        lo, hi = matrix.indptr[a], matrix.indptr[b]
+        data.append(matrix.data[lo:hi])
+        indices.append(matrix.indices[lo:hi] - int(a - start))
+        counts.append(np.diff(matrix.indptr[a:b + 1]))
+        start += int(b - a)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
+                      shape=(start, start))
+
+
+def _side(ends) -> str:
+    """Which ends a (low, high) pair of flags asks for."""
+    return "both" if all(ends) else "low" if ends[0] else "high"
+
+
+def _block_range(matrix, offsets, labels) -> SpectralRange:
+    """Extremal eigenvalues of a block-diagonal Hermitian CSR matrix, block k
+    spanning rows offsets[k] to offsets[k+1] and named labels[k] in the
+    DEBUG records.
+
+    Each diagonal entry is a Rayleigh quotient, so the smallest bounds the
+    lowest eigenvalue from above and the largest the highest from below. A
+    block whose lower Gershgorin bound (_disc_bounds) lies above the
+    smallest diagonal entry cannot hold the lowest eigenvalue, nor one whose
+    upper bound lies below the largest the highest: only the other blocks
+    are candidates for an end, and the block of the extreme diagonal entry
+    always is. Before any block is solved, the candidates of at most
+    DENSE_STATES states are joined, per end, into one block-diagonal matrix
+    (_joint_block) solved once by _solve, both ends at once when both ends
+    join the same blocks. The larger candidates follow smallest first, one
+    _solve each for the ends it is a candidate for whose disc bound still
+    lies beyond the best extreme found so far. Those are read in place,
+    their column indices shifted, so the matrix is used up.
+
+    One DEBUG record per joint solve, on the fermilcu.verify logger, gives
+    its blocks, states, stored entries, path (dense, or lanczos for low,
+    high or both ends), Lanczos steps and reorthogonalizations. Then one
+    record per block, smallest first, gives its label, states, stored
+    entries, disc bounds, path (pruned, joint for the ends it joined, dense,
+    or lanczos), Lanczos steps and reorthogonalizations; a joint solve's
+    steps are on its own record only, so the steps of all records add up to
+    the run's.
+    """
+    from scipy.sparse import csr_matrix
+
+    lower, upper = _disc_bounds(matrix, offsets)
+    diagonal = matrix.diagonal().real
+    sizes = np.diff(offsets)
+    small = sizes <= DENSE_STATES
+    candidate = lower <= diagonal.min(), upper >= diagonal.max()
+    joint = {}
+    for end in (0, 1):
+        members = tuple(np.flatnonzero(candidate[end] & small).tolist())
+        if members:
+            joint.setdefault(members, [False, False])[end] = True
+    low, high = np.inf, -np.inf
+
+    def solve(block, ends):
+        nonlocal low, high
+        block_low, block_high, steps, reorthogonalizations = _solve(block, ends)
+        if block_low is not None:
+            low = min(low, block_low)
+        if block_high is not None:
+            high = max(high, block_high)
+        return (f"lanczos for {_side(ends)}" if steps else "dense", steps,
+                reorthogonalizations)
+
+    for members, ends in joint.items():
+        block = _joint_block(matrix, offsets, members)
+        log.debug("joint solve of %s: %d states, %d entries, %s, "
+                  "%d Lanczos steps, %d reorthogonalizations",
+                  ", ".join(str(labels[k]) for k in members), block.shape[0],
+                  block.nnz, *solve(block, ends))
+    for k in np.argsort(sizes, kind="stable"):
+        a, b = offsets[k], offsets[k + 1]
+        lo, hi = matrix.indptr[a], matrix.indptr[b]
+        ends = bool(candidate[0][k]), bool(candidate[1][k])
+        if not small[k]:
+            ends = ends[0] and lower[k] < low, ends[1] and upper[k] > high
+        steps = reorthogonalizations = 0
+        if not any(ends):
+            path = "pruned"
+        elif small[k]:
+            path = f"joint for {_side(ends)}"
+        else:
+            # A block's rows hold only its own columns. Shifted to the block
+            # in place, the matrix's arrays serve as the block's without a
+            # copy, which the CSR constructor would make of a small view.
+            matrix.indices[lo:hi] -= a
+            block = csr_matrix((b - a, b - a), dtype=matrix.dtype)
+            block.data, block.indices = matrix.data[lo:hi], matrix.indices[lo:hi]
+            block.indptr = matrix.indptr[a:b + 1] - lo
+            path, steps, reorthogonalizations = solve(block, ends)
+        log.debug("sector %s: %d states, %d entries, discs [%.10g, %.10g], "
+                  "%s, %d Lanczos steps, %d reorthogonalizations", labels[k],
+                  b - a, hi - lo, lower[k], upper[k], path, steps,
+                  reorthogonalizations)
+    return SpectralRange(float(low), float(high))
+
+
 def spectral_range(maj) -> SpectralRange:
     """Extremal eigenvalues of the qubit matrix, constants included, from
     the central spin sector of each electron count.
@@ -259,18 +380,11 @@ def spectral_range(maj) -> SpectralRange:
     sectors (floor(n_e/2), ceil(n_e/2)), n_e = 0..2N, are therefore the
     extremes of the whole 2^2N Fock space, whose matrix is never built.
 
-    The sectors are solved smallest first, each block read, without a
-    copy, from sector_matrix's block-diagonal matrix. A block's Gershgorin
-    discs bound its spectrum (_disc_bounds), so an end of a block is
-    solved only if its disc bound lies beyond the best extreme found so
-    far, and a block neither of whose bounds does is skipped: both
-    extremes still come from the blocks that hold them. A solved block
-    gives its ends from _solve: dense up to DENSE_STATES states, else from
-    one Lanczos run that converges only the ends asked for. One DEBUG
-    record per sector, in solving order on the fermilcu.verify logger,
-    gives (n_alpha, n_beta), the states, the stored entries, the disc
-    bounds, the path (pruned, dense, or lanczos for low, high or both
-    ends), the Lanczos steps and the reorthogonalizations.
+    The sectors' blocks come from sector_matrix's block-diagonal matrix and
+    are solved by _block_range: the diagonal bound picks each end's
+    candidate sectors, the small candidates of an end are solved in one
+    joint run, and the larger ones one run each, smallest first. Its DEBUG
+    records name the sectors by (n_alpha, n_beta).
     """
     n = maj.n_orbitals
     if 2 * n > 24:
@@ -283,39 +397,7 @@ def spectral_range(maj) -> SpectralRange:
     if not len(op):
         return SpectralRange(0.0, 0.0)
     sectors = [(n_e // 2, n_e - n_e // 2) for n_e in range(2 * n + 1)]
-    from scipy.sparse import csr_matrix
-
-    matrix, offsets = sector_matrix(op, sectors)
-    lower, upper = _disc_bounds(matrix, offsets)
-    low, high = np.inf, -np.inf
-    for k in np.argsort(np.diff(offsets), kind="stable"):
-        a, b = offsets[k], offsets[k + 1]
-        lo, hi = matrix.indptr[a], matrix.indptr[b]
-        ends = (lower[k] < low, upper[k] > high)
-        steps = reorthogonalizations = 0
-        if not any(ends):
-            path = "pruned"
-        else:
-            # A block's rows hold only its own columns. Shifted to the block
-            # in place, the matrix's arrays serve as the block's without a
-            # copy, which the CSR constructor would make of a small view.
-            matrix.indices[lo:hi] -= a
-            block = csr_matrix((b - a, b - a), dtype=matrix.dtype)
-            block.data, block.indices = matrix.data[lo:hi], matrix.indices[lo:hi]
-            block.indptr = matrix.indptr[a:b + 1] - lo
-            block_low, block_high, steps, reorthogonalizations = _solve(
-                block, ends)
-            if block_low is not None:
-                low = min(low, block_low)
-            if block_high is not None:
-                high = max(high, block_high)
-            side = "both" if all(ends) else "low" if ends[0] else "high"
-            path = f"lanczos for {side}" if steps else "dense"
-        log.debug("sector %s: %d states, %d entries, discs [%.10g, %.10g], "
-                  "%s, %d Lanczos steps, %d reorthogonalizations", sectors[k],
-                  b - a, hi - lo, lower[k], upper[k], path, steps,
-                  reorthogonalizations)
-    return SpectralRange(float(low), float(high))
+    return _block_range(*sector_matrix(op, sectors), sectors)
 
 
 def _difference_terms(lcu: LcuDecomposition, maj):

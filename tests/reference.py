@@ -14,6 +14,9 @@ inputs with; no run of the package calls them.
   reference for the group-major `qubit_lcu._sorted_insertion`;
   `factored_row_items` and `kernel_row_items` give it the item rows it reads:
   tensor items as packed factor rows, explicit words as full kernel rows.
+  `parity_factor_rows` gathers the factor rows from the Q words' parity
+  matrix (`factor_parity`), the reference for the rows
+  `qubit_lcu._factor_rows` builds from Majorana bitsets.
 - `ac_naive_matrix` (arcsine phases, `naive_ac_phases`) and
   `ac_givens_matrix` (a Givens chain, `givens_chain_angles`, inverted by
   `reconstruct_chain`) render an AC group as the two circuits its cost
@@ -243,11 +246,34 @@ def naive_ac_phases(coeffs) -> np.ndarray:
     return 0.5 * np.arctan2(d, before)
 
 
+def factor_parity(struct):
+    """The anticommutation parity of every factor pair of
+    qubit_lcu._tensor_item_structure, from the symplectic product of their
+    masks; the zero factor, last, anticommutes with nothing."""
+    qx, qz = struct["qx"], struct["qz"]
+    return (np.bitwise_count((qx[:, None] & qz) ^ (qz[:, None] & qx))
+            & 1).astype(bool)
+
+
+def parity_factor_rows(parity, fa, fb):
+    """Per factor f, the Python-int bitset of parity[f, fa] ^ parity[f, fb],
+    gathered from the parity matrix sixteen factors at a time: the
+    reference for qubit_lcu._factor_rows."""
+    rows = []
+    for lo in range(0, parity.shape[0], 16):
+        block = parity[lo:lo + 16]
+        bits = block.take(fa, axis=1)
+        bits ^= block.take(fb, axis=1)
+        rows.extend(int.from_bytes(row, "little") for row in
+                    np.packbits(bits, axis=1, bitorder="little"))
+    return rows
+
+
 def factored_row_items(struct):
     """Items of qubit_lcu._tensor_item_structure with their factor rows
     packed against every item, a zero row last: item q's row is
     rows[fa[q]] ^ rows[fb[q]]."""
-    parity, fa, fb = struct["parity"], struct["fa"], struct["fb"]
+    parity, fa, fb = factor_parity(struct), struct["fa"], struct["fb"]
     return {"rows": pack_bits(parity[:, fa] ^ parity[:, fb]), "fa": fa,
             "fb": fb, "key": struct["key"]}
 

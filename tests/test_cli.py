@@ -59,6 +59,32 @@ class TestDecompose:
         assert code == 2 and out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "-1", "'tol' must be a finite number > 0"),
+        ("--tol", "0", "'tol' must be a finite number > 0"),
+        ("--tol", "nan", "'tol' must be a finite number > 0"),
+        ("--sparse-threshold", "-1", "'sparse_threshold' must be a finite"),
+        ("--sparse-threshold", "inf", "'sparse_threshold' must be a finite"),
+        ("--max-rank", "0", "'max_rank' must be at least 1"),
+        ("--fragments", "0", "'fragments' must be at least 1"),
+        ("--oo-budget", "0", "'oo_budget' must be at least 1"),
+        ("--oo-restarts", "-1", "'oo_restarts' must be at least 1"),
+    ], ids=["tol=-1", "tol=0", "tol=nan", "sparse-threshold=-1",
+            "sparse-threshold=inf", "max-rank=0", "fragments=0",
+            "oo-budget=0", "oo-restarts=-1"])
+    def test_out_of_range_option_is_exit_2(self, capsys, flag, value, message):
+        # l4-cp4 at tol <= 0 would double its rank up to N^4 before failing
+        code, out, err = run_cli(capsys, "decompose", "--input", "h2",
+                                 "--method", "l4-cp4", flag, value)
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_zero_sparse_threshold_keeps_every_term(self, capsys):
+        code, out, _ = run_cli(capsys, "decompose", "--input", "h2",
+                               "--method", "pauli", "--sparse-threshold", "0")
+        assert code == 0
+        assert json.loads(out)["metadata"]["dropped_weight"] == 0.0
+
     def test_unknown_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "--input", "h2", "--method", "qrom"])

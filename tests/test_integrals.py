@@ -81,6 +81,26 @@ def test_parse_rejects_out_of_range_index():
     assert "line 4" in str(err.value)
 
 
+def test_orbital_energy_records_are_skipped():
+    # 'e i 0 0 0' records, as Molpro writes them between the one-body
+    # entries and the core energy, leave the integrals as they are
+    text = emit_fcidump(load_fixture("lih"), nelec=NELEC["lih"])
+    *body, core = text.rstrip("\n").split("\n")
+    energies = [f"{-2.5 + 0.4 * i:.16e} {i} 0 0 0" for i in range(1, 7)]
+    with_energies = parse_fcidump("\n".join(body + energies + [core]) + "\n")
+    plain = parse_fcidump(text)
+    assert with_energies.constant == plain.constant
+    np.testing.assert_array_equal(with_energies.t, plain.t)
+    np.testing.assert_array_equal(with_energies.eri, plain.eri)
+
+
+@pytest.mark.parametrize("record", [
+    "0.5 0 1 0 0", "0.5 1 0 1 1", "0.5 1 1 0 1", "0.5 1 1 1 0", "0.5 0 0 1 1"])
+def test_parse_rejects_mixed_zero_indices(record):
+    with pytest.raises(FcidumpError, match="line 3: .*zero"):
+        parse_fcidump(f"&FCI NORB=1,NELEC=2,\n&END\n{record}\n")
+
+
 def test_parse_rejects_malformed_line():
     with pytest.raises(FcidumpError) as err:
         parse_fcidump("&FCI NORB=2,NELEC=2,\n&END\n1.0 1 1 1\n")

@@ -165,6 +165,22 @@ class TestCp4:
         assert factors.rank == 1
         assert factors.loss > 1e-6
 
+    @pytest.mark.parametrize("max_rank", [1, 2, 16])
+    def test_trial_residuals_decide_convergence(self, h2, max_rank):
+        # h2 fits from rank 4 on (CP4_FROZEN): ranks 1 and 2 stop short
+        factors = cp4_als(h2.g, max_rank=max_rank, tol=1e-6)
+        meta = factors.metadata
+        ranks, residuals = meta["trial_ranks"], meta["trial_residuals"]
+        assert len(residuals) == len(meta["trial_sweeps"]) == len(ranks)
+        assert sum(meta["trial_sweeps"]) == meta["sweeps"]
+        assert all(s >= 1 for s in meta["trial_sweeps"])
+        returned = residuals[ranks.index(factors.rank)]
+        assert (returned < 1e-6) == meta["converged"] == (max_rank == 16)
+        # every trial rank below the returned one missed the target
+        assert all(r >= 1e-6 for rank, r in zip(ranks, residuals)
+                   if rank < factors.rank)
+        assert returned == pytest.approx(factors.loss, rel=1e-6, abs=1e-12)
+
     def test_bisection_starts_at_last_failed_rank(self, monkeypatch):
         # fits succeed from rank 9 on; doubling clamps at max_rank 12 after
         # 8 fails, so the bisection runs between 8 and 12

@@ -5,10 +5,12 @@ import pytest
 
 from conftest import hamiltonian, pauli_sum
 from reference import (
+    factor_parity,
     factored_row_items,
     givens_chain_angles,
     item_major_sorted_insertion,
     naive_ac_phases,
+    parity_factor_rows,
     reconstruct_chain,
     rotate_hamiltonian,
 )
@@ -21,6 +23,7 @@ from fermilcu.majorana import (
     pauli_sum_of_hamiltonian,
 )
 from fermilcu.qubit_lcu import (
+    COEFF_TOL,
     _factor_rows,
     _item_coeffs,
     _item_words,
@@ -74,28 +77,29 @@ def test_pauli_phases_are_exact_units(name):
 
 def test_item_structure_holds_packed_rows_only():
     # one packed row per item would hold 41.9 MB at chain_h10, an m x m
-    # boolean matrix 335 MB; the parity matrix of the 200 Q words and a
-    # zero factor holds 40 KB, and each call packs its rows in rank order
+    # boolean matrix 335 MB; the Majoranas of the 200 Q words and a zero
+    # factor hold 1.6 KB, and each call packs its rows in rank order
     struct = _tensor_item_structure(10)
     m = struct["key"].size
     assert m == 18300
     assert all(a.ndim == 1 for a in struct.values() if a.shape[0] == m)
-    assert struct["parity"].shape == (201, 201)
-    assert struct["parity"].dtype == bool
-    assert sum(a.nbytes for a in struct.values()) < 2 ** 19
+    assert "parity" not in struct
+    assert struct["majoranas"].shape == (201, 2)
+    # 444,024 bytes, of which 1,608 are the Majoranas
+    assert sum(a.nbytes for a in struct.values()) < 450_000
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_factored_rows_expand_to_kernel_rows(n):
     struct = _tensor_item_structure(n)
-    parity, fa, fb = struct["parity"], struct["fa"], struct["fb"]
+    parity, fa, fb = factor_parity(struct), struct["fa"], struct["fb"]
     assert not parity[-1].any() and not parity[:, -1].any()
     np.testing.assert_array_equal(parity, parity.T)
     rows = pack_bits(parity[:, fa] ^ parity[:, fb])
     np.testing.assert_array_equal(rows[fa] ^ rows[fb],
                                   anticommutation_rows(*_item_words(struct)))
     # the per-call bitsets, here over the items in index order
-    assert _factor_rows(parity, fa, fb) == [
+    assert _factor_rows(struct["majoranas"], fa, fb) == [
         int.from_bytes(row, "little") for row in rows]
 
 
@@ -117,15 +121,20 @@ FIXTURES = ("h2", "lih", "beh2", "h2o", "chain_h02", "chain_h04", "chain_h06",
             "chain_h08", "chain_h10")
 
 
+def randomly_rotated(maj):
+    """maj in one seeded random orbital frame, angles of scale 0.3."""
+    n = maj.n_orbitals
+    rng = np.random.default_rng(23)
+    return rotate_hamiltonian(maj, rotation_from_angles(
+        rng.normal(scale=0.3, size=n * (n - 1) // 2), n))
+
+
 @pytest.mark.parametrize("rotated", (False, True), ids=("canonical", "rotated"))
 @pytest.mark.parametrize("name", FIXTURES)
 def test_group_major_groups_equal_item_major(name, rotated):
     maj = hamiltonian(name)
     if rotated:
-        n = maj.n_orbitals
-        rng = np.random.default_rng(23)
-        maj = rotate_hamiltonian(maj, rotation_from_angles(
-            rng.normal(scale=0.3, size=n * (n - 1) // 2), n))
+        maj = randomly_rotated(maj)
     struct = _tensor_item_structure(maj.n_orbitals)
     coeffs = _item_coeffs(struct, maj.h_tilde, maj.g)
     groups = _sorted_insertion(coeffs, struct)
@@ -134,6 +143,23 @@ def test_group_major_groups_equal_item_major(name, rotated):
     # a rotated frame leaves no item at zero
     if rotated:
         assert sum(map(len, groups)) == coeffs.size
+
+
+@pytest.mark.parametrize("rotated", (False, True), ids=("canonical", "rotated"))
+@pytest.mark.parametrize("name", FIXTURES)
+def test_majorana_factor_rows_equal_parity_rows(name, rotated):
+    # the factor rows over the items in rank order, as sorted insertion
+    # ranks them, equal those gathered from the Q words' parity matrix
+    maj = hamiltonian(name)
+    if rotated:
+        maj = randomly_rotated(maj)
+    struct = _tensor_item_structure(maj.n_orbitals)
+    magnitude = np.abs(_item_coeffs(struct, maj.h_tilde, maj.g))
+    order = np.lexsort((struct["key"], -magnitude))
+    order = order[magnitude[order] > COEFF_TOL][::-1]
+    fa, fb = struct["fa"][order], struct["fb"][order]
+    assert _factor_rows(struct["majoranas"], fa, fb) == parity_factor_rows(
+        factor_parity(struct), fa, fb)
 
 
 @pytest.mark.parametrize("name", FIXTURES)

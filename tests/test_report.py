@@ -3,6 +3,7 @@ and JSON emission, and the chain scaling fits."""
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -429,6 +430,21 @@ class TestRunPipeline:
     def test_malformed_value_rejected_before_any_input(self, line, message):
         text = f"files = no_such_molecule\nmethods = df\n{line}\n"
         with pytest.raises(ValueError, match=message):
+            run_pipeline(parse_config(text))
+
+    @pytest.mark.parametrize("line, message", [
+        ("tol = 0", "'tol' must be a finite number > 0, not 0"),
+        ("tol = nan", "'tol' must be a finite number > 0, not nan"),
+        ("sparse_threshold.pauli = -0.1",
+         "'sparse_threshold' must be a finite number >= 0, not -0.1"),
+        ("max_rank.l4-cp4 = 0", "'max_rank' must be at least 1, not 0"),
+        ("oo_restarts = -1", "'oo_restarts' must be at least 1, not -1"),
+    ], ids=["tol=0", "tol=nan", "sparse_threshold.pauli", "max_rank.l4-cp4",
+            "oo_restarts"])
+    def test_out_of_range_option_rejected_before_any_input(self, line,
+                                                           message):
+        text = f"files = no_such_molecule\nmethods = pauli\n{line}\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_pipeline(parse_config(text))
 
     def test_per_method_override_applies(self):

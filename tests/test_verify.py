@@ -39,6 +39,7 @@ from fermilcu.report import METHODS as ALL_METHODS, decompose_method
 from fermilcu.verify import (
     DENSE_STATES,
     SpectralRange,
+    _block_range,
     _disc_bounds,
     _extremes,
     _lanczos_extremes,
@@ -160,6 +161,53 @@ def sample_word():
     return frag.unitary.word
 
 
+SECTOR_RECORD = re.compile(
+    r"sector \((\d+), (\d+)\): (\d+) states, (\d+) entries, "
+    r"discs \[(\S+), (\S+)\], "
+    r"(pruned|joint for (?:low|high|both)|dense|lanczos for (?:low|high|both)), "
+    r"(\d+) Lanczos steps, (\d+) reorthogonalizations")
+JOINT_RECORD = re.compile(
+    r"joint solve of (.+): (\d+) states, (\d+) entries, "
+    r"(dense|lanczos for (?:low|high|both)), "
+    r"(\d+) Lanczos steps, (\d+) reorthogonalizations")
+
+
+def central_sectors(name: str):
+    """(sectors, matrix, offsets): the central spin sectors of a fixture and
+    sector_matrix's block-diagonal matrix of them."""
+    n = hamiltonian(name).n_orbitals
+    sectors = [(n_e // 2, n_e - n_e // 2) for n_e in range(2 * n + 1)]
+    matrix, offsets = sector_matrix(
+        pauli_sum_of_hamiltonian(hamiltonian(name)), sectors)
+    return sectors, matrix, offsets
+
+
+def spectral_records(name: str, caplog):
+    """spectral_range's DEBUG records on a fixture, parsed: the joint solves
+    as (sectors, states, entries, path, steps) and then the sectors as
+    ((n_alpha, n_beta), states, entries, lower, upper, path, steps), each in
+    logging order."""
+    with caplog.at_level(logging.DEBUG, logger="fermilcu"):
+        spectral_range(hamiltonian(name))
+    joint, sectors = [], []
+    for record in caplog.records:
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        found = JOINT_RECORD.fullmatch(message)
+        if found:
+            members, states, stored, path, steps, _ = found.groups()
+            assert not sectors, "joint solves come first"
+            joint.append(([tuple(map(int, m)) for m in re.findall(
+                r"\((\d+), (\d+)\)", members)], int(states), int(stored),
+                path, int(steps)))
+            continue
+        n_alpha, n_beta, states, stored, low, high, path, steps, _ = (
+            SECTOR_RECORD.fullmatch(message).groups())
+        sectors.append(((int(n_alpha), int(n_beta)), int(states), int(stored),
+                        float(low), float(high), path, int(steps)))
+    return joint, sectors
+
+
 class TestSpectralRange:
     def test_h2_extremes_match_pinned_values(self):
         sr = spectral_range(hamiltonian("h2"))
@@ -239,36 +287,53 @@ class TestSpectralRange:
         assert (sr.e_min, sr.e_max) == (pytest.approx(-n), pytest.approx(n))
 
     def test_logs_one_record_per_sector(self, caplog):
-        maj = hamiltonian("beh2")
-        sectors = [(n_e // 2, n_e - n_e // 2) for n_e in range(15)]
-        matrix, offsets = sector_matrix(pauli_sum_of_hamiltonian(maj), sectors)
-        # solved, and logged, smallest first; equal sizes by electron count
-        order = sorted(range(len(sectors)),
-                       key=lambda k: offsets[k + 1] - offsets[k])
-        with caplog.at_level(logging.DEBUG, logger="fermilcu"):
-            spectral_range(maj)
-        records = [r for r in caplog.records if r.name.startswith("fermilcu")]
-        assert len(records) == len(sectors)
-        entries = 0
-        for record, k in zip(records, order):
-            sector, a, b = sectors[k], offsets[k], offsets[k + 1]
-            assert record.levelno == logging.DEBUG
-            found = re.fullmatch(
-                r"sector \((\d+), (\d+)\): (\d+) states, (\d+) entries, "
-                r"discs \[(\S+), (\S+)\], "
-                r"(pruned|dense|lanczos for (?:low|high|both)), "
-                r"(\d+) Lanczos steps, (\d+) reorthogonalizations",
-                record.getMessage())
-            n_alpha, n_beta, states, stored, low, high, path, steps, _ = (
-                found.groups())
-            assert (int(n_alpha), int(n_beta), int(states)) == (*sector, b - a)
-            assert float(low) <= float(high)
-            lanczos = b - a > DENSE_STATES
-            if path != "pruned":
-                assert path.startswith("lanczos") == lanczos
-            assert (int(steps) > 0) == path.startswith("lanczos")
-            entries += int(stored)
-        assert entries == matrix.nnz
+        # beh2 solves large sectors on their own; chain_h06 joins its small
+        # candidates into one Lanczos run per end, sector (3, 3) into both
+        for name in ("beh2", "chain_h06"):
+            caplog.clear()
+            joint, records = spectral_records(name, caplog)
+            sectors, matrix, offsets = central_sectors(name)
+            # solved, and logged, smallest first; equal sizes by electron count
+            order = sorted(range(len(sectors)),
+                           key=lambda k: offsets[k + 1] - offsets[k])
+            assert len(records) == len(sectors)
+            entries, joined = 0, {}
+            for (sector, states, stored, low, high, path, steps), k in zip(
+                    records, order):
+                a, b = offsets[k], offsets[k + 1]
+                assert (sector, states) == (sectors[k], b - a)
+                assert low <= high
+                small = b - a <= DENSE_STATES
+                if path.startswith("joint"):
+                    assert small and steps == 0
+                    joined[sector] = path.removeprefix("joint for ")
+                elif path != "pruned":
+                    assert not small
+                    assert path.startswith("lanczos") and steps > 0
+                entries += stored
+            assert entries == matrix.nnz
+            # each joined sector is in the joint solves of its ends
+            size = {s: offsets[k + 1] - offsets[k] for k, s in enumerate(sectors)}
+            nnz = {s: matrix.indptr[offsets[k + 1]] - matrix.indptr[offsets[k]]
+                   for k, s in enumerate(sectors)}
+            ends = {}
+            for members, states, stored, path, steps in joint:
+                assert states == sum(size[s] for s in members)
+                assert stored == sum(nnz[s] for s in members)
+                assert (path == "dense") == (states <= DENSE_STATES)
+                assert (steps > 0) == path.startswith("lanczos")
+                side = ("both" if path == "dense"
+                        else path.removeprefix("lanczos for "))
+                for s in members:
+                    ends.setdefault(s, set()).update(
+                        ("low", "high") if side == "both" else (side,))
+            assert set(ends) == set(joined)
+            for s, side in joined.items():
+                assert ({"low", "high"} if side == "both" else {side}) <= ends[s]
+        assert [(members, path) for members, *_, path, _ in joint] == [
+            ([(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5)],
+             "lanczos for low"),
+            ([(0, 0), (3, 3)], "lanczos for high")]
 
     @pytest.mark.parametrize("name, least_pruned", [
         ("lih", 1), ("beh2", 1), ("h2o", 1), ("chain_h06", 0)])
@@ -293,6 +358,67 @@ class TestSpectralRange:
         for e in eigs:
             assert e[0] >= sr.e_min - 1e-12 * scale
             assert e[-1] <= sr.e_max + 1e-12 * scale
+
+    @pytest.mark.parametrize("name", ["lih", "h2o", "chain_h06"])
+    def test_diagonal_bound_picks_the_candidate_sectors(self, name, caplog):
+        # the smallest diagonal entry bounds e_min from above and the
+        # largest e_max from below; a sector is a candidate for an end
+        # exactly when its discs reach that bound, and pruned when neither
+        sectors, matrix, offsets = central_sectors(name)
+        dense = [matrix[a:b, a:b].toarray() for a, b in zip(offsets, offsets[1:])]
+        centre = [np.diag(d).real for d in dense]
+        radius = [np.abs(d).sum(axis=1) - np.abs(c) for d, c in zip(dense, centre)]
+        d_min = min(c.min() for c in centre)
+        d_max = max(c.max() for c in centre)
+        joint, records = spectral_records(name, caplog)
+        by_sector = {record[0]: record for record in records}
+        pruned = 0
+        for k, sector in enumerate(sectors):
+            low = (centre[k] - radius[k]).min() <= d_min
+            high = (centre[k] + radius[k]).max() >= d_max
+            path = by_sector[sector][5]
+            if offsets[k + 1] - offsets[k] <= DENSE_STATES:
+                side = "both" if low and high else "low" if low else "high"
+                assert path == (f"joint for {side}" if low or high
+                                else "pruned"), sector
+            elif path.startswith("lanczos for "):
+                side = path.removeprefix("lanczos for ")
+                assert (low or side == "high") and (high or side == "low")
+            elif not (low or high):
+                assert path == "pruned"
+            pruned += path == "pruned"
+        assert pruned >= {"lih": 8, "h2o": 8, "chain_h06": 6}[name]
+        eigs = np.concatenate([np.linalg.eigvalsh(d) for d in dense])
+        sr = spectral_range(hamiltonian(name))
+        scale = np.abs(eigs).max()
+        assert abs(sr.e_min - eigs.min()) <= 1e-12 * scale
+        assert abs(sr.e_max - eigs.max()) <= 1e-12 * scale
+
+    def test_joint_run_finds_extremes_hidden_in_small_blocks(self, caplog):
+        # a 5-state block holds the minimum and a 7-state block the
+        # maximum, joined with blocks of 350 and 300 states into one
+        # Lanczos run; a 500-state block is solved on its own
+        from scipy.sparse import block_diag, csr_matrix
+
+        blocks = [random_sparse_symmetric(350, 0.02, 1),
+                  csr_matrix(-3.0 * np.ones((5, 5))),
+                  random_sparse_symmetric(500, 0.02, 3),
+                  random_sparse_symmetric(300, 0.02, 2),
+                  csr_matrix(2.5 * np.ones((7, 7)))]
+        matrix = block_diag(blocks, format="csr")
+        offsets = np.concatenate([[0], np.cumsum([b.shape[0] for b in blocks])])
+        labels = ["A", "B", "C", "D", "E"]
+        with caplog.at_level(logging.DEBUG, logger="fermilcu"):
+            sr = _block_range(matrix.copy(), offsets, labels)
+        eigs = np.linalg.eigvalsh(matrix.toarray())
+        assert (eigs[0], eigs[-1]) == (pytest.approx(-15.0),
+                                       pytest.approx(17.5))
+        assert abs(sr.e_min - eigs[0]) <= 1e-12 * eigs[-1]
+        assert abs(sr.e_max - eigs[-1]) <= 1e-12 * eigs[-1]
+        joint = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("joint solve")]
+        assert joint[0].startswith("joint solve of A, B, D, E: 662 states")
+        assert ", lanczos for " in joint[0]
 
     def test_disc_bounds_match_dense_rows(self):
         # beh2's blocks span several DISC_ROWS chunks
