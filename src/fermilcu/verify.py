@@ -214,8 +214,9 @@ def _solve(block, ends) -> tuple:
     Measured at one BLAS thread on the fixtures' sector blocks, the
     Lanczos run is 1-8 ms faster from about 260 states (225: dense
     2.5-3 ms, Lanczos 2.8-5.5 ms; 300: dense 5-5.7 ms, Lanczos
-    4.5-4.7 ms); the bound stays at 400, so every block of up to six
-    orbitals keeps the dense path and its memory use."""
+    4.5-4.7 ms); the bound stays at 400, so every sector of up to six
+    orbitals on its own keeps the dense path and its memory use, while a
+    joint block of such sectors above it takes the Lanczos path."""
     dim = block.shape[0]
     if dim <= DENSE_STATES:
         eigs = np.linalg.eigvalsh(block.toarray())
