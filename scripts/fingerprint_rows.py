@@ -10,9 +10,10 @@ orbital-optimization budget of 200 evaluations and 1 restart, at one BLAS
 thread. A row holds lambda and the constant as float.hex, the fragment
 count, the cost report of a costed method, the verification payload with
 its deviation also as float.hex, a SHA-256 over every block's kind and
-arrays, the rows stored over all reflection blocks (reflection_rows) and
-the bytes of every block array (block_bytes). The spectral range is taken
-once per fixture.
+arrays, a SHA-256 of the LCU's metadata as JSON with sorted keys
+(metadata), the rows stored over all reflection blocks (reflection_rows)
+and the bytes of every block array (block_bytes). The spectral range is
+taken once per fixture.
 """
 import os
 
@@ -68,6 +69,11 @@ def block_hash(blocks) -> str:
     return digest.hexdigest()
 
 
+def to_json(value) -> str:
+    """value as JSON with sorted keys, numpy values as plain lists."""
+    return json.dumps(value, sort_keys=True, default=lambda v: v.tolist())
+
+
 def row(name, method, mol, spectrum) -> dict:
     options = OO_OPTIONS if method.startswith("oo-") else {}
     maj, lcu = decompose_method(mol, method, **options)
@@ -79,6 +85,7 @@ def row(name, method, mol, spectrum) -> dict:
         "fragments": len(lcu.fragments),
         "costs": None,
         "blocks": block_hash(lcu.blocks),
+        "metadata": hashlib.sha256(to_json(lcu.metadata).encode()).hexdigest(),
         "reflection_rows": sum(block.weights.size for block in lcu.blocks
                                if block.kind == "reflection-product"),
         "block_bytes": sum(value.nbytes for block in lcu.blocks
@@ -99,8 +106,7 @@ def main() -> int:
         mol = load_fixture(name)
         spectrum = functools.cache(lambda: spectral_range(build_majorana(mol)))
         for method in METHODS:
-            print(json.dumps(row(name, method, mol, spectrum), sort_keys=True,
-                             default=lambda v: v.tolist()), flush=True)
+            print(to_json(row(name, method, mol, spectrum)), flush=True)
     return 0
 
 

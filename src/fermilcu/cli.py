@@ -14,6 +14,7 @@ import sys
 from .majorana import build_majorana
 from .report import (
     CHAIN_FIXTURES,
+    INTEGER_KEYS,
     METHODS,
     OPTION_KEYS,
     VERIFY_MAX_ORBITALS,
@@ -156,13 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="FCIDUMP path or shipped fixture name")
         p.add_argument("--method", required=True, choices=METHODS)
         # absent flags stay None, so decompose_method's defaults apply
-        p.add_argument("--sparse-threshold", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--fragments", type=int, default=None)
-        p.add_argument("--max-rank", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--oo-budget", type=int, default=None)
-        p.add_argument("--oo-restarts", type=int, default=None)
+        for key in OPTION_KEYS:
+            p.add_argument("--" + key.replace("_", "-"), default=None,
+                           type=int if key in INTEGER_KEYS else float)
 
     p = sub.add_parser("decompose", help="run one decomposition")
     add_decomp(p)

@@ -2,6 +2,11 @@
 factorization from a pivoted Cholesky of the two-body tensor, and greedy CSA
 fits. All emit blocks of rotated reflections, lcu.ReflectionBlock under
 the contract in the lcu module docstring.
+
+sf, df, csa and the L4 methods of mtd_l4 share one LCU form, which
+reflection_lcu assembles: the one-body stream (one_body_block), then the
+method's blocks, with lambda the sum of the blocks' one_norm. pauli and ac
+keep their own lambda (see the lcu module docstring).
 """
 
 from dataclasses import dataclass
@@ -21,24 +26,6 @@ SPIN_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass
-class OneBodyFragment:
-    """Eigendecomposition of the folded one-body matrix h~/2."""
-    rotation: np.ndarray
-    eigenvalues: np.ndarray
-
-    @property
-    def lambda_contribution(self) -> float:
-        return 2.0 * float(np.abs(self.eigenvalues).sum())
-
-    def block(self) -> ReflectionBlock:
-        """One row per rotated column whose eigenvalue is at least 1e-14 in
-        magnitude, with v = w that column, under the pattern of both spins."""
-        keep = np.abs(self.eigenvalues) >= 1e-14
-        rows = self.rotation.T[keep]
-        return ReflectionBlock(self.eigenvalues[keep], ((0,), (1,)), (rows, rows))
-
-
-@dataclass
 class CsaFragment:
     rotation: np.ndarray
     coefficients: np.ndarray  # symmetric lambda matrix in the rotated basis
@@ -52,10 +39,36 @@ class CsaResult:
     evaluations: int = 0  # value-and-gradient calls of the fit
 
 
-def diagonalize_one_body(maj: MajoranaHamiltonian) -> OneBodyFragment:
-    """Split h~/2 into rotation and eigenvalues; 1-norm cost is 2 sum|mu|."""
-    lam, u = eigh(0.5 * maj.h_tilde)
-    return OneBodyFragment(rotation=u, eigenvalues=lam)
+def one_body_block(matrix) -> ReflectionBlock:
+    """The one-body stream of a symmetric matrix sum_a mu_a u_a u_a^T: one
+    row of weight mu_a per eigenvector u_a whose eigenvalue is at least
+    1e-14 in magnitude, with v = w = u_a, under the pattern of both spins;
+    its one_norm is 2 sum|mu| over those rows."""
+    mu, u = eigh(matrix)
+    keep = np.abs(mu) >= 1e-14
+    rows = u.T[keep]
+    return ReflectionBlock(mu[keep], ((0,), (1,)), (rows, rows))
+
+
+def diagonalize_one_body(maj: MajoranaHamiltonian) -> ReflectionBlock:
+    """The one-body stream of h~/2 (one_body_block)."""
+    return one_body_block(0.5 * maj.h_tilde)
+
+
+def reflection_lcu(method, one_body, blocks, constant,
+                   metadata) -> LcuDecomposition:
+    """The LCU of one_body, then blocks, plus constant: lambda is the sum of
+    the blocks' one_norm, the one-body stream's share reported as
+    one_body_lambda ahead of metadata's own keys."""
+    blocks = (one_body, *blocks)
+    return LcuDecomposition(
+        method=method,
+        n_orbitals=one_body.directions[0].shape[1],
+        blocks=blocks,
+        one_norm=sum(block.one_norm for block in blocks),
+        constant=constant,
+        metadata={"one_body_lambda": one_body.one_norm, **metadata},
+    )
 
 
 def _pair_blocks(u, lam):
@@ -119,10 +132,8 @@ def _truncation_metadata(maj, delta):
 
 
 def _base_constant(maj: MajoranaHamiltonian) -> float:
-    """core + tr h, with h recovered from the stored folded matrix."""
-    h = maj.h_tilde - 2.0 * np.einsum("ijkk->ij", maj.g)
-    core = maj.h0 - np.trace(h) - np.einsum("iijj->", maj.g)
-    return float(core + np.trace(h))
+    """h0 - sum_ij g_iijj, the constant before any factor's share."""
+    return float(maj.h0 - np.einsum("iijj->", maj.g))
 
 
 def cholesky_sf(maj: MajoranaHamiltonian,
@@ -135,7 +146,6 @@ def cholesky_sf(maj: MajoranaHamiltonian,
     the constant.
     """
     factors, delta = pivoted_cholesky(maj, tol)
-    one_body = diagonalize_one_body(maj)
     constant = _base_constant(maj)
     weights, norms = [], []
     for w in factors:
@@ -145,23 +155,12 @@ def cholesky_sf(maj: MajoranaHamiltonian,
         weights.append(weight)
         constant += d * d + weight
         norms.append(norm)
-    lam = one_body.lambda_contribution + sum(weights)
     metadata = _truncation_metadata(maj, delta)
-    metadata.update({
-        "n_factors": len(factors),
-        "fragment_weights": weights,
-        "one_body_lambda": one_body.lambda_contribution,
-    })
-    return LcuDecomposition(
-        method="sf",
-        n_orbitals=maj.n_orbitals,
-        blocks=(one_body.block(), PolyBlock(
-            weights, np.reshape(factors, (-1, maj.n_orbitals, maj.n_orbitals)),
-            norms)),
-        one_norm=float(lam),
-        constant=constant,
-        metadata=metadata,
-    )
+    metadata.update({"n_factors": len(factors), "fragment_weights": weights})
+    poly = PolyBlock(weights, np.reshape(
+        factors, (-1, maj.n_orbitals, maj.n_orbitals)), norms)
+    return reflection_lcu("sf", diagonalize_one_body(maj), (poly,), constant,
+                          metadata)
 
 
 def double_factorize(maj: MajoranaHamiltonian,
@@ -170,17 +169,15 @@ def double_factorize(maj: MajoranaHamiltonian,
     reflections.
 
     Fragment coefficients are mu_a mu_b / 2 over distinct index-spin pairs,
-    so each factor contributes (sum|mu|)^2 - (1/2) sum mu^2 to the 1-norm;
+    so each factor's blocks hold (sum|mu|)^2 - (1/2) sum mu^2 of the 1-norm;
     the reported per-factor weight keeps the (N_l^DF)^2 / 2 form with
     N_l^DF = sum_i |mu_i|. The factors come from pivoted_cholesky at tol;
     eigenvalues below EIGENVALUE_FLOOR are dropped and their weight is
     accumulated in the metadata.
     """
     factors, delta = pivoted_cholesky(maj, tol)
-    one_body = diagonalize_one_body(maj)
-    blocks = [one_body.block()]
+    blocks = []
     constant = _base_constant(maj)
-    lam2 = 0.0
     weights = []
     eigenvalue_loss = 0.0
     for w in factors:
@@ -188,29 +185,18 @@ def double_factorize(maj: MajoranaHamiltonian,
         keep = np.abs(lam) >= EIGENVALUE_FLOOR
         eigenvalue_loss += float(np.abs(lam)[~keep].sum())
         mu = lam[keep]
-        uk = u[:, keep]
         d = float(np.trace(w))
-        m1 = float(np.abs(mu).sum())
-        m2 = float((mu * mu).sum())
-        weights.append(m1 * m1 / 2.0)
-        constant += d * d + 0.5 * m2
-        lam2 += m1 * m1 - 0.5 * m2
-        blocks.extend(_pair_blocks(uk, np.outer(mu, mu)))
+        weights.append(float(np.abs(mu).sum()) ** 2 / 2.0)
+        constant += d * d + 0.5 * float((mu * mu).sum())
+        blocks.extend(_pair_blocks(u[:, keep], np.outer(mu, mu)))
     metadata = _truncation_metadata(maj, delta)
     metadata.update({
         "n_factors": len(factors),
         "fragment_weights": weights,
         "eigenvalue_loss": eigenvalue_loss,
-        "one_body_lambda": one_body.lambda_contribution,
     })
-    return LcuDecomposition(
-        method="df",
-        n_orbitals=maj.n_orbitals,
-        blocks=tuple(blocks),
-        one_norm=float(one_body.lambda_contribution + lam2),
-        constant=constant,
-        metadata=metadata,
-    )
+    return reflection_lcu("df", diagonalize_one_body(maj), blocks, constant,
+                          metadata)
 
 
 @lru_cache(maxsize=None)
@@ -380,32 +366,19 @@ def csa_lcu(maj: MajoranaHamiltonian, result: CsaResult) -> LcuDecomposition:
     Number-operator diagonals fold into the effective one-body matrix and the
     constant before any 1-norm is evaluated.
     """
-    n = maj.n_orbitals
-    h = maj.h_tilde - 2.0 * np.einsum("ijkk->ij", maj.g)
-    lam_eff = 0.5 * h
+    lam_eff = 0.5 * maj.h_tilde - np.einsum("ijkk->ij", maj.g)
     constant = _base_constant(maj)
     pairs = []
-    lam2 = 0.0
     for frag in result.fragments:
         u, lam = frag.rotation, frag.coefficients
         rowsum = lam.sum(axis=1)
         lam_eff = lam_eff + u @ np.diag(rowsum) @ u.T
         constant += float(lam.sum() + 0.5 * np.trace(lam))
-        lam2 += float(np.abs(lam).sum() - 0.5 * np.abs(np.diag(lam)).sum())
         pairs.extend(_pair_blocks(u, lam))
-    eigs, u0 = eigh(lam_eff)
-    one_body = OneBodyFragment(rotation=u0, eigenvalues=eigs)
     metadata = _truncation_metadata(maj, result.residual)
     metadata["n_fragments"] = len(result.fragments)
-    metadata["one_body_lambda"] = one_body.lambda_contribution
     metadata["converged"] = result.converged
     metadata["evaluations"] = result.evaluations
     metadata["residual"] = float(np.linalg.norm(result.residual))
-    return LcuDecomposition(
-        method="csa",
-        n_orbitals=n,
-        blocks=(one_body.block(), *pairs),
-        one_norm=float(one_body.lambda_contribution + lam2),
-        constant=constant,
-        metadata=metadata,
-    )
+    return reflection_lcu("csa", one_body_block(lam_eff), pairs, constant,
+                          metadata)

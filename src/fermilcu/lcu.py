@@ -28,6 +28,14 @@ read-only sequence over the blocks: its length is the sum of the block
 sizes, and indexing or iteration builds the Fragment view of a row, whose
 arrays are row views of the block's. Views are for inspection and for
 fragment_pauli_sum in tests/reference.py, the per-fragment reference.
+
+lambda is the sum of the fragment coefficients. ReflectionBlock and
+PolyBlock give their share as one_norm, and every LCU built from them (sf,
+df, csa, the L4 methods) takes lambda as the sum of its blocks' shares
+(fermionic_lcu.reflection_lcu). pauli keeps the tensor 1-norm, which also
+counts the terms its threshold drops and the products that collapse to the
+identity, and ac the left-to-right sum of its group norms, which orbital
+optimization follows bit for bit.
 """
 
 import bisect
@@ -184,6 +192,11 @@ class ReflectionBlock:
     def __len__(self) -> int:
         return self.weights.size * len(self.spins)
 
+    @property
+    def one_norm(self) -> float:
+        """M sum|w|, the coefficients of the block's fragments summed."""
+        return len(self.spins) * float(np.abs(self.weights).sum())
+
     def fragment(self, k: int) -> Fragment:
         row, entry = divmod(k, len(self.spins))
         v, w = self.directions[::2], self.directions[1::2]
@@ -210,6 +223,11 @@ class PolyBlock:
 
     def __len__(self) -> int:
         return self.weights.size
+
+    @property
+    def one_norm(self) -> float:
+        """sum w, the coefficients of the block's fragments summed."""
+        return float(self.weights.sum())
 
     def fragment(self, k: int) -> Fragment:
         return Fragment(float(self.weights[k]), self.kind,
@@ -254,9 +272,6 @@ class LcuDecomposition:
     @property
     def fragments(self) -> Fragments:
         return Fragments(self.blocks)
-
-    def coefficient_sum(self) -> float:
-        return float(sum(f.coefficient for f in self.fragments))
 
     def __len__(self) -> int:
         return len(self.fragments)

@@ -12,7 +12,9 @@ stacks of direction vectors in entry order, the method label, the scheme's
 own metadata and the residual of the fit. l4_lcu reads the arrays directly:
 each weight above WEIGHT_TOL is stored once, as one row of a two-reflection
 lcu.ReflectionBlock under the pattern of the four spin pairs (see the lcu
-module docstring), so weights enter the 1-norm as 4 sum|omega|.
+module docstring), and fermionic_lcu.reflection_lcu assembles the LCU, so
+lambda is the one-body stream's 2 sum|mu| plus that block's one_norm,
+4 sum|omega|.
 
 l4-cp4 searches for the smallest rank that meets the tolerance, doubling
 and then bisecting, and warm-starts each trial rank from the factors of an
@@ -26,9 +28,8 @@ import numpy as np
 from scipy.linalg import khatri_rao
 from scipy.linalg.lapack import dposv
 
-from .fermionic_lcu import SPIN_PAIRS, OneBodyFragment
+from .fermionic_lcu import SPIN_PAIRS, reflection_lcu
 from .lcu import LcuDecomposition, ReflectionBlock
-from .qubit_lcu import _running_sum
 
 WEIGHT_TOL = 1e-12
 ALS_MAX_SWEEPS = 300
@@ -319,12 +320,13 @@ def cp4_als(g: np.ndarray, max_rank: int = None, tol: float = 1e-6,
                    trial_sweeps=[fit[3] for fit in tried.values()])
 
 
-def l4_lcu(factors: QuarticFactors, one_body: OneBodyFragment,
+def l4_lcu(factors: QuarticFactors, one_body: ReflectionBlock,
            constant: float = 0.0) -> LcuDecomposition:
-    """Blocks: the one-body reflections, then one row of double reflections
-    per weight above WEIGHT_TOL, in entry order, under the pattern of the
-    four spin pairs; the columns at those weights must be unit to 1e-8.
-    The record's metadata is reported after the common keys.
+    """Blocks: the one-body stream (fermionic_lcu.one_body_block), then one
+    row of double reflections per weight above WEIGHT_TOL, in entry order,
+    under the pattern of the four spin pairs; the columns at those weights
+    must be unit to 1e-8. The record's metadata is reported after the
+    common keys.
     """
     kept = np.abs(factors.weights) > WEIGHT_TOL
     omega = factors.weights[kept]
@@ -333,16 +335,8 @@ def l4_lcu(factors: QuarticFactors, one_body: OneBodyFragment,
         raise ValueError("direction vectors must be unit")
     quads = ReflectionBlock(omega, SPIN_PAIRS, [v.T for v in vecs])
     metadata = {"n_weights": omega.size,
-                "one_body_lambda": one_body.lambda_contribution,
                 "loss": float(factors.loss),
                 "truncation_bound": float(factors.loss_abs)}
     metadata.update(factors.metadata)
-    return LcuDecomposition(
-        method=factors.method,
-        n_orbitals=one_body.rotation.shape[0],
-        blocks=(one_body.block(), quads),
-        one_norm=float(one_body.lambda_contribution
-                       + _running_sum(4.0 * np.abs(omega))),
-        constant=constant,
-        metadata=metadata,
-    )
+    return reflection_lcu(factors.method, one_body, (quads,), constant,
+                          metadata)

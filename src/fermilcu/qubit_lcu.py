@@ -54,8 +54,12 @@ ANGLE_SWEEPS = 40
 def sparse_pauli_lcu(maj: MajoranaHamiltonian, threshold: float = 1e-5) -> LcuDecomposition:
     """One fragment per tensor entry: Q for h~ and ordered QQ products for g.
 
-    The 1-norm is taken directly on the tensors, sum|h~| + sum|g|, so it is
-    independent of the reporting threshold. Products that collapse to the
+    A term is dropped when its tensor entry, |h~_ij| or |g_ijkl|, is at
+    most threshold, the rule resources.sparse_term_count prices by (the
+    sparse method thresholds the integrals; Berry et al., Quantum 3, 208,
+    2019), or when its weight is below COEFF_TOL; dropped_weight sums them
+    all. The 1-norm is taken directly on the tensors, sum|h~| + sum|g|, so
+    it is independent of the threshold. Products that collapse to the
     identity go to the constant instead of the fragment list. Fragments and
     running sums follow the row-major order of Q_a and of (Q_a, Q_b).
     """
@@ -70,16 +74,18 @@ def sparse_pauli_lcu(maj: MajoranaHamiltonian, threshold: float = 1e-5) -> LcuDe
     z = np.concatenate([qz, z.ravel()[~identity]])
     c = np.concatenate([c1, c2[~identity]])
     weight = np.abs(c)
-    kept = weight >= COEFF_TOL
-    drop = kept & (weight < threshold)
-    kept &= ~drop
+    # the Pauli weights are exactly |h~| / 2 and |g| / 4
+    entry = weight * np.repeat([2.0, 4.0], [c1.size, c.size - c1.size])
+    kept = (weight >= COEFF_TOL) & (entry > threshold)
     # every coefficient is purely real or purely imaginary, so its unit
     # phase is exact from the signs; c / |c| can miss a unit by an ulp
     phase = np.sign(c[kept].real) + 1j * np.sign(c[kept].imag)
     block = PauliBlock(2 * n, weight[kept], x[kept], z[kept], phase)
     if abs(constant.imag) > 1e-9:
         raise AssertionError("constant failed to come out real")
-    dropped = _running_sum(weight[drop])
+    # every term left out counts, those below COEFF_TOL too, so the
+    # truncation bound covers the whole difference from H
+    dropped = _running_sum(weight[~kept])
     one_norm = float(np.abs(maj.h_tilde).sum() + np.abs(maj.g).sum())
     return LcuDecomposition(
         method="pauli",

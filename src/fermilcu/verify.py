@@ -224,13 +224,6 @@ def _solve(block, ends) -> tuple:
     return _lanczos_extremes(block.dot, dim, block.dtype, ends)
 
 
-def _extremes(block, ends=(True, True)) -> tuple:
-    """(lowest, highest, Lanczos steps) of a Hermitian sparse block
-    (_solve), both ends by default; after a Lanczos run, an end that ends
-    does not ask for is None."""
-    return _solve(block, ends)[:3]
-
-
 def _disc_bounds(matrix, offsets) -> tuple:
     """(lower, upper): per diagonal block of a block-diagonal Hermitian CSR
     matrix, block k spanning rows offsets[k] to offsets[k+1], the bounds

@@ -64,33 +64,37 @@ def toy(h_tilde: np.ndarray, g: np.ndarray = None) -> MajoranaHamiltonian:
     return MajoranaHamiltonian(n_orbitals=n, h0=0.0, h_tilde=h_tilde, g=g)
 
 
+def rebuilt(block):
+    """sum_a w_a v_a v_a^T over a one-body block's rows."""
+    v = block.directions[0]
+    return (v.T * block.weights) @ v
+
+
 class TestDiagonalizeOneBody:
     def test_identity_matrix(self):
         frag = diagonalize_one_body(toy(2.0 * np.eye(2)))
-        assert frag.lambda_contribution == pytest.approx(4.0, abs=1e-12)
+        assert frag.one_norm == pytest.approx(4.0, abs=1e-12)
 
     def test_mixed_signs(self):
         a = 1.3
         frag = diagonalize_one_body(toy(np.diag([2 * a, -2 * a])))
-        assert frag.lambda_contribution == pytest.approx(4 * a, abs=1e-12)
+        assert frag.one_norm == pytest.approx(4 * a, abs=1e-12)
 
     def test_eigendecomposition_invariant(self, any_molecule):
         maj = hamiltonian(any_molecule)
         frag = diagonalize_one_body(maj)
-        rebuilt = frag.rotation @ np.diag(frag.eigenvalues) @ frag.rotation.T
-        assert np.abs(rebuilt - 0.5 * maj.h_tilde).max() < 1e-10
+        assert np.abs(rebuilt(frag) - 0.5 * maj.h_tilde).max() < 1e-10
 
     def test_h2_residual(self, h2):
         maj = h2
         frag = diagonalize_one_body(maj)
-        rebuilt = frag.rotation @ np.diag(frag.eigenvalues) @ frag.rotation.T
-        assert np.abs(rebuilt - 0.5 * maj.h_tilde).max() < 1e-12
+        assert np.abs(rebuilt(frag) - 0.5 * maj.h_tilde).max() < 1e-12
 
     @pytest.mark.parametrize("name", sorted(FROZEN))
     def test_frozen_contribution(self, name):
         maj = hamiltonian(name)
         frag = diagonalize_one_body(maj)
-        assert frag.lambda_contribution == pytest.approx(FROZEN[name][0], abs=1e-8)
+        assert frag.one_norm == pytest.approx(FROZEN[name][0], abs=1e-8)
 
 
 class TestPivotedCholesky:
@@ -154,7 +158,8 @@ class TestCholeskySf:
     def test_coefficients_are_positive(self, h2):
         lcu = cholesky_sf(h2)
         assert all(f.coefficient > 0 for f in lcu.fragments)
-        assert lcu.coefficient_sum() == pytest.approx(lcu.one_norm, abs=1e-12)
+        assert sum(f.coefficient for f in lcu.fragments) == pytest.approx(
+            lcu.one_norm, abs=1e-12)
 
     def test_weights_match_factor_norms(self, h2):
         maj = h2
@@ -218,7 +223,7 @@ class TestDoubleFactorize:
         for name in ("lih", "h2o"):
             for method in ("sf", "df", "csa", "l4-svd", "l4-mps", "l4-cp4"):
                 lcu = factorized_lcu(method, name)
-                assert lcu.coefficient_sum() == pytest.approx(
+                assert sum(f.coefficient for f in lcu.fragments) == pytest.approx(
                     lcu.one_norm, abs=1e-12), f"{method} {name}"
 
 
@@ -315,7 +320,8 @@ class TestCsa:
         maj = h2
         out = csa_decompose(maj, 2)
         lcu = csa_lcu(maj, out)
-        assert lcu.coefficient_sum() == pytest.approx(lcu.one_norm, abs=1e-10)
+        assert sum(f.coefficient for f in lcu.fragments) == pytest.approx(
+            lcu.one_norm, abs=1e-10)
 
     def test_peel_seed_keeps_its_projectors(self):
         # the h2o peel's eigenvector matrix has det -1, which logm cannot pack

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fermilcu import mtd_l4
-from fermilcu.fermionic_lcu import OneBodyFragment, diagonalize_one_body
+from fermilcu.fermionic_lcu import diagonalize_one_body, one_body_block
 from fermilcu.mtd_l4 import (
     WEIGHT_TOL,
     QuarticFactors,
@@ -48,7 +48,7 @@ def quartic(v):
 
 
 def trivial_one_body(n):
-    return OneBodyFragment(rotation=np.eye(n), eigenvalues=np.zeros(n))
+    return one_body_block(np.zeros((n, n)))
 
 
 class TestMps:
@@ -322,7 +322,8 @@ class TestL4Lcu:
     def test_lambda_matches_fragment_sum(self, h2):
         ob = diagonalize_one_body(h2)
         lcu = l4_lcu(svd_chain_factorize(h2.g), ob)
-        assert lcu.coefficient_sum() == pytest.approx(lcu.one_norm, abs=1e-10)
+        assert sum(f.coefficient for f in lcu.fragments) == pytest.approx(
+            lcu.one_norm, abs=1e-10)
 
 
 @pytest.mark.parametrize("factorize", [
@@ -344,8 +345,7 @@ def test_record_contract(factorize):
     delta = factors.reconstruct() - g
     assert (delta * delta).sum() < 1e-6
     assert np.abs(delta).sum() <= factors.loss_abs + 1e-12
-    one_body = OneBodyFragment(rotation=np.eye(3),
-                               eigenvalues=np.array([0.5, 0.0, -0.25]))
+    one_body = one_body_block(np.diag([0.5, 0.0, -0.25]))
     lcu = l4_lcu(factors, one_body)
     assert lcu.method == factors.method
     assert lcu.metadata["n_weights"] == int(kept.sum())

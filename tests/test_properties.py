@@ -29,7 +29,7 @@ from reference import (
     rotate_hamiltonian,
     sector_states,
 )
-from fermilcu.fermionic_lcu import _csa_cost
+from fermilcu.fermionic_lcu import _csa_cost, one_body_block
 from fermilcu.integrals import load_fixture
 from fermilcu.lcu import (
     AcBlock,
@@ -83,7 +83,7 @@ from fermilcu.report import METHODS, decompose_method
 from fermilcu.verify import (
     DENSE_STATES,
     _difference_terms,
-    _extremes,
+    _solve,
     spectral_range,
     verify_norm_bound,
     verify_reconstruction,
@@ -504,7 +504,8 @@ class TestAnticommutingGroups:
                             assert not words[a].commutes_with(words[b])
                     assert fragment.coefficient == pytest.approx(
                         np.linalg.norm(group.coeffs))
-                assert lcu.one_norm == pytest.approx(lcu.coefficient_sum())
+                assert lcu.one_norm == pytest.approx(
+                    sum(f.coefficient for f in lcu.fragments))
 
 
 class TestFactorizationReconstruction:
@@ -695,6 +696,37 @@ class TestFragmentViews:
         assert np.all(np.abs(difference.coeffs) <= 1e-12)
 
 
+class TestBlockNorms:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 6), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_one_norm_is_the_view_coefficient_sum(self, n, size, poly, seed):
+        # a reflection block's M spin tuples each give a view per row
+        make = _random_poly_block if poly else _random_reflection_block
+        block = make(n, size, np.random.default_rng(seed))
+        assert block.one_norm == pytest.approx(
+            sum(f.coefficient for f in Fragments((block,))), rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+    def test_one_body_rows_rebuild_the_matrix(self, n, rank, seed):
+        # a random symmetric matrix of rank at most `rank`, so some
+        # eigenvalues are zero to rounding and their rows are left out
+        rng = np.random.default_rng(seed)
+        factor = rng.normal(size=(n, min(rank, n)))
+        matrix = factor @ np.diag(rng.normal(size=factor.shape[1])) @ factor.T
+        matrix = 0.5 * (matrix + matrix.T)
+        block = one_body_block(matrix)
+        v = block.directions[0]
+        np.testing.assert_array_equal(block.directions[1], v)
+        assert block.spins.tolist() == [[0], [1]]
+        np.testing.assert_allclose((v.T * block.weights) @ v, matrix,
+                                   atol=1e-12 * max(1.0, np.abs(matrix).max()))
+        mu = np.linalg.eigvalsh(matrix)
+        assert block.one_norm == pytest.approx(2.0 * np.abs(mu).sum(),
+                                               rel=1e-12, abs=1e-12)
+
+
 def _view_arrays(view):
     unit = view.unitary
     if view.kind == "ac-group":
@@ -754,7 +786,7 @@ class TestLanczosExtremes:
            st.sampled_from([0.003, 0.02, 0.1]), st.integers(0, 2 ** 32 - 1))
     def test_both_ends_match_dense_spectrum(self, dim, density, seed):
         block = random_sparse_symmetric(dim, density, seed)
-        low, high, steps = _extremes(block)
+        low, high, steps = _solve(block, (True, True))[:3]
         eigs = np.linalg.eigvalsh(block.toarray())
         scale = np.abs(eigs).max()
         assert steps > 0

@@ -44,14 +44,14 @@ FROZEN = {
     "h2": (2.5005454487, 1.9065429762, 1.7252765624, 12, 10, 1.0971789364, -0.0983511021, 28),
     "lih": (15.1085448739, 10.3770419348, 9.9346510963, 142, 106, 7.7278729209, -4.1342856639, 1788),
     "beh2": (26.2769651650, 17.9519939013, 16.7391635420, 168, 131, 14.5676012603, -8.7031634691, 1840),
-    "h2o": (80.3416366584, 58.9912489058, 57.3908801290, 200, 152, 27.9291741000, -46.4239605354, 3036),
+    "h2o": (80.3416366584, 58.9912489058, 57.3908801290, 200, 152, 27.9291741000, -46.4239605354, 3052),
 }
 
 
 # columns: ac tensor λ, ac groups, ac items, pauli λ, pauli fragments
 CHAIN_FROZEN = {
-    "chain_h08": (15.354910526223108, 388, 7360, 42.04853053305262, 8064),
-    "chain_h10": (23.121151819438033, 734, 18300, 69.89616609292426, 19804),
+    "chain_h08": (15.354910526223108, 388, 7360, 42.04853053305262, 8128),
+    "chain_h10": (23.121151819438033, 734, 18300, 69.89616609292426, 19884),
 }
 
 
@@ -220,12 +220,36 @@ def test_pauli_lcu_zero_two_body_diagonal_h():
 
 
 def test_pauli_threshold_moves_weight_to_metadata():
+    # h2's smallest nonzero |g| is 0.0906, so the cut must lie above it
     maj = hamiltonian("h2")
     full = sparse_pauli_lcu(maj, threshold=0.0)
-    cut = sparse_pauli_lcu(maj, threshold=0.05)
+    cut = sparse_pauli_lcu(maj, threshold=0.1)
     assert len(cut.fragments) < len(full.fragments)
     assert cut.one_norm == pytest.approx(full.one_norm)
     assert cut.metadata["dropped_weight"] > 0.0
+
+
+@pytest.mark.parametrize("name, threshold", [
+    ("h2", 0.1), ("lih", 1e-3), ("h2o", 1e-5), ("chain_h08", 1e-5),
+    ("chain_h10", 1e-5)])
+def test_pauli_threshold_drops_only_entries_at_or_below_it(name, threshold):
+    # the rule resources.sparse_term_count prices by: a term stays exactly
+    # when its tensor entry |h~_ij| or |g_ijkl| is above the threshold. Each
+    # h~_ij gives two Q words of weight |h~_ij| / 2, each g_ijkl four
+    # ordered products of weight |g_ijkl| / 4, two of which are the
+    # identity when (ij) = (kl)
+    maj = hamiltonian(name)
+    lcu = sparse_pauli_lcu(maj, threshold=threshold)
+    n = maj.n_orbitals
+    h = np.abs(maj.h_tilde)
+    g = np.abs(maj.g).reshape(n * n, n * n)
+    n_terms = (2 * (h > threshold).sum() + 4 * (g > threshold).sum()
+               - 2 * (np.diag(g) > threshold).sum())
+    assert len(lcu.fragments) == n_terms
+    dropped = (h[h <= threshold].sum() + g[g <= threshold].sum()
+               - 0.5 * np.diag(g)[np.diag(g) <= threshold].sum())
+    assert lcu.metadata["dropped_weight"] == pytest.approx(dropped, rel=1e-12,
+                                                           abs=1e-15)
 
 
 def test_sorted_insertion_single_qubit():

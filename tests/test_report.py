@@ -39,7 +39,7 @@ from fermilcu.verify import (
 )
 
 # fragments per method on chain_h10; ac's 734 groups hold 9,934 words
-CHAIN_H10_FRAGMENTS = {"pauli": 19804, "ac": 734, "df": 3630, "l4-mps": 7620}
+CHAIN_H10_FRAGMENTS = {"pauli": 19884, "ac": 734, "df": 3630, "l4-mps": 7620}
 
 
 class TestFitLoglog:
@@ -254,6 +254,20 @@ class TestDecomposeMetadata:
         assert lcu.metadata["evaluations"] > 0
         assert lcu.metadata["residual"] ** 2 == pytest.approx(
             lcu.metadata["residual_sq"], rel=1e-9, abs=1e-30)
+
+
+@pytest.mark.parametrize("name", ("h2", "lih", "beh2", "h2o"))
+@pytest.mark.parametrize("method", METHODS)
+def test_lambda_is_the_fragment_coefficient_sum(method, name):
+    # lambda against the fragment views' coefficients; pauli's tensor
+    # 1-norm also counts the terms it drops and the products that collapse
+    # to the identity
+    _, lcu = decompose_method(load_fixture(name), method, oo_budget=20,
+                              oo_restarts=1)
+    total = sum(f.coefficient for f in lcu.fragments)
+    if method.endswith("pauli"):
+        total += lcu.metadata["dropped_weight"] + lcu.metadata["identity_weight"]
+    assert lcu.one_norm == pytest.approx(total, abs=1e-10)
 
 
 class TestBlocksOnRunPath:
