@@ -321,12 +321,13 @@ def _parity_signs(masks, states):
     return 1.0 - 2.0 * parity.astype(np.float64)
 
 
-def _row_block(z_a, z_b, coeffs, states_a, states_b):
+def _row_block(z_a, z_b, coeffs, states_a, states_b, signs=_parity_signs):
     """The X-group row vector v(r) = sum_t c_t (-1)^|z_t & r| on a grid of
     rows r = (a, b), a in states_a and b in states_b, where r and every z_t
     split into the same two disjoint bit sets (z_t into z_a and z_b): the
-    sign factors, so the grid is one matrix product."""
-    return (_parity_signs(z_a, states_a).T * coeffs) @ _parity_signs(z_b, states_b)
+    sign factors, so the grid is one matrix product. signs(masks, states)
+    gives the factors, as _parity_signs computes them."""
+    return (signs(z_a, states_a).T * coeffs) @ signs(z_b, states_b)
 
 
 def _x_groups(op: PauliSum):
@@ -430,16 +431,21 @@ def sector_matrix(op: PauliSum, sectors):
     A basis state is a pair of alpha and beta strings, and the sign of a
     Z mask factors over the two, so each X group's row vector is one
     _row_block over the strings whose count its flips keep, computed once;
-    the 2^nq-row matrix is never formed. Of that grid only the central
-    cells, the rows in the given sectors, are written. Which cells those
-    are follows from the string classes alone: row (a, b) holds one cell
-    of every group whose alpha flips keep the count of a and whose beta
-    flips keep the count of b. With P counting the groups of each pair of
-    alpha and beta flip masks, and K_a, K_b the strings each mask keeps,
-    the row counts are K_a^T P K_b, and each group's grid is built once,
-    for its values. Every central cell is written, those at or below
-    PRUNE_TOL as 0, and eliminate_zeros drops them, as sparse_matrix drops
-    them.
+    the 2^nq-row matrix is never formed. The strings each alpha or beta
+    flip mask keeps are listed once per mask, and the signs are read from
+    one int8 table of (-1)^|z & s| over the N-bit strings (2^2N bytes).
+    Of that grid only the central cells, the rows in the given sectors,
+    are written: per group, the grid's row positions are looked up first,
+    and every later pass (the PRUNE_TOL zeroing, the extraction and the
+    column lookup from the cells' own strings) runs over the central cells
+    only. Which cells those are follows from the string classes alone: row
+    (a, b) holds one cell of every group whose alpha flips keep the count
+    of a and whose beta flips keep the count of b. With P counting the
+    groups of each pair of alpha and beta flip masks, and K_a, K_b the
+    strings each mask keeps, the row counts are K_a^T P K_b, and each
+    group's grid is built once, for its values. Every central cell is
+    written, those at or below PRUNE_TOL as 0, and eliminate_zeros drops
+    them, as sparse_matrix drops them.
     """
     n = op.n_qubits // 2
     strings = np.arange(1 << n, dtype=np.uint64)
@@ -457,26 +463,39 @@ def sector_matrix(op: PauliSum, sectors):
     x_a, x_b = _spin_strings(x, 0, n), _spin_strings(x, 1, n)
     z_a, z_b = _spin_strings(z, 0, n), _spin_strings(z, 1, n)
     # P and K_a, K_b of the docstring; float products of counts are exact
+    firsts = [lo for lo, _ in groups]
     (flips_a, class_a), (flips_b, class_b) = (
-        np.unique(flips[[lo for lo, _ in groups]], return_inverse=True)
-        for flips in (x_a, x_b))
+        np.unique(flips[firsts], return_inverse=True) for flips in (x_a, x_b))
     pairs = np.zeros((flips_a.size, flips_b.size))
     np.add.at(pairs, (class_a, class_b), 1.0)
-    keep_a, keep_b = ((counts[strings ^ flips[:, None]] == counts).astype(float)
+    keep_a, keep_b = (counts[strings ^ flips[:, None]] == counts
                       for flips in (flips_a, flips_b))
     row_counts = np.zeros(offsets[-1], dtype=np.int64)
     central = position >= 0
-    row_counts[position[central]] = (keep_a.T @ pairs @ keep_b)[central]
+    row_counts[position[central]] = (
+        keep_a.T.astype(float) @ pairs @ keep_b.astype(float))[central]
+    kept_a, kept_b = ([strings[k] for k in keep] for keep in (keep_a, keep_b))
+    kept = {lo: (kept_a[a], kept_b[b])
+            for lo, a, b in zip(firsts, class_a, class_b)}
+    sign_table = _parity_signs(strings, strings).astype(np.int8)
+    # a cell's string pair (a, b) as one index a 2^N + b, so a cell's column
+    # is its index XOR the group's flips
+    shift = np.uint64(n)
+    position = position.ravel()
+    flips = (x_a << shift) | x_b
+
+    def signs(masks, states):
+        return sign_table[masks[:, None], states]
 
     def entries(lo, hi):
-        rows_a = strings[counts[strings ^ x_a[lo]] == counts]
-        rows_b = strings[counts[strings ^ x_b[lo]] == counts]
-        rows = position[np.ix_(rows_a, rows_b)]
-        kept = rows >= 0
-        v = _row_block(z_a[lo:hi], z_b[lo:hi], coeffs[lo:hi], rows_a, rows_b)
+        rows_a, rows_b = kept[lo]
+        cells = ((rows_a[:, None] << shift) | rows_b).ravel()
+        rows = position[cells]
+        central = np.flatnonzero(rows >= 0)
+        v = _row_block(z_a[lo:hi], z_b[lo:hi], coeffs[lo:hi], rows_a, rows_b,
+                       signs).ravel()[central]
         v[np.abs(v) <= PRUNE_TOL] = 0
-        cols = position[np.ix_(rows_a ^ x_a[lo], rows_b ^ x_b[lo])]
-        return rows[kept], cols[kept], v[kept]
+        return rows[central], position[cells[central] ^ flips[lo]], v
 
     matrix = _csr_from_groups(row_counts, entries, groups, offsets[-1],
                               coeffs.dtype)

@@ -172,6 +172,8 @@ OPTION_RANGES = {
                          lambda v: math.isfinite(v) and v >= 0),
     **{key: ("at least 1", lambda v: v >= 1)
        for key in ("fragments", "max_rank", "oo_budget", "oo_restarts")},
+    # numpy's generators take no negative seed
+    "seed": ("an integer >= 0", lambda v: v >= 0),
 }
 
 
@@ -198,7 +200,7 @@ def decompose_method(mol: MolecularIntegrals, method: str, *,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     _check_options({"sparse_threshold": sparse_threshold, "tol": tol,
-                   "fragments": fragments, "max_rank": max_rank,
+                   "fragments": fragments, "max_rank": max_rank, "seed": seed,
                    "oo_budget": oo_budget, "oo_restarts": oo_restarts})
     base = method.removeprefix("oo-")
     entry = METHOD_TABLE[base]

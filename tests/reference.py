@@ -30,14 +30,22 @@ inputs with; no run of the package calls them.
   central-sector `spectral_range` to match.
 - `cycle_laplacian` and `random_sparse_symmetric` are operators with known
   or dense-checkable extremes for the in-package Lanczos run.
+- `grid_sector_matrix` is the sector build that runs every per-cell pass
+  over each X group's whole grid of kept strings, the reference whose CSR
+  `majorana.sector_matrix` must reproduce byte for byte.
 """
 
 import numpy as np
 
 from fermilcu.majorana import (
+    PRUNE_TOL,
     MajoranaHamiltonian,
     PauliSum,
     PauliWord,
+    _csr_from_groups,
+    _row_block,
+    _spin_strings,
+    _x_groups,
     anticommutation_rows,
     combine_terms,
     dense_matrix,
@@ -460,3 +468,51 @@ def random_sparse_symmetric(dim: int, density: float, seed: int):
     upper = sparse_random(dim, dim, density=density, random_state=rng,
                           data_rvs=rng.standard_normal)
     return (upper + upper.T + diags(rng.standard_normal(dim))).tocsr()
+
+
+def grid_sector_matrix(op: PauliSum, sectors):
+    """`majorana.sector_matrix` as it was before its per-cell passes were
+    restricted to the central cells: each X group's grid of kept strings is
+    looked up, zeroed at PRUNE_TOL and extracted whole, and the columns are
+    looked up over the whole grid. Same blocks, offsets and CSR bytes."""
+    n = op.n_qubits // 2
+    strings = np.arange(1 << n, dtype=np.uint64)
+    counts = np.bitwise_count(strings)
+    position = np.full((1 << n, 1 << n), -1, dtype=np.int64)
+    offsets = [0]
+    for n_alpha, n_beta in sectors:
+        alpha, beta = strings[counts == n_alpha], strings[counts == n_beta]
+        position[np.ix_(alpha, beta)] = offsets[-1] + np.arange(
+            alpha.size * beta.size).reshape(alpha.size, beta.size)
+        offsets.append(offsets[-1] + alpha.size * beta.size)
+    if not len(op):
+        return _csr_from_groups(0, None, [], offsets[-1], float), offsets
+    x, z, coeffs, groups = _x_groups(op)
+    x_a, x_b = _spin_strings(x, 0, n), _spin_strings(x, 1, n)
+    z_a, z_b = _spin_strings(z, 0, n), _spin_strings(z, 1, n)
+    # P and K_a, K_b of the docstring; float products of counts are exact
+    (flips_a, class_a), (flips_b, class_b) = (
+        np.unique(flips[[lo for lo, _ in groups]], return_inverse=True)
+        for flips in (x_a, x_b))
+    pairs = np.zeros((flips_a.size, flips_b.size))
+    np.add.at(pairs, (class_a, class_b), 1.0)
+    keep_a, keep_b = ((counts[strings ^ flips[:, None]] == counts).astype(float)
+                      for flips in (flips_a, flips_b))
+    row_counts = np.zeros(offsets[-1], dtype=np.int64)
+    central = position >= 0
+    row_counts[position[central]] = (keep_a.T @ pairs @ keep_b)[central]
+
+    def entries(lo, hi):
+        rows_a = strings[counts[strings ^ x_a[lo]] == counts]
+        rows_b = strings[counts[strings ^ x_b[lo]] == counts]
+        rows = position[np.ix_(rows_a, rows_b)]
+        kept = rows >= 0
+        v = _row_block(z_a[lo:hi], z_b[lo:hi], coeffs[lo:hi], rows_a, rows_b)
+        v[np.abs(v) <= PRUNE_TOL] = 0
+        cols = position[np.ix_(rows_a ^ x_a[lo], rows_b ^ x_b[lo])]
+        return rows[kept], cols[kept], v[kept]
+
+    matrix = _csr_from_groups(row_counts, entries, groups, offsets[-1],
+                              coeffs.dtype)
+    matrix.eliminate_zeros()
+    return matrix, offsets

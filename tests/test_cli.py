@@ -79,6 +79,15 @@ class TestDecompose:
         assert code == 2 and out == ""
         assert message in err
 
+    @pytest.mark.parametrize("method",
+                             ["pauli", "sf", "df", "csa", "l4-cp4", "oo-pauli"])
+    def test_negative_seed_is_exit_2(self, capsys, method):
+        # pauli, sf and df ignore the seed; the others would fail mid-run
+        code, out, err = run_cli(capsys, "decompose", "--input", "h2",
+                                 "--method", method, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert "'seed' must be an integer >= 0, not -1" in err
+
     def test_zero_sparse_threshold_keeps_every_term(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--input", "h2",
                                "--method", "pauli", "--sparse-threshold", "0")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_from_tensors, hamiltonian, pauli_sum, raw_tensors
-from reference import jordan_wigner_majorana, word_from_letters
+from reference import grid_sector_matrix, jordan_wigner_majorana, word_from_letters
 
 from fermilcu.integrals import MolecularIntegrals
 from fermilcu.majorana import (
@@ -13,6 +13,7 @@ from fermilcu.majorana import (
     dense_matrix,
     pauli_sum_of_hamiltonian,
     reflection_table,
+    sector_matrix,
     sparse_matrix,
 )
 
@@ -165,3 +166,25 @@ def test_size_guard():
     assert len(operator(16)) == 0
     with pytest.raises(ValueError, match="32 qubits"):
         operator(17)
+
+
+def assert_same_csr(matrix, expected):
+    for part in ("data", "indices", "indptr"):
+        got, want = getattr(matrix, part), getattr(expected, part)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["h2", "lih", "beh2", "h2o", "chain_h02",
+                                  "chain_h04", "chain_h06", "chain_h08"])
+def test_sector_csr_matches_grid_reference(name):
+    # the passes over the central cells write the same entries, in the same
+    # order, as the passes over each group's whole grid
+    maj = hamiltonian(name)
+    n = maj.n_orbitals
+    op = pauli_sum_of_hamiltonian(maj)
+    sectors = [(n_e // 2, n_e - n_e // 2) for n_e in range(2 * n + 1)]
+    (matrix, offsets), (expected, expected_offsets) = (
+        build(op, sectors) for build in (sector_matrix, grid_sector_matrix))
+    assert offsets == expected_offsets
+    assert_same_csr(matrix, expected)

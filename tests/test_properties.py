@@ -21,6 +21,7 @@ from reference import (
     fragment_pauli_sum,
     full_space_range,
     givens_chain_angles,
+    grid_sector_matrix,
     item_major_sorted_insertion,
     kernel_row_items,
     naive_ac_phases,
@@ -196,6 +197,37 @@ class TestPauliKernels:
             rows = sector_states(n, a, b)
             np.testing.assert_allclose(mat[lo:hi, lo:hi].toarray(),
                                        reference[np.ix_(rows, rows)], atol=1e-14)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.one_of(
+                               st.sampled_from([0, ((1 << 2 * n) - 1) // 3,
+                                                (1 << 2 * n) - 1]),
+                               st.integers(0, (1 << 2 * n) - 1)),
+                           st.integers(0, (1 << 2 * n) - 1),
+                           st.sampled_from([1.0, -1.0, 0.5, 0.5j,
+                                            1.0 - 1e-15])),
+                 min_size=1, max_size=16),
+        st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                 min_size=1, max_size=5, unique=True))))
+    @example((1, [(0, 1, 1.0), (0, 2, 1.0 - 1e-15)], [(1, 0), (0, 1)]))
+    def test_sector_csr_matches_grid_reference(self, case):
+        # any words, so most cells of a group's grid lie outside the chosen
+        # sectors; X masks drawn from a pool of three too, so groups hold
+        # several words, and a 1.0 and a 1 - 1e-15 with opposite signs leave
+        # cells of about 1e-15, below PRUNE_TOL (the example)
+        n, raw, sectors = case
+        nq = 2 * n
+        op = pauli_sum(nq, [PauliWord(nq, x, z) for x, z, _ in raw],
+                       [c for *_, c in raw])
+        (mat, offsets), (expected, expected_offsets) = (
+            build(op, sectors) for build in (sector_matrix, grid_sector_matrix))
+        assert offsets == expected_offsets
+        for part in ("data", "indices", "indptr"):
+            got, want = getattr(mat, part), getattr(expected, part)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def _word_lists(sizes, max_qubits):

@@ -461,6 +461,17 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match=re.escape(message)):
             run_pipeline(parse_config(text))
 
+    @pytest.mark.parametrize("line", ["seed = -2", "seed.csa = -2"])
+    def test_negative_seed_rejected_before_any_row(self, line, monkeypatch):
+        calls = []
+        monkeypatch.setattr("fermilcu.report.decompose_method",
+                            lambda *args, **kwargs: calls.append(args))
+        text = f"files = h2\nmethods = pauli, csa\n{line}\n"
+        with pytest.raises(ValueError, match=re.escape(
+                "'seed' must be an integer >= 0, not -2")):
+            run_pipeline(parse_config(text))
+        assert calls == []
+
     def test_per_method_override_applies(self):
         # the truncation threshold drives the kept-term count, so the
         # aggressive override must shrink PREPARE and grow the deviation

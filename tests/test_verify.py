@@ -511,6 +511,35 @@ class TestLanczosExtremes:
             assert found[1 - end] is None
             assert 0 < found[2] <= both
 
+    def test_start_finds_extremes_away_from_the_extreme_diagonal(self):
+        # Block A holds both extreme eigenvalues, the lowest 0, and has its
+        # diagonal near 2; block B's diagonal, 1 to 3.5, holds both extreme
+        # diagonal entries. A start on those entries alone stays in B's
+        # Krylov space. With the lowest eigenvalue 0, a low-end run whose
+        # stopping scale is that Ritz value alone, not the running |A q|,
+        # runs on long after the two-sided run has stopped.
+        from scipy.sparse import block_diag, diags
+
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((300, 300))
+        a = (g + g.T) / np.sqrt(600)
+        a -= np.linalg.eigvalsh(a)[0] * np.eye(300)
+        b = diags([np.linspace(1.0, 3.5, 200), np.full(199, 0.01),
+                   np.full(199, 0.01)], [0, 1, -1])
+        block = block_diag((a, b), format="csr")
+        diagonal = block.diagonal()
+        assert min(diagonal.argmin(), diagonal.argmax()) >= 300
+        assert np.linalg.eigvalsh(b.toarray())[[0, -1]] == pytest.approx(
+            [1.0, 3.5], abs=0.02)
+        eigs = np.linalg.eigvalsh(block.toarray())[[0, -1]]
+        low, high, both, _ = _solve(block, (True, True))
+        assert (low, high) == pytest.approx(eigs, abs=1e-10)
+        for ends, end in (((True, False), 0), ((False, True), 1)):
+            found = _solve(block, ends)
+            assert found[end] == pytest.approx(eigs[end], abs=1e-10)
+            assert found[1 - end] is None
+            assert 0 < found[2] <= both
+
     @pytest.mark.parametrize("name", ["beh2", "h2o"])
     def test_fixture_basis_stays_semi_orthogonal(self, name):
         n = hamiltonian(name).n_orbitals
