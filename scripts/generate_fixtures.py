@@ -7,7 +7,12 @@ standard FCIDUMP interchange format. Run from the repository root:
     python3 scripts/generate_fixtures.py [outdir]
 
 The shipped fixtures under src/fermilcu/fixtures/ were produced by this
-script; regeneration is deterministic.
+script. Regeneration reproduces h2 and chain_h02 byte for byte; the other
+integrals agree to about 1e-13 in magnitude, not always in sign. The last
+digits move with the rounding of the linear algebra, and MO columns whose
+largest-magnitude entries tie (chain_h04's mirror-symmetric orbitals) may
+come out with the opposite sign from canonicalize_mo_signs, which flips the
+sign of every integral they enter (tests/test_scripts.py pins this).
 """
 import sys
 import pathlib

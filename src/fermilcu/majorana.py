@@ -28,20 +28,23 @@ Hamiltonian here does, is block diagonal over the sectors.
 `PauliSum` is the combined record of such a sum; `PauliSum.from_arrays`
 builds it and is the one place where terms below PRUNE_TOL are dropped.
 `combine_terms` packs a word into one 64-bit key, so like terms combine on at
-most 32 qubits. `PauliWord` keeps the single-word algebra and the Kronecker
-matrix that the tests use as references.
+most 32 qubits. `PauliWord` is the frozen record of one word, (n_qubits,
+x_mask, z_mask), that the fragment views of `lcu` hold; it has no algebra,
+so `word_products` is the package's one Pauli product. The single-word
+algebra and the Kronecker matrix the tests compare against live in
+tests/reference.py, independent of `word_products`.
 
-Grouping uses two more array forms: `anticommutation_rows` packs, per word,
-one bit per word it anticommutes with (m^2/8 bytes for m words), and
-`word_sort_keys` maps a word to an integer ordered as its letter string.
-The symplectic product is bilinear over GF(2), so the row of a product word
-w1 w2 is the XOR of the rows of w1 and w2. The tensor-level AC grouping
+Grouping uses one more array form: `word_sort_keys` maps a word to an
+integer ordered as its letter string. The symplectic product is bilinear
+over GF(2), so the anticommutation row of a product word w1 w2 is the XOR
+of the rows of w1 and w2. The tensor-level AC grouping
 (`qubit_lcu._tensor_item_structure`) relies on this: it keeps only the two
 Majoranas of each of the 2N^2 reflection words, and each grouping packs,
 per Majorana, the items in rank order that hold it, and per reflection word
-the XOR of its two Majoranas' rows, not one row per item. Sorted insertion then runs group-major, each
-group a greedy scan over the items no earlier group took; placing the items
-one at a time in rank order gives the same groups (`qubit_lcu`).
+the XOR of its two Majoranas' rows, not one row per item. Sorted insertion
+then runs group-major, each group a greedy scan over the items no earlier
+group took; placing the items one at a time in rank order gives the same
+groups (`qubit_lcu`).
 """
 from __future__ import annotations
 
@@ -52,64 +55,20 @@ import numpy as np
 
 PRUNE_TOL = 1e-14
 
-_LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 # i**k for k = 0..3, indexed by the phase exponent of a word product
 _I_POWERS = np.array([1, 1j, -1, -1j])
 # combine_terms packs a word into one sort key, X mask above Z mask
 _HALF = np.uint64(32)
 _LOW = np.uint64(0xFFFFFFFF)
 
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class PauliWord:
-    """Pauli letters over n_qubits, phase-free; I=(0,0) X=(1,0) Y=(1,1) Z=(0,1)."""
+    """Pauli letters over n_qubits, phase-free; I=(0,0) X=(1,0) Y=(1,1)
+    Z=(0,1) in bit q of (x_mask, z_mask) for qubit q+1."""
     n_qubits: int
     x_mask: int
     z_mask: int
-
-    def letter(self, q: int) -> str:
-        return _LETTERS[((self.x_mask >> q) & 1, (self.z_mask >> q) & 1)]
-
-    def letters(self) -> tuple:
-        return tuple(self.letter(q) for q in range(self.n_qubits))
-
-    def __str__(self) -> str:
-        return " ".join(self.letters())
-
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
-    def commutes_with(self, other: "PauliWord") -> bool:
-        """Parity of the symplectic inner product decides (anti)commutation."""
-        parity = (self.x_mask & other.z_mask).bit_count() \
-            + (self.z_mask & other.x_mask).bit_count()
-        return parity % 2 == 0
-
-    def __mul__(self, other: "PauliWord"):
-        """Returns (word, phase) with phase in {1, -1, i, -i}."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit count mismatch")
-        x = self.x_mask ^ other.x_mask
-        z = self.z_mask ^ other.z_mask
-        k = ((self.x_mask & self.z_mask).bit_count()
-             + (other.x_mask & other.z_mask).bit_count()
-             - (x & z).bit_count()
-             + 2 * (self.z_mask & other.x_mask).bit_count())
-        return PauliWord(self.n_qubits, x, z), complex(_I_POWERS[k % 4])
-
-    def dense(self) -> np.ndarray:
-        """Kronecker composition, qubit 1 as the leftmost factor."""
-        out = np.array([[1.0 + 0j]])
-        for q in range(self.n_qubits):
-            out = np.kron(out, _PAULI_MATS[self.letter(q)])
-        return out
 
 
 def _popcount(masks) -> np.ndarray:
@@ -128,32 +87,6 @@ def word_products(x1, z1, x2, z2):
     k = (_popcount(x1 & z1) + _popcount(x2 & z2) - _popcount(x & z)
          + 2 * _popcount(z1 & x2))
     return x, z, _I_POWERS[k & 3]
-
-
-def pack_bits(bits) -> np.ndarray:
-    """Boolean rows of length m as uint64 rows of ceil(m/64) words: bit b
-    goes to word b // 64, bit b % 64; the padding bits are zero."""
-    m = bits.shape[-1]
-    packed = np.zeros(bits.shape[:-1] + (8 * -(-m // 64),), dtype=np.uint8)
-    packed[..., :-(-m // 8)] = np.packbits(bits, axis=-1, bitorder="little")
-    return packed.view("<u8").astype(np.uint64)
-
-
-def anticommutation_rows(x, z) -> np.ndarray:
-    """m x ceil(m/64) uint64 rows: bit b of row q (word b // 64, bit b % 64)
-    is set when words q and b anticommute. Row q is the XOR of the per-qubit
-    X columns (bitsets over the items) at q's Z bits and of the Z columns at
-    q's X bits, the parity of the symplectic product."""
-    m = x.size
-    shifts = np.arange(int(np.bitwise_or.reduce(x | z, initial=0)).bit_length(),
-                       dtype=np.uint64)[:, None]
-    bits = np.array([(x >> shifts) & 1, (z >> shifts) & 1], dtype=bool)
-    x_cols, z_cols = pack_bits(bits)
-    anti = np.zeros((m, x_cols.shape[-1]), dtype=np.uint64)
-    for p in range(shifts.size):
-        np.bitwise_xor(anti, x_cols[p], out=anti, where=bits[1, p, :, None])
-        np.bitwise_xor(anti, z_cols[p], out=anti, where=bits[0, p, :, None])
-    return anti
 
 
 def word_sort_keys(x, z, n_qubits: int) -> np.ndarray:
@@ -301,8 +234,8 @@ def pauli_sum_of_hamiltonian(maj: MajoranaHamiltonian) -> PauliSum:
 
 def dense_matrix(op: PauliSum) -> np.ndarray:
     """Dense matrix of a PauliSum, from sparse_matrix, so it is real when
-    every entry is; guard 2N <= 16. PauliWord.dense() is the independent
-    Kronecker form."""
+    every entry is; guard 2N <= 16. tests/reference.py has the independent
+    Kronecker form of a word."""
     if op.n_qubits > 16:
         raise ValueError("dense path limited to 16 qubits")
     return sparse_matrix(op).toarray()

@@ -4,8 +4,11 @@ orbital optimization of either 1-norm.
 Both LCUs take their Q and QQ items from the array kernel of `majorana`.
 Grouping is sorted insertion (Crawford et al., Quantum 5, 385, 2021): by
 descending |coefficient|, ties by `word_sort_keys` then item index, each item
-joins the first group it anticommutes with throughout. AC groups are priced
-from their sizes (resources.ac_costs), so no circuit angles are computed here.
+joins the first group it anticommutes with throughout. Its items are the
+tensor-level ones of `_tensor_item_structure`, in one form; the grouping of
+an explicit qubit operator's combined words is the cross-check
+sorted_insertion_ac in tests/reference.py. AC groups are priced from their
+sizes (resources.ac_costs), so no circuit angles are computed here.
 
 The groups are built group-major. Group g is the greedy scan, in rank order,
 over the items no earlier group took: whether an item joins group g depends
@@ -36,8 +39,6 @@ import numpy as np
 from .lcu import AcBlock, LcuDecomposition, PauliBlock
 from .majorana import (
     MajoranaHamiltonian,
-    PauliSum,
-    anticommutation_rows,
     build_majorana,
     reflection_table,
     reflection_terms,
@@ -170,12 +171,6 @@ def _item_words(struct):
             struct["qz"][fa] ^ struct["qz"][fb])
 
 
-def _word_items(x, z, n_qubits: int):
-    """Sorted-insertion items of explicit words: their masks and sort keys.
-    Each grouping packs the words' anticommutation rows in rank order."""
-    return {"x": x, "z": z, "key": word_sort_keys(x, z, n_qubits)}
-
-
 def _factor_rows(majoranas, fa, fb):
     """Per factor f, the Python-int bitset of the items f anticommutes with:
     bit b is set when f anticommutes with the item whose factors are fa[b]
@@ -192,33 +187,24 @@ def _factor_rows(majoranas, fa, fb):
     return [columns[p] ^ columns[q] for p, q in majoranas.tolist()]
 
 
-def _sorted_insertion(coeffs, items):
-    """Greedy grouping: descending |coefficient|, ties by items["key"] then
-    index; each item joins the first group it fully anticommutes with.
-    Items at or below COEFF_TOL join no group.
+def _sorted_insertion(coeffs, struct):
+    """Greedy grouping of the items of _tensor_item_structure: descending
+    |coefficient|, ties by struct["key"] then index; each item joins the
+    first group it fully anticommutes with. Items at or below COEFF_TOL
+    join no group.
 
     Built group-major (module docstring) on bitsets whose bit b stands for
     the item of rank m - 1 - b, so the lowest-ranked item in a mask is its
     highest set bit. An item's row has the bits of the items it
-    anticommutes with: for tensor items the XOR of its two factor rows, for
-    explicit words its row of anticommutation_rows over the words in that
-    bit order, read when the item is placed.
+    anticommutes with, the XOR of its two factor rows, read when the item
+    is placed.
     """
     magnitude = np.abs(coeffs)
-    order = np.lexsort((items["key"], -magnitude))
+    order = np.lexsort((struct["key"], -magnitude))
     order = order[magnitude[order] > COEFF_TOL][::-1]
-    if "majoranas" in items:
-        fa, fb = items["fa"][order], items["fb"][order]
-        factor = _factor_rows(items["majoranas"], fa, fb)
-        fa, fb = fa.tolist(), fb.tolist()
-
-        def row(b):
-            return factor[fa[b]] ^ factor[fb[b]]
-    else:
-        packed = anticommutation_rows(items["x"][order], items["z"][order])
-
-        def row(b):
-            return int.from_bytes(packed[b], "little")
+    fa, fb = struct["fa"][order], struct["fb"][order]
+    factor = _factor_rows(struct["majoranas"], fa, fb)
+    fa, fb = fa.tolist(), fb.tolist()
     item = order.tolist()
     unplaced = (1 << len(item)) - 1
     groups = []
@@ -230,7 +216,7 @@ def _sorted_insertion(coeffs, items):
             members.append(item[b])
             unplaced ^= 1 << b
             # an item commutes with itself, so its own bit clears too
-            mask &= row(b)
+            mask &= factor[fa[b]] ^ factor[fb[b]]
         groups.append(members)
     return groups
 
@@ -276,24 +262,11 @@ def _groups_to_lcu(x, z, coeffs, groups, n_qubits, constant, metadata):
     )
 
 
-def sorted_insertion_ac(pauli: PauliSum) -> LcuDecomposition:
-    """Anticommuting grouping of an explicit qubit operator, whose items are
-    its combined Pauli terms; the identity term becomes the constant."""
-    if np.any(np.abs(pauli.coeffs.imag) > 1e-10):
-        raise ValueError("sorted insertion expects a Hermitian operator")
-    coeffs = pauli.coeffs.real
-    items = (pauli.x | pauli.z) != 0
-    constant = float(coeffs[~items].sum())
-    x, z, coeffs = pauli.x[items], pauli.z[items], coeffs[items]
-    groups = _sorted_insertion(coeffs, _word_items(x, z, pauli.n_qubits))
-    return _groups_to_lcu(x, z, coeffs, groups, pauli.n_qubits, constant,
-                          {"level": "qubit", "n_items": int(x.size)})
-
-
 def ac_lcu(maj: MajoranaHamiltonian) -> LcuDecomposition:
     """Anticommuting grouping of the tensor-level items: the Q and merged-QQ
     terms, duplicates kept per index pair. Grouping the combined qubit
-    operator instead is sorted_insertion_ac(pauli_sum_of_hamiltonian(maj)).
+    operator instead is the test reference sorted_insertion_ac of
+    pauli_sum_of_hamiltonian(maj), in tests/reference.py.
     """
     struct = _tensor_item_structure(maj.n_orbitals)
     coeffs = _item_coeffs(struct, maj.h_tilde, maj.g)

@@ -4,6 +4,12 @@ inputs with; no run of the package calls them.
 - `word_from_letters` and `jordan_wigner_majorana` spell Pauli words from
   letters and single Majoranas; tests check the word algebra and the Q
   words of `majorana.reflection_table` against them.
+- `word_letters`, `word_label`, `words_commute`, `multiply_words` and
+  `word_matrix` are the single-word algebra on the `majorana.PauliWord`
+  record: letters, commutation from the symplectic product, the product
+  with its phase, and the Kronecker matrix, qubit 1 leftmost. They are the
+  reference that `majorana.word_products` and `majorana.sparse_matrix` are
+  checked against, and share no code with them.
 - `fragment_pauli_sum` expands one fragment view on its own, word by word
   (`_fragment_terms`), the per-fragment reference for the single expansion
   of `verify.verify_reconstruction`; `fragment_matrix` renders it dense and
@@ -13,10 +19,15 @@ inputs with; no run of the package calls them.
   at a time, each into the first group whose packed mask holds it, the
   reference for the group-major `qubit_lcu._sorted_insertion`;
   `factored_row_items` and `kernel_row_items` give it the item rows it reads:
-  tensor items as packed factor rows, explicit words as full kernel rows.
+  tensor items as packed factor rows, explicit words as full kernel rows
+  (`anticommutation_rows`, packed by `pack_bits`).
   `parity_factor_rows` gathers the factor rows from the Q words' parity
   matrix (`factor_parity`), the reference for the rows
   `qubit_lcu._factor_rows` builds from Majorana bitsets.
+- `sorted_insertion_ac` groups an explicit qubit operator: its combined
+  Pauli words are the items, placed item-major on their kernel rows, and
+  `qubit_lcu._groups_to_lcu` assembles the LCU of the groups, as for
+  `qubit_lcu.ac_lcu`'s tensor-level items.
 - `ac_naive_matrix` (arcsine phases, `naive_ac_phases`) and
   `ac_givens_matrix` (a Givens chain, `givens_chain_angles`, inverted by
   `reconstruct_chain`) render an AC group as the two circuits its cost
@@ -46,17 +57,16 @@ from fermilcu.majorana import (
     _row_block,
     _spin_strings,
     _x_groups,
-    anticommutation_rows,
     combine_terms,
     dense_matrix,
-    pack_bits,
     pauli_sum_of_hamiltonian,
     reflection_table,
     sparse_matrix,
     word_products,
     word_sort_keys,
 )
-from fermilcu.qubit_lcu import COEFF_TOL, rotate_two_body
+from fermilcu.lcu import LcuDecomposition
+from fermilcu.qubit_lcu import COEFF_TOL, _groups_to_lcu, rotate_two_body
 from fermilcu.verify import SpectralRange
 
 UNITARY_TOL = 1e-9
@@ -65,6 +75,14 @@ ANGLE_CLAMP = 1e-9
 EIGSH_SEED = 1950
 # items whose anticommutation rows sorted insertion expands at once
 INSERTION_BLOCK = 128
+
+_LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_PAULI_MATS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def word_from_letters(letters) -> PauliWord:
@@ -82,6 +100,42 @@ def word_from_letters(letters) -> PauliWord:
         elif letter != "I":
             raise ValueError(f"unknown Pauli letter {letter!r}")
     return PauliWord(len(letters), x, z)
+
+
+def word_letters(word: PauliWord) -> tuple:
+    """The word's letters, qubit 1 first."""
+    return tuple(_LETTERS[(word.x_mask >> q) & 1, (word.z_mask >> q) & 1]
+                 for q in range(word.n_qubits))
+
+
+def word_label(word: PauliWord) -> str:
+    """The letters joined by spaces, as word_from_letters reads them."""
+    return " ".join(word_letters(word))
+
+
+def words_commute(a: PauliWord, b: PauliWord) -> bool:
+    """Parity of the symplectic inner product decides (anti)commutation."""
+    parity = (a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()
+    return parity % 2 == 0
+
+
+def multiply_words(a: PauliWord, b: PauliWord):
+    """(word, phase) of the product a b, phase in {1, -1, i, -i}, one word
+    of Python ints at a time."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("qubit count mismatch")
+    x, z = a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask
+    k = ((a.x_mask & a.z_mask).bit_count() + (b.x_mask & b.z_mask).bit_count()
+         - (x & z).bit_count() + 2 * (a.z_mask & b.x_mask).bit_count())
+    return PauliWord(a.n_qubits, x, z), complex((1, 1j, -1, -1j)[k % 4])
+
+
+def word_matrix(word: PauliWord) -> np.ndarray:
+    """Kronecker composition, qubit 1 as the leftmost factor."""
+    out = np.array([[1.0 + 0j]])
+    for letter in word_letters(word):
+        out = np.kron(out, _PAULI_MATS[letter])
+    return out
 
 
 def jordan_wigner_majorana(j: int, sigma: int, m: int, n_orbitals: int) -> PauliWord:
@@ -254,6 +308,32 @@ def naive_ac_phases(coeffs) -> np.ndarray:
     return 0.5 * np.arctan2(d, before)
 
 
+def pack_bits(bits) -> np.ndarray:
+    """Boolean rows of length m as uint64 rows of ceil(m/64) words: bit b
+    goes to word b // 64, bit b % 64; the padding bits are zero."""
+    m = bits.shape[-1]
+    packed = np.zeros(bits.shape[:-1] + (8 * -(-m // 64),), dtype=np.uint8)
+    packed[..., :-(-m // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
+
+
+def anticommutation_rows(x, z) -> np.ndarray:
+    """m x ceil(m/64) uint64 rows: bit b of row q (word b // 64, bit b % 64)
+    is set when words q and b anticommute. Row q is the XOR of the per-qubit
+    X columns (bitsets over the items) at q's Z bits and of the Z columns at
+    q's X bits, the parity of the symplectic product."""
+    m = x.size
+    shifts = np.arange(int(np.bitwise_or.reduce(x | z, initial=0)).bit_length(),
+                       dtype=np.uint64)[:, None]
+    bits = np.array([(x >> shifts) & 1, (z >> shifts) & 1], dtype=bool)
+    x_cols, z_cols = pack_bits(bits)
+    anti = np.zeros((m, x_cols.shape[-1]), dtype=np.uint64)
+    for p in range(shifts.size):
+        np.bitwise_xor(anti, x_cols[p], out=anti, where=bits[1, p, :, None])
+        np.bitwise_xor(anti, z_cols[p], out=anti, where=bits[0, p, :, None])
+    return anti
+
+
 def factor_parity(struct):
     """The anticommutation parity of every factor pair of
     qubit_lcu._tensor_item_structure, from the symplectic product of their
@@ -335,6 +415,21 @@ def item_major_sorted_insertion(coeffs, items):
     return groups
 
 
+def sorted_insertion_ac(pauli: PauliSum) -> LcuDecomposition:
+    """Anticommuting grouping of an explicit qubit operator, whose items are
+    its combined Pauli terms; the identity term becomes the constant."""
+    if np.any(np.abs(pauli.coeffs.imag) > 1e-10):
+        raise ValueError("sorted insertion expects a Hermitian operator")
+    coeffs = pauli.coeffs.real
+    items = (pauli.x | pauli.z) != 0
+    constant = float(coeffs[~items].sum())
+    x, z, coeffs = pauli.x[items], pauli.z[items], coeffs[items]
+    groups = item_major_sorted_insertion(
+        coeffs, kernel_row_items(x, z, pauli.n_qubits))
+    return _groups_to_lcu(x, z, coeffs, groups, pauli.n_qubits, constant,
+                          {"level": "qubit", "n_items": int(x.size)})
+
+
 def ac_naive_matrix(group) -> np.ndarray:
     """Double product of arcsine-phased exponentials, give or take the global
     phase i it carries."""
@@ -343,7 +438,7 @@ def ac_naive_matrix(group) -> np.ndarray:
     dim = 2 ** nq
     gates = []
     for word, phi in zip(group.words, phases):
-        w = word.dense()
+        w = word_matrix(word)
         gates.append(np.cos(phi) * np.eye(dim) + 1j * np.sin(phi) * w)
     prod = np.eye(dim, dtype=complex)
     for gate in gates + gates[::-1]:  # ascending pass, then descending
@@ -355,7 +450,7 @@ def ac_givens_matrix(group) -> np.ndarray:
     """Givens-chain conjugation: rotate the first word onto the combination."""
     nq = group.words[0].n_qubits
     dim = 2 ** nq
-    mats = [w.dense() for w in group.words]
+    mats = [word_matrix(w) for w in group.words]
     angles = givens_chain_angles(group.coeffs / group.norm)
     left = np.eye(dim, dtype=complex)
     for j in reversed(range(len(angles))):

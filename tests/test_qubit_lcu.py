@@ -1,27 +1,26 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from conftest import hamiltonian, pauli_sum
 from reference import (
+    anticommutation_rows,
     factor_parity,
     factored_row_items,
     givens_chain_angles,
     item_major_sorted_insertion,
+    kernel_row_items,
     naive_ac_phases,
+    pack_bits,
     parity_factor_rows,
     reconstruct_chain,
     rotate_hamiltonian,
+    sorted_insertion_ac,
+    word_label,
+    words_commute,
 )
 
 from fermilcu.integrals import MolecularIntegrals, load_fixture
-from fermilcu.majorana import (
-    anticommutation_rows,
-    build_majorana,
-    pack_bits,
-    pauli_sum_of_hamiltonian,
-)
+from fermilcu.majorana import build_majorana, pauli_sum_of_hamiltonian
 from fermilcu.qubit_lcu import (
     COEFF_TOL,
     _factor_rows,
@@ -29,11 +28,9 @@ from fermilcu.qubit_lcu import (
     _item_words,
     _sorted_insertion,
     _tensor_item_structure,
-    _word_items,
     ac_lcu,
     orbital_optimize,
     rotation_from_angles,
-    sorted_insertion_ac,
     sparse_pauli_lcu,
 )
 from fermilcu.verify import ROUNDING_ULPS, verify_reconstruction
@@ -109,7 +106,8 @@ def test_ac_groups_match_grouping_from_kernel_rows(name):
     struct = _tensor_item_structure(maj.n_orbitals)
     x, z = _item_words(struct)
     coeffs = _item_coeffs(struct, maj.h_tilde, maj.g)
-    expected = _sorted_insertion(coeffs, _word_items(x, z, 2 * maj.n_orbitals))
+    expected = item_major_sorted_insertion(
+        coeffs, kernel_row_items(x, z, 2 * maj.n_orbitals))
     groups = [f.unitary for f in ac_lcu(maj).fragments]
     assert [[(w.x_mask, w.z_mask) for w in g.words] for g in groups] == [
         [(int(x[q]), int(z[q])) for q in members] for members in expected]
@@ -179,25 +177,6 @@ def test_ac_groups_are_anticommuting_sets(name):
     assert start == block.x.size
 
 
-def test_word_items_keep_one_copy_of_kernel_rows():
-    # chain_h08's operator: 2,912 non-identity words, 1.07 MB of packed
-    # rows; the kernel alone peaks at about 1.17 times its output, and
-    # grouping reads each row from that one copy as its item is placed
-    pauli = pauli_sum_of_hamiltonian(hamiltonian("chain_h08"))
-    words = (pauli.x | pauli.z) != 0
-    x, z, coeffs = pauli.x[words], pauli.z[words], pauli.coeffs.real[words]
-    kernel_bytes = anticommutation_rows(x, z).nbytes
-    items = _word_items(x, z, pauli.n_qubits)
-    tracemalloc.start()
-    try:
-        groups = _sorted_insertion(coeffs, items)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert x.size == 2912 and sum(map(len, groups)) == 2912
-    assert peak < 1.3 * kernel_bytes
-
-
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_pauli_lcu_frozen(name):
     maj = hamiltonian(name)
@@ -259,7 +238,7 @@ def test_sorted_insertion_single_qubit():
     assert lcu.one_norm == pytest.approx(np.sqrt(0.09 + 0.16 + 1.44))
     group = lcu.fragments[0].unitary
     # insertion order is by descending magnitude
-    assert [str(w) for w in group.words] == ["Z", "Y", "X"]
+    assert [word_label(w) for w in group.words] == ["Z", "Y", "X"]
 
 
 def test_sorted_insertion_commuting_terms_stay_apart():
@@ -332,7 +311,7 @@ def test_ac_groups_pairwise_anticommute(name):
             assert frag.coefficient == pytest.approx(np.linalg.norm(group.coeffs))
             for a in range(len(words)):
                 for b in range(a + 1, len(words)):
-                    assert not words[a].commutes_with(words[b])
+                    assert not words_commute(words[a], words[b])
 
 
 def test_givens_chain_examples():

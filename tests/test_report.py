@@ -11,7 +11,6 @@ import pytest
 from fermilcu.integrals import load_fixture
 from fermilcu.lcu import Fragment
 from fermilcu.majorana import build_majorana, pauli_sum_of_hamiltonian
-from fermilcu.qubit_lcu import sorted_insertion_ac
 from fermilcu.report import (
     COSTED_METHODS,
     CSV_COLUMNS,
@@ -37,6 +36,7 @@ from fermilcu.verify import (
     spectral_range,
     verify_reconstruction,
 )
+from reference import sorted_insertion_ac
 
 # fragments per method on chain_h10; ac's 734 groups hold 9,934 words
 CHAIN_H10_FRAGMENTS = {"pauli": 19884, "ac": 734, "df": 3630, "l4-mps": 7620}

@@ -34,7 +34,7 @@ from fermilcu.majorana import (
     sector_matrix,
 )
 from fermilcu.mtd_l4 import cp4_als, l4_lcu, mps_factorize, svd_chain_factorize
-from fermilcu.qubit_lcu import ac_lcu, sorted_insertion_ac, sparse_pauli_lcu
+from fermilcu.qubit_lcu import ac_lcu, sparse_pauli_lcu
 from fermilcu.report import METHODS as ALL_METHODS, decompose_method
 from fermilcu.verify import (
     DENSE_STATES,
@@ -60,6 +60,8 @@ from reference import (
     full_space_eigsh_range,
     full_space_range,
     random_sparse_symmetric,
+    sorted_insertion_ac,
+    word_matrix,
 )
 
 # measured on this implementation
@@ -589,13 +591,13 @@ class TestFragmentMatrix:
 
     def test_pauli_fragment_carries_phase(self):
         frag = Fragment(0.5, "pauli", PauliTerm(sample_word(), -1.0))
-        assert np.allclose(fragment_matrix(frag), -sample_word().dense())
+        assert np.allclose(fragment_matrix(frag), -word_matrix(sample_word()))
 
     def test_single_word_group_is_that_pauli(self):
         word = sample_word()
         group = AcGroup(words=(word,), coeffs=np.array([0.8]), norm=0.8)
         frag = Fragment(0.8, "ac-group", group)
-        assert np.allclose(fragment_matrix(frag), word.dense())
+        assert np.allclose(fragment_matrix(frag), word_matrix(word))
 
     def test_fragment_pauli_sum_single_term(self):
         frag = h2_lcu("pauli").fragments[0]
@@ -684,7 +686,7 @@ class TestAcRenderers:
     @pytest.mark.parametrize("level", ("tensor", "qubit"))
     def test_naive_matches_group_operator(self, level):
         for group in self.groups(level):
-            target = sum((c / group.norm) * w.dense()
+            target = sum((c / group.norm) * word_matrix(w)
                          for w, c in zip(group.words, group.coeffs))
             assert np.abs(ac_naive_matrix(group) - target).max() < 1e-12
 
@@ -702,7 +704,7 @@ class TestAcRenderers:
     def test_single_negative_word(self):
         word = sample_word()
         group = AcGroup(words=(word,), coeffs=np.array([-0.3]), norm=0.3)
-        expected = -word.dense()
+        expected = -word_matrix(word)
         assert np.allclose(ac_naive_matrix(group), expected)
         assert np.allclose(ac_givens_matrix(group), expected)
 
