@@ -8,9 +8,22 @@ end's candidate sectors are chosen before any is solved: the smallest
 diagonal entry is a Rayleigh quotient, so it bounds the lowest eigenvalue
 from above, and a sector whose Gershgorin discs (`_disc_bounds`) all lie
 above it cannot hold that eigenvalue; the largest bounds the highest, the
-same way mirrored. The candidates of at most DENSE_STATES states are joined,
-per end, into one block-diagonal matrix solved once (`_block_range`): dense
-if the union is that small too, else by one Lanczos run. A larger candidate
+same way mirrored. A sector whose discs reach the bound is tried again,
+before any solve, with the discs of W^-1 A W for a positive diagonal
+weight W, which has A's eigenvalues (`_weight_certifies`). The weight comes
+from Jacobi's iteration on (D - bound - |O|) w = 1, D the diagonal and |O|
+the |off-diagonal| entries, and one that rules the sector out exists
+exactly when lambda_min(D - |O|) lies beyond the bound (Collatz, Math. Z.
+48, 221, 1942; Varga, Matrix Iterative Analysis, ch. 2). Each product of
+|O| with the weight gives the ratio max_i (|O| w)_i / ((d_i - bound) w_i),
+and the sector is ruled out once it falls below 1. The iteration gives up
+once the least row's ratio reaches 1, a lower bound on the spectral radius
+of the Jacobi matrix that proves no weight exists, once the ratio exceeds 1
+by more than 4 times its last decrease, or after WEIGHT_PRODUCTS products. w = 1 is the disc test, so this prunes every
+sector the discs do, and more. The candidates left of at most
+DENSE_STATES states are joined, per end, into one block-diagonal matrix
+solved once (`_block_range`): dense if the union is that small too, else
+by one Lanczos run. A larger candidate
 is solved on its own, smallest first, for the ends whose disc bound still
 lies beyond the best extreme found so far. A Lanczos run (Lanczos, J. Res.
 Natl. Bur. Stand. 45, 255, 1950) gives the ends it is asked for from one
@@ -77,8 +90,9 @@ LANCZOS_CHUNK = 64
 LANCZOS_SEED = 20240709
 # weight of the seeded Gaussian beside the unit guesses of a Lanczos start
 LANCZOS_NOISE = 0.3
-# rows per Gershgorin row-sum chunk
-DISC_ROWS = 256
+# products of a block's |entries| with a weight vector that one end's
+# weighted disc bound may take (_weight_certifies)
+WEIGHT_PRODUCTS = 16
 
 log = logging.getLogger(__name__)
 
@@ -251,25 +265,42 @@ def _solve(block, ends) -> tuple:
     return _lanczos_extremes(block.dot, dim, block.dtype, ends, guesses)
 
 
+def _block(matrix, a, b, absolute=False):
+    """The diagonal block in rows a to b of a block-diagonal CSR matrix
+    whose blocks' column indices count from their first row, as a CSR
+    matrix on the matrix's arrays; with absolute, its entries are the
+    absolute values of the stored ones, its one new array. The arrays are
+    set on an empty matrix, since the CSR constructor would copy a small
+    view."""
+    from scipy.sparse import csr_matrix
+
+    lo, hi = matrix.indptr[a], matrix.indptr[b]
+    block = csr_matrix((b - a, b - a), dtype=matrix.dtype)
+    block.data = np.abs(matrix.data[lo:hi]) if absolute else matrix.data[lo:hi]
+    block.indices = matrix.indices[lo:hi]
+    block.indptr = matrix.indptr[a:b + 1] - lo
+    return block
+
+
 def _disc_bounds(matrix, offsets) -> tuple:
     """(lower, upper): per diagonal block of a block-diagonal Hermitian CSR
     matrix, block k spanning rows offsets[k] to offsets[k+1], the bounds
     min_i (d_i - r_i) and max_i (d_i + r_i) of its Gershgorin discs, d_i
     the real diagonal entry of row i and r_i the sum of the row's
     |off-diagonal| entries (Gershgorin, Izv. Akad. Nauk SSSR 6, 749, 1931):
-    every eigenvalue of the block lies in one of its discs. The row sums
-    are taken DISC_ROWS rows at a time, so no temporary holds a block's
-    stored entries, and a row with none has the disc [0, 0]."""
+    every eigenvalue of the block lies in one of its discs. r_i + |d_i| is
+    row i of the product of the block's |entries| with the all-ones
+    vector, the first product of _weight_certifies, summed one block at a
+    time so that no temporary holds more than a block's stored entries; a
+    row with none has the disc [0, 0]."""
     centre = matrix.diagonal().real
     radius = np.zeros(centre.size)
-    indptr = matrix.indptr
-    for r in range(0, centre.size, DISC_ROWS):
-        stop = min(r + DISC_ROWS, centre.size)
-        starts, stops = indptr[r:stop], indptr[r + 1:stop + 1]
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        starts, stops = matrix.indptr[a:b], matrix.indptr[a + 1:b + 1]
         # reduceat would give an empty row the next row's first entry
         stored = stops > starts
         if stored.any():
-            radius[r:stop][stored] = np.add.reduceat(
+            radius[a:b][stored] = np.add.reduceat(
                 np.abs(matrix.data[starts[0]:stops[-1]]),
                 starts[stored] - starts[0])
     radius -= np.abs(centre)
@@ -277,12 +308,64 @@ def _disc_bounds(matrix, offsets) -> tuple:
             np.maximum.reduceat(centre + radius, offsets[:-1]))
 
 
+def _weight_certifies(block, bound, end) -> tuple:
+    """(certified, products): whether the weighted Gershgorin discs of a
+    Hermitian CSR block prove that it has no eigenvalue at or below bound
+    (end 0) or at or above it (end 1), and the products of the block's
+    |entries| with a weight vector that took, at most WEIGHT_PRODUCTS.
+
+    For A = D + O, D the diagonal, and any w > 0, W^-1 A W with W = diag(w)
+    has A's eigenvalues and its discs centred at d_i of radius
+    (|O| w)_i / w_i (Varga, Matrix Iterative Analysis, ch. 1). So, with g
+    the gap d - bound at the low end and bound - d at the high end,
+    |O| w < g w in every row puts every eigenvalue beyond bound; w = 1 is
+    the Gershgorin test of _disc_bounds. A row with g <= 0 has its diagonal
+    entry, a Rayleigh quotient, at or beyond bound, and no weight proves
+    anything, so none is tried. Else such a w exists exactly when the
+    symmetric Z-matrix G - |O|, G = diag(g), is a nonsingular M-matrix, that
+    is when lambda_min(D - |O|) > bound at the low end and
+    lambda_max(D + |O|) < bound at the high end (Collatz, Math. Z. 48, 221,
+    1942; Varga, ch. 2), and then Jacobi's iteration on (G - |O|) w = 1,
+    w <- |O| w / g + 1 from w = 1, rises to its solution, which passes. Each
+    product gives the ratios (|O| w)_i / (g_i w_i), whose maximum the run
+    stops on once it is below 1. Their minimum bounds the spectral radius
+    of G^-1 |O| from below (Collatz), so once it reaches 1 no weight
+    passes, and the run gives up. It also gives up once the maximum is
+    above 1 by more than 4 times its last decrease: decreases that shrink
+    by a factor of 0.8 or less each product add up to at most 4 times the
+    last one, so at that rate the maximum could not reach 1. Each row's
+    product is taken as larger by its rounding allowance, so a certificate
+    holds in exact arithmetic.
+    """
+    diagonal = block.diagonal().real
+    gap = diagonal - bound if end == 0 else bound - diagonal
+    if not (gap > 0).all():
+        return False, 0
+    magnitudes = _block(block, 0, gap.size, absolute=True)
+    centre = np.abs(diagonal)
+    # a sum of k nonnegative terms is within k eps of its value
+    rounding = (np.diff(magnitudes.indptr) + 4) * np.finfo(float).eps
+    w, last = np.ones(gap.size), np.inf
+    for products in range(1, WEIGHT_PRODUCTS + 1):
+        total = magnitudes @ w
+        off, scale = total - centre * w, gap * w
+        ratios = (off + rounding * (total + scale)) / scale
+        ratio = ratios.max()
+        if ratio < 1.0:
+            return True, products
+        if ratios.min() >= 1.0 or ratio - 1.0 > 4.0 * (last - ratio):
+            break
+        last = ratio
+        w = off / gap + 1.0
+    return False, products
+
+
 def _joint_block(matrix, offsets, members):
     """The block-diagonal CSR matrix of the member blocks of a
     block-diagonal CSR matrix, block k spanning rows offsets[k] to
-    offsets[k+1], in member order: copies of their rows' stored entries,
-    each block's columns renumbered with its rows, since a block's rows hold
-    only its own columns."""
+    offsets[k+1] with its column indices counted from its first row, in
+    member order: copies of their rows' stored entries, each block's
+    columns renumbered with its rows."""
     from scipy.sparse import csr_matrix
 
     data, indices, counts, start = [], [], [], 0
@@ -290,7 +373,7 @@ def _joint_block(matrix, offsets, members):
         a, b = offsets[k], offsets[k + 1]
         lo, hi = matrix.indptr[a], matrix.indptr[b]
         data.append(matrix.data[lo:hi])
-        indices.append(matrix.indices[lo:hi] - int(a - start))
+        indices.append(matrix.indices[lo:hi] + start)
         counts.append(np.diff(matrix.indptr[a:b + 1]))
         start += int(b - a)
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
@@ -314,30 +397,53 @@ def _block_range(matrix, offsets, labels) -> SpectralRange:
     smallest diagonal entry cannot hold the lowest eigenvalue, nor one whose
     upper bound lies below the largest the highest: only the other blocks
     are candidates for an end, and the block of the extreme diagonal entry
-    always is. Before any block is solved, the candidates of at most
-    DENSE_STATES states are joined, per end, into one block-diagonal matrix
+    always is. Before any block is solved, each other candidate is tried
+    with the weighted discs of _weight_certifies against the same bound,
+    and it is no longer a candidate for an end they rule out. A block above
+    DENSE_STATES states whose first end fails is solved anyway, so its
+    second end is not tried. Then the candidates of at most DENSE_STATES
+    states are joined, per end, into one block-diagonal matrix
     (_joint_block) solved once by _solve, both ends at once when both ends
     join the same blocks. The larger candidates follow smallest first, one
     _solve each for the ends it is a candidate for whose disc bound still
-    lies beyond the best extreme found so far. Those are read in place,
-    their column indices shifted, so the matrix is used up.
+    lies beyond the best extreme found so far. Every block is read in
+    place, its column indices shifted to count from its first row, so the
+    matrix is used up.
 
     One DEBUG record per joint solve, on the fermilcu.verify logger, gives
     its blocks, states, stored entries, path (dense, or lanczos for low,
     high or both ends), Lanczos steps and reorthogonalizations. Then one
     record per block, smallest first, gives its label, states, stored
-    entries, disc bounds, path (pruned, joint for the ends it joined, dense,
-    or lanczos), Lanczos steps and reorthogonalizations; a joint solve's
-    steps are on its own record only, so the steps of all records add up to
-    the run's.
+    entries, disc bounds, the weight products spent on it, certified or
+    not, what decided each end (solved, pruned by discs or pruned by
+    weight), path (pruned, joint for the ends it joined, dense, or
+    lanczos), Lanczos steps and reorthogonalizations; a joint solve's steps
+    are on its own record only, so the steps of all records add up to the
+    run's.
     """
-    from scipy.sparse import csr_matrix
-
     lower, upper = _disc_bounds(matrix, offsets)
     diagonal = matrix.diagonal().real
+    bounds = diagonal.min(), diagonal.max()
     sizes = np.diff(offsets)
     small = sizes <= DENSE_STATES
-    candidate = lower <= diagonal.min(), upper >= diagonal.max()
+    candidate = lower <= bounds[0], upper >= bounds[1]
+    # A block's rows hold only its own columns. Counted from its first row
+    # in place, the matrix's arrays serve as each block's (_block)
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        matrix.indices[matrix.indptr[a]:matrix.indptr[b]] -= a
+    certified = np.zeros((2, sizes.size), dtype=bool)
+    products = np.zeros(sizes.size, dtype=int)
+    for k in np.flatnonzero(candidate[0] | candidate[1]):
+        block = _block(matrix, offsets[k], offsets[k + 1])
+        for end in np.flatnonzero([candidate[0][k], candidate[1][k]]):
+            certified[end, k], spent = _weight_certifies(block, bounds[end], end)
+            products[k] += spent
+            if not (certified[end, k] or small[k]):
+                # a large candidate is solved anyway, and asking its run
+                # for one end more costs few steps
+                break
+    for end in (0, 1):
+        candidate[end][certified[end]] = False
     joint = {}
     for end in (0, 1):
         members = tuple(np.flatnonzero(candidate[end] & small).tolist())
@@ -367,23 +473,20 @@ def _block_range(matrix, offsets, labels) -> SpectralRange:
         ends = bool(candidate[0][k]), bool(candidate[1][k])
         if not small[k]:
             ends = ends[0] and lower[k] < low, ends[1] and upper[k] > high
+        decided = ["solved" if asked else "pruned by weight"
+                   if certified[end, k] else "pruned by discs"
+                   for end, asked in enumerate(ends)]
         steps = reorthogonalizations = 0
         if not any(ends):
             path = "pruned"
         elif small[k]:
             path = f"joint for {_side(ends)}"
         else:
-            # A block's rows hold only its own columns. Shifted to the block
-            # in place, the matrix's arrays serve as the block's without a
-            # copy, which the CSR constructor would make of a small view.
-            matrix.indices[lo:hi] -= a
-            block = csr_matrix((b - a, b - a), dtype=matrix.dtype)
-            block.data, block.indices = matrix.data[lo:hi], matrix.indices[lo:hi]
-            block.indptr = matrix.indptr[a:b + 1] - lo
-            path, steps, reorthogonalizations = solve(block, ends)
+            path, steps, reorthogonalizations = solve(_block(matrix, a, b), ends)
         log.debug("sector %s: %d states, %d entries, discs [%.10g, %.10g], "
-                  "%s, %d Lanczos steps, %d reorthogonalizations", labels[k],
-                  b - a, hi - lo, lower[k], upper[k], path, steps,
+                  "%d weight products, low %s, high %s, %s, %d Lanczos steps, "
+                  "%d reorthogonalizations", labels[k], b - a, hi - lo,
+                  lower[k], upper[k], products[k], *decided, path, steps,
                   reorthogonalizations)
     return SpectralRange(float(low), float(high))
 
@@ -403,9 +506,10 @@ def spectral_range(maj) -> SpectralRange:
 
     The sectors' blocks come from sector_matrix's block-diagonal matrix and
     are solved by _block_range: the diagonal bound picks each end's
-    candidate sectors, the small candidates of an end are solved in one
-    joint run, and the larger ones one run each, smallest first. Its DEBUG
-    records name the sectors by (n_alpha, n_beta).
+    candidate sectors, weighted discs rule out more of them before any
+    solve, the small candidates of an end are solved in one joint run, and
+    the larger ones one run each, smallest first. Its DEBUG records name
+    the sectors by (n_alpha, n_beta).
     """
     n = maj.n_orbitals
     if 2 * n > 24:

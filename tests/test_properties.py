@@ -3,9 +3,10 @@ products and sparse assembly against Kronecker matrices, packed
 anticommutation rows, sort keys and sorted insertion against word-by-word
 and item-major references, angle chains and their reconstructions, rotation
 parameterization round trips, bit-exact rotation and ALS kernels,
-localization, tensor factorizations, the spectral norm bound, grouped
-reconstruction against the per-fragment reference, fragment views against
-their blocks, and cost-row monotonicity."""
+localization, tensor factorizations, weighted-disc certificates against
+dense spectra, the spectral norm bound, grouped reconstruction against the
+per-fragment reference, fragment views against their blocks, and cost-row
+monotonicity."""
 
 import itertools
 
@@ -86,8 +87,10 @@ from fermilcu.resources import (
 from fermilcu.report import METHODS, decompose_method
 from fermilcu.verify import (
     DENSE_STATES,
+    WEIGHT_PRODUCTS,
     _difference_terms,
     _solve,
+    _weight_certifies,
     spectral_range,
     verify_norm_bound,
     verify_reconstruction,
@@ -806,6 +809,94 @@ class TestSpectralSectors:
         sectors, full = spectral_range(maj), full_space_range(maj)
         assert sectors.e_min == pytest.approx(full.e_min, abs=1e-10)
         assert sectors.e_max == pytest.approx(full.e_max, abs=1e-10)
+
+
+@st.composite
+def weighted_disc_blocks(draw):
+    """A random sparse symmetric CSR block. Its off-diagonal entries take
+    both signs, or one; its diagonal is spread from below the off-diagonal
+    scale, where no disc test can pass, to well above it; and a frustrated
+    triangle, whose couplings no sign change of the basis makes all
+    negative, may sit in its first three rows."""
+    from scipy.sparse import csr_matrix
+
+    dim = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    signs = draw(st.sampled_from(["both", "negative", "positive"]))
+    spread = draw(st.sampled_from([0.1, 1.0, 10.0, 100.0]))
+    frustrated = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    upper = np.triu(rng.standard_normal((dim, dim))
+                    * (rng.random((dim, dim)) < density), 1)
+    if signs != "both":
+        upper = np.abs(upper) * (-1.0 if signs == "negative" else 1.0)
+    block = upper + upper.T + np.diag(spread * rng.standard_normal(dim))
+    if frustrated and dim >= 3:
+        triangle = np.ones((3, 3)) - np.eye(3)
+        block[:3, :3] = block[:3, :3] * np.eye(3) + 2.0 * triangle
+    return csr_matrix(block)
+
+
+class TestWeightedDiscs:
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_disc_blocks(), st.floats(-1.0, 2.0), st.floats(0.0, 1.0))
+    def test_certified_end_lies_beyond_the_bound(self, block, below, between):
+        # bounds at the extreme diagonal entry, below and beyond the
+        # extreme eigenvalue, and between the two, where a certificate
+        # would be wrong although every diagonal entry lies beyond it. The
+        # dense eigenvalues are within dim eps |A| of the exact ones, so a
+        # bound at one of them is judged to that accuracy
+        dense = block.toarray()
+        eigs, diagonal = np.linalg.eigvalsh(dense), np.diag(dense)
+        width = max(eigs[-1] - eigs[0], 1e-3)
+        accuracy = dense.shape[0] * np.finfo(float).eps * np.abs(eigs).max()
+        for end, sign in ((0, 1.0), (1, -1.0)):
+            extreme, entry = (eigs[0], diagonal.min()) if end == 0 else (
+                eigs[-1], diagonal.max())
+            for bound in (entry, extreme - sign * below * width,
+                          extreme + between * (entry - extreme)):
+                certified, products = _weight_certifies(block, bound, end)
+                assert 0 <= products <= WEIGHT_PRODUCTS
+                if certified:
+                    assert sign * (extreme - bound) > -accuracy
+                if (sign * (diagonal - bound)).min() <= 0:
+                    assert (certified, products) == (False, 0)
+
+    def test_weight_certifies_where_the_discs_do_not(self):
+        # [[0, 1], [1, 10]]: the disc of row 0 reaches -1, the lowest
+        # eigenvalue 5 - sqrt(26) = -0.099 does not, and a weight shows it;
+        # the same holds at the high end, where row 1's disc reaches 11 and
+        # the highest eigenvalue is 10.099
+        from scipy.sparse import csr_matrix
+
+        block = csr_matrix(np.array([[0.0, 1.0], [1.0, 10.0]]))
+        assert _weight_certifies(block, -1.0, 0) == (True, 2)
+        # just above it, both rows' ratios exceed 1 after one step, which
+        # proves that no weight passes
+        assert _weight_certifies(block, 5 - np.sqrt(26) + 1e-3, 0) == (False, 2)
+        assert _weight_certifies(block, 10.1, 1) == (True, 2)
+        assert _weight_certifies(block, 12.0, 1) == (True, 1)
+
+    def test_frustrated_triangle_is_not_certified(self):
+        # couplings +1 on a triangle: A has lowest eigenvalue -1, but
+        # D - |O| has -2, so no weight rules out a bound in between, and
+        # the first product shows it
+        from scipy.sparse import csr_matrix
+
+        block = csr_matrix(np.ones((3, 3)) - np.eye(3))
+        assert np.linalg.eigvalsh(block.toarray())[0] == pytest.approx(-1.0)
+        assert _weight_certifies(block, -1.5, 0) == (False, 1)
+
+    def test_slow_weight_is_given_up(self):
+        # a path 0 - 1 - 2 with diagonal (0, 0, 10): lambda_min(D - |O|) is
+        # -1.0463, so a weight exists for a bound of -1.05, but the ratio
+        # creeps towards 1 while row 2's stays far below it, and the run
+        # gives up on the slowing decrease
+        from scipy.sparse import csr_matrix
+
+        block = csr_matrix(np.array([[0.0, 1, 0], [1, 0, 1], [0, 1, 10]]))
+        assert _weight_certifies(block, -1.5, 0) == (True, 2)
+        assert _weight_certifies(block, -1.05, 0) == (False, 6)
 
 
 class TestLanczosExtremes:

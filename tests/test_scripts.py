@@ -71,7 +71,8 @@ def generator():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     jobs = dict(module.molecule_geometries())
-    jobs.update((f"chain_h{n:02d}", module.chain_geometry(n)) for n in (2, 4))
+    jobs.update((f"chain_h{n:02d}", module.chain_geometry(n))
+                for n in (2, 4, 6))
     return module, jobs
 
 
@@ -90,12 +91,12 @@ def test_regenerated_fixture_is_byte_identical(name, generator, tmp_path):
     assert path.read_bytes() == (fixture_dir() / f"{name}.fcidump").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["lih", "chain_h04"])
+@pytest.mark.parametrize("name", ["lih", "chain_h04", "chain_h06"])
 def test_regenerated_fixture_matches_up_to_mo_signs(name, generator, tmp_path):
     # the MO coefficients come out of eigh with rounding that moves the
-    # last digits, and chain_h04's mirror-symmetric MO columns tie in
-    # canonicalize_mo_signs, so their signs may flip; the magnitudes and
-    # the core energy agree
+    # last digits, and the chains' mirror-symmetric MO columns tie in
+    # canonicalize_mo_signs, so their signs may flip (chain_h04's do,
+    # chain_h06's do not); the magnitudes and the core energy agree
     fresh = load_fcidump(regenerate(generator, name, tmp_path))
     shipped = load_fixture(name)
     assert fresh.core_energy == shipped.core_energy

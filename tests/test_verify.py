@@ -38,6 +38,7 @@ from fermilcu.qubit_lcu import ac_lcu, sparse_pauli_lcu
 from fermilcu.report import METHODS as ALL_METHODS, decompose_method
 from fermilcu.verify import (
     DENSE_STATES,
+    WEIGHT_PRODUCTS,
     SpectralRange,
     _block_range,
     _disc_bounds,
@@ -163,9 +164,11 @@ def sample_word():
     return frag.unitary.word
 
 
+DECIDED = r"(solved|pruned by discs|pruned by weight)"
 SECTOR_RECORD = re.compile(
     r"sector \((\d+), (\d+)\): (\d+) states, (\d+) entries, "
-    r"discs \[(\S+), (\S+)\], "
+    r"discs \[(\S+), (\S+)\], (\d+) weight products, "
+    rf"low {DECIDED}, high {DECIDED}, "
     r"(pruned|joint for (?:low|high|both)|dense|lanczos for (?:low|high|both)), "
     r"(\d+) Lanczos steps, (\d+) reorthogonalizations")
 JOINT_RECORD = re.compile(
@@ -187,8 +190,9 @@ def central_sectors(name: str):
 def spectral_records(name: str, caplog):
     """spectral_range's DEBUG records on a fixture, parsed: the joint solves
     as (sectors, states, entries, path, steps) and then the sectors as
-    ((n_alpha, n_beta), states, entries, lower, upper, path, steps), each in
-    logging order."""
+    ((n_alpha, n_beta), states, entries, lower, upper, path, steps, weight
+    products, (what decided the low end, the high end)), each in logging
+    order."""
     with caplog.at_level(logging.DEBUG, logger="fermilcu"):
         spectral_range(hamiltonian(name))
     joint, sectors = [], []
@@ -203,10 +207,11 @@ def spectral_records(name: str, caplog):
                 r"\((\d+), (\d+)\)", members)], int(states), int(stored),
                 path, int(steps)))
             continue
-        n_alpha, n_beta, states, stored, low, high, path, steps, _ = (
-            SECTOR_RECORD.fullmatch(message).groups())
+        (n_alpha, n_beta, states, stored, low, high, products, low_end,
+         high_end, path, steps, _) = SECTOR_RECORD.fullmatch(message).groups()
         sectors.append(((int(n_alpha), int(n_beta)), int(states), int(stored),
-                        float(low), float(high), path, int(steps)))
+                        float(low), float(high), path, int(steps),
+                        int(products), (low_end, high_end)))
     return joint, sectors
 
 
@@ -290,7 +295,9 @@ class TestSpectralRange:
 
     def test_logs_one_record_per_sector(self, caplog):
         # beh2 solves large sectors on their own; chain_h06 joins its small
-        # candidates into one Lanczos run per end, sector (3, 3) into both
+        # low-end candidates into one Lanczos run. The weighted discs rule
+        # out (4, 5) at the low end and (3, 3) at the high end, so the high
+        # end's joint solve is (0, 0) alone, dense
         for name in ("beh2", "chain_h06"):
             caplog.clear()
             joint, records = spectral_records(name, caplog)
@@ -300,11 +307,20 @@ class TestSpectralRange:
                            key=lambda k: offsets[k + 1] - offsets[k])
             assert len(records) == len(sectors)
             entries, joined = 0, {}
-            for (sector, states, stored, low, high, path, steps), k in zip(
-                    records, order):
+            for (sector, states, stored, low, high, path, steps, products,
+                 decided), k in zip(records, order):
                 a, b = offsets[k], offsets[k + 1]
                 assert (sector, states) == (sectors[k], b - a)
                 assert low <= high
+                # each end is solved, or pruned by what ruled it out
+                side = path.rpartition(" for ")[2]
+                solved = {"pruned": (), "dense": ("low", "high")}.get(
+                    path, ("low", "high") if side == "both" else (side,))
+                for end, how in zip(("low", "high"), decided):
+                    assert (how == "solved") == (end in solved), (sector, end)
+                assert products <= 2 * WEIGHT_PRODUCTS
+                if "pruned by weight" in decided:
+                    assert products > 0
                 small = b - a <= DENSE_STATES
                 if path.startswith("joint"):
                     assert small and steps == 0
@@ -333,9 +349,11 @@ class TestSpectralRange:
             for s, side in joined.items():
                 assert ({"low", "high"} if side == "both" else {side}) <= ends[s]
         assert [(members, path) for members, *_, path, _ in joint] == [
-            ([(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5)],
-             "lanczos for low"),
-            ([(0, 0), (3, 3)], "lanczos for high")]
+            ([(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)], "lanczos for low"),
+            ([(0, 0)], "dense")]
+        decided = {record[0]: record[8] for record in records}
+        assert decided[(4, 5)] == ("pruned by weight", "pruned by discs")
+        assert decided[(3, 3)] == ("solved", "pruned by weight")
 
     @pytest.mark.parametrize("name, least_pruned", [
         ("lih", 1), ("beh2", 1), ("h2o", 1), ("chain_h06", 0)])
@@ -364,37 +382,63 @@ class TestSpectralRange:
     @pytest.mark.parametrize("name", ["lih", "h2o", "chain_h06"])
     def test_diagonal_bound_picks_the_candidate_sectors(self, name, caplog):
         # the smallest diagonal entry bounds e_min from above and the
-        # largest e_max from below; a sector is a candidate for an end
-        # exactly when its discs reach that bound, and pruned when neither
+        # largest e_max from below. An end whose discs do not reach its
+        # bound is pruned by discs. One whose discs do is solved, or pruned
+        # by the weighted discs, which the dense spectrum confirms; a large
+        # sector's end is also pruned by discs that stop short of the
+        # extreme an earlier solve found
         sectors, matrix, offsets = central_sectors(name)
         dense = [matrix[a:b, a:b].toarray() for a, b in zip(offsets, offsets[1:])]
         centre = [np.diag(d).real for d in dense]
         radius = [np.abs(d).sum(axis=1) - np.abs(c) for d, c in zip(dense, centre)]
         d_min = min(c.min() for c in centre)
         d_max = max(c.max() for c in centre)
+        spectra = [np.linalg.eigvalsh(d) for d in dense]
         joint, records = spectral_records(name, caplog)
-        by_sector = {record[0]: record for record in records}
-        pruned = 0
-        for k, sector in enumerate(sectors):
-            low = (centre[k] - radius[k]).min() <= d_min
-            high = (centre[k] + radius[k]).max() >= d_max
-            path = by_sector[sector][5]
-            if offsets[k + 1] - offsets[k] <= DENSE_STATES:
-                side = "both" if low and high else "low" if low else "high"
-                assert path == (f"joint for {side}" if low or high
-                                else "pruned"), sector
-            elif path.startswith("lanczos for "):
-                side = path.removeprefix("lanczos for ")
-                assert (low or side == "high") and (high or side == "low")
-            elif not (low or high):
-                assert path == "pruned"
-            pruned += path == "pruned"
-        assert pruned >= {"lih": 8, "h2o": 8, "chain_h06": 6}[name]
-        eigs = np.concatenate([np.linalg.eigvalsh(d) for d in dense])
         sr = spectral_range(hamiltonian(name))
+        by_sector = {record[0]: record for record in records}
+        pruned = weighed = 0
+        for k, sector in enumerate(sectors):
+            reach = ((centre[k] - radius[k]).min() <= d_min,
+                     (centre[k] + radius[k]).max() >= d_max)
+            small = offsets[k + 1] - offsets[k] <= DENSE_STATES
+            _, _, _, lower, upper, path, _, _, decided = by_sector[sector]
+            beyond = (spectra[k][0] > d_min, spectra[k][-1] < d_max)
+            extreme = (lower >= sr.e_min, upper <= sr.e_max)
+            for end in (0, 1):
+                if not reach[end]:
+                    assert decided[end] == "pruned by discs", (sector, end)
+                elif decided[end] == "pruned by weight":
+                    assert beyond[end], (sector, end)
+                    weighed += 1
+                elif decided[end] == "pruned by discs":
+                    assert not small and extreme[end], (sector, end)
+            solved = [end for end, how in zip(("low", "high"), decided)
+                      if how == "solved"]
+            side = "both" if len(solved) == 2 else "".join(solved)
+            kind = "joint" if small else "lanczos"
+            assert path == (f"{kind} for {side}" if solved else "pruned"), sector
+            pruned += path == "pruned"
+        assert pruned == {"lih": 11, "h2o": 12, "chain_h06": 7}[name]
+        assert weighed == {"lih": 3, "h2o": 3, "chain_h06": 2}[name]
+        eigs = np.concatenate(spectra)
         scale = np.abs(eigs).max()
         assert abs(sr.e_min - eigs.min()) <= 1e-12 * scale
         assert abs(sr.e_max - eigs.max()) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name, runs, steps", [
+        ("h2", [], 0), ("lih", [], 0),
+        ("beh2", [((3, 3), "low")], 60),
+        ("h2o", [((5, 5), "low"), ((4, 5), "low")], 150)])
+    def test_lanczos_work_per_molecule(self, name, runs, steps, caplog):
+        # the weighted discs leave beh2 one low-end Lanczos run and h2o two;
+        # lih's and h2's candidates are solved densely. Steps are read from
+        # the DEBUG records, joint solves included
+        joint, records = spectral_records(name, caplog)
+        assert not any(path.startswith("lanczos") for *_, path, _ in joint)
+        assert [(record[0], record[5].removeprefix("lanczos for "))
+                for record in records if record[5].startswith("lanczos")] == runs
+        assert sum(record[6] for record in records) == steps
 
     def test_joint_run_finds_extremes_hidden_in_small_blocks(self, caplog):
         # a 5-state block holds the minimum and a 7-state block the
@@ -423,7 +467,7 @@ class TestSpectralRange:
         assert ", lanczos for " in joint[0]
 
     def test_disc_bounds_match_dense_rows(self):
-        # beh2's blocks span several DISC_ROWS chunks
+        # beh2's blocks, up to 1,225 states, summed one block at a time
         sectors = [(n_e // 2, n_e - n_e // 2) for n_e in range(15)]
         matrix, offsets = sector_matrix(
             pauli_sum_of_hamiltonian(hamiltonian("beh2")), sectors)
